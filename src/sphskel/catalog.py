@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .pinv import compute_p, evaluate_objective, theta_feasible
@@ -322,8 +323,12 @@ def _fixed_system(fam: str) -> tuple[RootSystem, list[SphericalRoot], frozenset[
     raise ParameterOutOfRange(f"unknown family {fam!r}")
 
 
+@cache
 def generate(spec: FamilySpec) -> SphericalSkeleton:
-    """The family's skeleton with empty Gamma; always validates."""
+    """The family's skeleton with empty Gamma; always validates.
+
+    Built once per spec and process: the skeleton is an immutable value.
+    """
     rs, sigma, sp = _system(spec)
     sk = make_skeleton(rs, sigma, sp)
     problems = validate(sk)
@@ -569,54 +574,12 @@ class TableRow:
     dual: tuple[Q, ...] | None = None
 
 
-def _evaluate(spec: FamilySpec, k: int, with_certificates: bool) -> TableRow:
-    expected = expected_value(spec, k)
-    report = compute_p(mark(spec, k))
-    fam, _, params = spec.label().partition(":")
-    return TableRow(
-        fam,
-        params,
-        k,
-        expected,
-        report.p_value,
-        report.bound,
-        report.p_value == expected,
-        theta=report.theta if with_certificates else None,
-        dual=report.dual if with_certificates else None,
-    )
-
-
 def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
     tasks = []
     for spec in all_specs(max_rank):
         for k in range(1, sigma_size(spec) + 1):
             tasks.append((spec, k))
     return tasks
-
-
-def verify_tables(
-    max_rank: int = 8, jobs: int = 1, with_certificates: bool = False
-) -> list[TableRow]:
-    """Recompute every table value; one row per (family, params, marking)."""
-    tasks = table_tasks(max_rank)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    _evaluate_star,
-                    [(spec, k, with_certificates) for spec, k in tasks],
-                    chunksize=8,
-                )
-            )
-    else:
-        rows = [_evaluate(spec, k, with_certificates) for spec, k in tasks]
-    return rows
-
-
-def _evaluate_star(args: tuple[FamilySpec, int, bool]) -> TableRow:
-    return _evaluate(*args)
 
 
 @dataclass(frozen=True)
@@ -635,37 +598,71 @@ class EqualityRow:
         return self.listed == self.is_equality and (not self.listed or self.theta_ok)
 
 
-def verify_equality_cases(max_rank: int = 8) -> list[EqualityRow]:
-    """Check that the bound is attained exactly on the listed markings.
+def _evaluate(task: tuple[FamilySpec, int, bool]) -> tuple[TableRow, EqualityRow]:
+    """Solve one marking once and report it for both tables.
 
-    For listed rows the printed optimal vertex must be feasible and attain
-    the value; every other single marking in the sweep must be strictly
-    below the bound.
+    For listed markings the printed optimal vertex must be feasible and
+    attain the value; every other marking must be strictly below the bound.
     """
-    rows: list[EqualityRow] = []
-    for spec in all_specs(max_rank):
-        listed = equality_entries(spec)
-        for k in range(1, sigma_size(spec) + 1):
-            report = compute_p(mark(spec, k))
-            theta_ok = True
-            if k in listed:
-                sk = mark(spec, k)
-                theta = listed[k]
-                theta_ok = (
-                    theta_feasible(sk, theta)
-                    and evaluate_objective(sk, theta) == report.p_value
-                )
-            fam, _, params = spec.label().partition(":")
-            rows.append(
-                EqualityRow(
-                    fam,
-                    params,
-                    k,
-                    k in listed,
-                    report.p_value,
-                    report.bound,
-                    report.is_equality,
-                    theta_ok,
-                )
-            )
-    return rows
+    spec, k, with_certificates = task
+    sk = mark(spec, k)
+    report = compute_p(sk)
+    expected = expected_value(spec, k)
+    listed = equality_entries(spec)
+    theta_ok = True
+    if k in listed:
+        theta = listed[k]
+        theta_ok = (
+            theta_feasible(sk, theta)
+            and evaluate_objective(sk, theta) == report.p_value
+        )
+    fam, _, params = spec.label().partition(":")
+    table = TableRow(
+        fam,
+        params,
+        k,
+        expected,
+        report.p_value,
+        report.bound,
+        report.p_value == expected,
+        theta=report.theta if with_certificates else None,
+        dual=report.dual if with_certificates else None,
+    )
+    equality = EqualityRow(
+        fam,
+        params,
+        k,
+        k in listed,
+        report.p_value,
+        report.bound,
+        report.is_equality,
+        theta_ok,
+    )
+    return table, equality
+
+
+def verify_catalog(
+    max_rank: int = 8, jobs: int = 1, with_certificates: bool = False
+) -> tuple[list[TableRow], list[EqualityRow]]:
+    """One sweep over every (family, params, marking): table and equality rows."""
+    tasks = [(spec, k, with_certificates) for spec, k in table_tasks(max_rank)]
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            pairs = list(pool.map(_evaluate, tasks, chunksize=8))
+    else:
+        pairs = [_evaluate(task) for task in tasks]
+    return [t for t, _ in pairs], [e for _, e in pairs]
+
+
+def verify_tables(
+    max_rank: int = 8, jobs: int = 1, with_certificates: bool = False
+) -> list[TableRow]:
+    """Recompute every table value; one row per (family, params, marking)."""
+    return verify_catalog(max_rank, jobs, with_certificates)[0]
+
+
+def verify_equality_cases(max_rank: int = 8, jobs: int = 1) -> list[EqualityRow]:
+    """Check that the bound is attained exactly on the listed markings."""
+    return verify_catalog(max_rank, jobs)[1]

@@ -25,8 +25,11 @@ EXIT_INVALID = 2
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise serialize.DocumentError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
@@ -109,10 +112,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jobs = args.jobs or min(os.cpu_count() or 1, 8)
     doc: dict = {}
     failures = 0
+    tables, equality = catalog.verify_catalog(
+        max_rank=args.max_rank, jobs=jobs, with_certificates=bool(args.json)
+    )
     if args.what in ("tables", "all"):
-        rows = catalog.verify_tables(
-            max_rank=args.max_rank, jobs=jobs, with_certificates=bool(args.json)
-        )
+        rows = tables
         bad = [r for r in rows if not r.match]
         failures += len(bad)
         print(f"tables: {len(rows)} rows, {len(bad)} mismatches")
@@ -127,7 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             with open(args.csv, "w", encoding="utf-8") as handle:
                 handle.write(serialize.table_rows_to_csv(rows))
     if args.what in ("equality", "all"):
-        rows = catalog.verify_equality_cases(max_rank=args.max_rank)
+        rows = equality
         bad = [r for r in rows if not r.match]
         failures += len(bad)
         listed = sum(1 for r in rows if r.listed)

@@ -196,11 +196,6 @@ def supported_vertex_indices(
     return tuple(out)
 
 
-def supported_vertices(fp: FanoPolytope) -> tuple[Vec, ...]:
-    """The supported vertices of the dual polytope, as points."""
-    return tuple(fp.qstar.vertices[i] for i in fp.supported)
-
-
 def build_fano(aug: AugmentedData, check: bool = True) -> FanoPolytope:
     violations = validate_reflexive(aug) if check else []
     if violations:

@@ -21,10 +21,6 @@ def mat(rows: Iterable[Iterable[int | Q]]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def zeros(n: int) -> Vec:
-    return (Q(0),) * n
-
-
 def unit(n: int, i: int) -> Vec:
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
@@ -41,15 +37,6 @@ def add(x: Sequence[Q], y: Sequence[Q]) -> Vec:
 
 def sub(x: Sequence[Q], y: Sequence[Q]) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def scale(c: Q | int, x: Sequence[Q]) -> Vec:
-    c = Q(c)
-    return tuple(c * a for a in x)
-
-
-def is_zero(x: Sequence[Q]) -> bool:
-    return all(a == 0 for a in x)
 
 
 def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:

@@ -4,14 +4,16 @@ Roots are stored as integer coefficient vectors over the simple roots in
 Bourbaki numbering; all pairings go through the coroot pairing matrix
 ``M[i][j] = <alpha_i^vee, alpha_j>``, so no euclidean realization is
 needed.  Simple-root indices are 0-based internally and numbered factor by
-factor.
+factor.  Root systems are frozen values, so the data derived from them
+(coroot matrix, positive roots, half-sums) is pure and memoised per process
+by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 _RANK_RULES = {
@@ -91,14 +93,8 @@ class Root:
 
     coeffs: tuple[int, ...]
 
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
-
-    def height(self) -> int:
-        return sum(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -133,29 +129,26 @@ class RootSystem:
             acc += f.rank
         return offsets
 
-    def factor_of(self, index: int) -> int:
-        acc = 0
-        for k, f in enumerate(self.factors):
-            if index < acc + f.rank:
-                return k
-            acc += f.rank
-        raise IndexError(index)
-
     def coroot_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Block-diagonal matrix M[i][j] = <alpha_i^vee, alpha_j>."""
-        n = self.total_rank
-        m = [[0] * n for _ in range(n)]
-        for off, fac in zip(self.factor_offsets(), self.factors):
-            block = _simple_coroot_matrix(fac)
-            for i in range(fac.rank):
-                for j in range(fac.rank):
-                    m[off + i][off + j] = block[i][j]
-        return tuple(tuple(r) for r in m)
+        return _coroot_matrix(self)
 
     def coroot_pairing(self, i: int, coeffs: Sequence[int | Q]) -> int | Q:
         """<alpha_i^vee, sum coeffs_j alpha_j>."""
         row = self.coroot_matrix()[i]
         return sum(c * row[j] for j, c in enumerate(coeffs) if c)
+
+
+@cache
+def _coroot_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    n = rs.total_rank
+    m = [[0] * n for _ in range(n)]
+    for off, fac in zip(rs.factor_offsets(), rs.factors):
+        block = _simple_coroot_matrix(fac)
+        for i in range(fac.rank):
+            for j in range(fac.rank):
+                m[off + i][off + j] = block[i][j]
+    return tuple(tuple(r) for r in m)
 
 
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -170,7 +163,7 @@ def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _positive_roots_cached(rs: RootSystem) -> tuple[Root, ...]:
     n = rs.total_rank
     m = rs.coroot_matrix()
@@ -218,15 +211,23 @@ def positive_roots(rs: RootSystem) -> tuple[Root, ...]:
 
 def positive_roots_of_subset(rs: RootSystem, subset: Iterable[int]) -> tuple[Root, ...]:
     """Positive roots of the standard sub-root-system generated by subset."""
-    s = frozenset(subset)
+    return _positive_roots_of_subset(rs, frozenset(subset))
+
+
+@cache
+def _positive_roots_of_subset(rs: RootSystem, s: frozenset[int]) -> tuple[Root, ...]:
     return tuple(r for r in positive_roots(rs) if r.support() <= s)
 
 
 def half_sum(rs: RootSystem, subset: Iterable[int]) -> tuple[Q, ...]:
     """Half-sum of the positive roots generated by the subset (rho_I)."""
-    n = rs.total_rank
-    total = [0] * n
-    for r in positive_roots_of_subset(rs, subset):
+    return _half_sum(rs, frozenset(subset))
+
+
+@cache
+def _half_sum(rs: RootSystem, s: frozenset[int]) -> tuple[Q, ...]:
+    total = [0] * rs.total_rank
+    for r in _positive_roots_of_subset(rs, s):
         for j, c in enumerate(r.coeffs):
             total[j] += c
     return tuple(Q(t, 2) for t in total)

@@ -220,7 +220,10 @@ def validate(sk: SphericalSkeleton) -> list[str]:
     n = rs.total_rank
     nsigma = len(sk.sigma)
 
-    if not sk.sp <= frozenset(range(n)):
+    # Checks that index the coroot matrix are skipped on unknown indices.
+    indices = frozenset(range(n))
+    sp_known = sk.sp <= indices
+    if not sp_known:
         out.append("S^p contains an unknown simple root index")
 
     seen_coeffs: set[tuple[int, ...]] = set()
@@ -235,7 +238,7 @@ def validate(sk: SphericalSkeleton) -> list[str]:
         if g.coeffs in seen_coeffs:
             out.append(f"sigma[{j}]: duplicate spherical root")
         seen_coeffs.add(g.coeffs)
-        if not is_compatible(g, sk.sp, rs):
+        if sp_known and not is_compatible(g, sk.sp, rs):
             out.append(f"axiom S: sigma[{j}] is not compatible with S^p")
     if rank([tuple(Q(c) for c in g.coeffs) for g in sk.sigma]) != nsigma:
         out.append("sigma is linearly dependent")
@@ -261,6 +264,9 @@ def validate(sk: SphericalSkeleton) -> list[str]:
             continue
         if not c.moved_by:
             out.append(f"{c.id}: moved_by is empty")
+            continue
+        if not indices.issuperset(c.moved_by):
+            out.append(f"{c.id}: moved by an unknown simple root index")
             continue
         if any(a in sk.sp for a in c.moved_by):
             out.append(f"{c.id}: moved by a simple root in S^p")

@@ -222,10 +222,6 @@ def make_root(kind: str, embedding: Sequence[int], rs: RootSystem) -> SphericalR
     return SphericalRoot(kind, emb, tuple(coeffs))
 
 
-def expand(root: SphericalRoot) -> tuple[int, ...]:
-    return root.coeffs
-
-
 def embed_from_coeffs(
     kind: str, coeffs: Sequence[int], rs: RootSystem
 ) -> SphericalRoot:

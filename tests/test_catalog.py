@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -19,6 +21,7 @@ from sphskel.catalog import (
 )
 from sphskel.pinv import compute_p
 from sphskel.roots import SimpleType
+from sphskel.serialize import equality_rows_to_json, table_rows_to_json
 from sphskel.skeleton import (
     AROUND,
     HALF,
@@ -86,7 +89,7 @@ def test_generated_skeletons_validate_and_marked_complete():
 
 
 def _expected_bound(spec):
-    """|R+ \ R+_{S^p}| in closed form, from dim(G/H) - rank computations."""
+    r"""|R+ \ R+_{S^p}| in closed form, from dim(G/H) - rank computations."""
     fam = spec.family
     if fam == "2":
         n = spec.series.rank
@@ -204,6 +207,24 @@ def test_verify_tables_parallel_matches_serial():
     serial = verify_tables(max_rank=3)
     parallel = verify_tables(max_rank=3, jobs=2)
     assert serial == parallel
+
+
+# Digest of the rank-4 table rows (with certificates) and equality rows as
+# produced when each report ran its own sweep.
+SWEEP_DIGEST_RANK_4 = "56e6aa5608bc062b6ca144782bf3837736ff4f776a5ffa5574c359d83f5d7326"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_sweep_rows_unchanged(jobs):
+    tables = verify_tables(max_rank=4, jobs=jobs, with_certificates=True)
+    equality = verify_equality_cases(max_rank=4, jobs=jobs)
+    doc = {
+        "tables": table_rows_to_json(tables),
+        "equality": equality_rows_to_json(equality),
+    }
+    text = json.dumps(doc, sort_keys=True).encode()
+    assert len(tables) == len(equality) == 157
+    assert hashlib.sha256(text).hexdigest() == SWEEP_DIGEST_RANK_4
 
 
 def test_verify_equality_small_budget():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import DATA
 from sphskel.cli import main
 
@@ -68,6 +70,18 @@ def test_verify_all_small(capsys):
     assert "tables:" in out and "equality:" in out
 
 
+def test_verify_all_json_is_tables_plus_equality(capsys, tmp_path):
+    docs = {}
+    for what in ("all", "tables", "equality"):
+        path = tmp_path / f"{what}.json"
+        argv = ["verify", what, "--max-rank", "4", "--jobs", "1", "--json", str(path)]
+        assert main(argv) == 0
+        docs[what] = json.loads(path.read_text())
+    capsys.readouterr()
+    merged = {"tables": docs["tables"]["tables"], "equality": docs["equality"]["equality"]}
+    assert docs["all"] == merged
+
+
 def test_fano_command(capsys):
     assert main(["fano", EX32]) == 0
     out = capsys.readouterr().out
@@ -95,6 +109,31 @@ def test_smoothness_command(capsys):
 
 def test_smoothness_unknown_divisor(capsys):
     assert main(["smoothness", EX35, "--divisors", "Dx"]) == 2
+
+
+def test_compute_p_sp_out_of_range_exit_code(tmp_path, capsys):
+    doc = json.loads((DATA / "ex35.json").read_text())
+    doc["sp"] = [3]
+    path = tmp_path / "bad_sp.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute-p", str(path), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "invalid input"
+    assert "S^p contains an unknown simple root index" in report["violations"]
+
+
+@pytest.mark.parametrize("command", ["compute-p", "smoothness", "fano"])
+def test_missing_file_exit_code(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    assert main([command, missing]) == 2
+    assert "violation: cannot read" in capsys.readouterr().err
+
+
+def test_missing_file_json_document(tmp_path, capsys):
+    assert main(["compute-p", str(tmp_path / "missing.json"), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "invalid input"
+    assert report["violations"][0].startswith("cannot read")
 
 
 def test_catalog_list(capsys):

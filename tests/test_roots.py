@@ -13,6 +13,7 @@ from sphskel.roots import (
     matrix_isomorphisms,
     parabolic_count,
     positive_roots,
+    positive_roots_of_subset,
 )
 
 CLASSICAL_COUNTS = {
@@ -130,3 +131,18 @@ def test_classify_subsystem_mixed_lengths():
     rs = RootSystem.parse("F4")
     sub, _ = classify_subsystem(rs, (1, 2))
     assert [str(f) for f in sub.factors] in (["B2"], ["C2"])
+
+
+@pytest.mark.parametrize("system", ["A5", "B3", "D4", "E6", "F4", "G2xA2"])
+def test_subset_data_independent_of_subset_type(system):
+    rs = RootSystem.parse(system)
+    n = rs.total_rank
+    for subset in ([], [0], list(range(0, n, 2)), list(range(1, n)), list(range(n))):
+        direct = [r for r in positive_roots(rs) if r.support() <= set(subset)]
+        expected = tuple(
+            Q(sum(r.coeffs[j] for r in direct), 2) for j in range(n)
+        )
+        for form in (list(subset), set(subset), frozenset(subset), iter(subset)):
+            assert half_sum(rs, form) == expected
+        for form in (list(subset), set(subset), frozenset(subset)):
+            assert positive_roots_of_subset(rs, form) == tuple(direct)

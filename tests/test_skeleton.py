@@ -58,6 +58,16 @@ def test_compatibility_violation_detected():
     assert any("axiom S" in v for v in validate(sk))
 
 
+def test_out_of_range_indices_reported_not_raised():
+    sk = generate(FamilySpec.parse("2:A2"))
+    assert "S^p contains an unknown simple root index" in validate(
+        replace(sk, sp=frozenset({9}))
+    )
+    colors = (replace(sk.colors[0], moved_by=(9,)),) + sk.colors[1:]
+    problems = validate(replace(sk, colors=colors))
+    assert f"{sk.colors[0].id}: moved by an unknown simple root index" in problems
+
+
 def test_is_complete_on_worked_example():
     assert is_complete(worked_example())
 
