@@ -115,6 +115,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tables, equality = catalog.verify_catalog(
         max_rank=args.max_rank, jobs=jobs, with_certificates=bool(args.json)
     )
+    if not tables:
+        print(
+            f"violation: --max-rank {args.max_rank} selects no catalog marking",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     if args.what in ("tables", "all"):
         rows = tables
         bad = [r for r in rows if not r.match]
@@ -158,16 +164,18 @@ def cmd_fano(args: argparse.Namespace) -> int:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         violations += [v for v in validate(aug.skeleton)]
-        reflexive = fano.validate_reflexive(aug) if not violations else []
-        if violations or reflexive:
-            for v in violations + reflexive:
+        if not violations:
+            reflexive, fp = fano.reflexive_polytopes(aug)
+            violations += reflexive
+        if violations:
+            for v in violations:
                 print(f"violation: {v}", file=sys.stderr)
             if args.json:
-                _emit({"error": "invalid data", "violations": violations + reflexive}, args)
+                _emit({"error": "invalid data", "violations": violations}, args)
             return EXIT_INVALID
-        fp = fano.build_fano(aug, check=False)
+        fp = fano.require_supported(fp)
         curves = fano.curve_degrees(fp)
-        mukai = fano.mukai_check(fp)
+        mukai = fano.mukai_check(fp, curves)
     except (serialize.DocumentError, fano.FanoDataError, ValueError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import combinations
 from math import gcd
 from typing import Sequence
 
 from . import lp
-from .geometry import VPolytope, dualize, origin_interior, vertex_enumerate
+from .geometry import (
+    OriginNotInterior,
+    VPolytope,
+    origin_interior,
+    polar,
+    vertex_enumerate,
+)
 from .linalg import Vec, dot, vec
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton
@@ -149,14 +156,19 @@ def _in_valuation_cone(aug: AugmentedData, u: Sequence[Q]) -> bool:
     return all(dot(u, g) <= 0 for g in aug.sigma_in_m)
 
 
-def validate_reflexive(aug: AugmentedData) -> list[str]:
-    """The four reflexivity conditions on Q = conv(rho'(D)/m_D)."""
+def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | None]:
+    """The four reflexivity conditions on Q = conv(rho'(D)/m_D), checked
+    while Q, Q* and the supported vertices of Q* are each built once.
+
+    Returns the violations and the polytopes; the polytopes are None when 0
+    is not interior to Q, since Q* is then not the dual of Q.
+    """
     out: list[str] = []
     u = aug.u_map()
     q = VPolytope.build(u.values(), aug.lattice_rank)
     if not origin_interior(q):
         out.append("(2) 0 is not in the topological interior of Q")
-        return out
+        return out, None
     for cid in aug.color_ids():
         if not q.contains(u[cid]):
             out.append(f"(1) u_{cid} is not in Q")
@@ -167,12 +179,18 @@ def validate_reflexive(aug: AugmentedData) -> list[str]:
         if all(x.denominator == 1 for x in v) and _in_valuation_cone(aug, v):
             continue
         out.append(f"(3) vertex {v} is neither a color point nor a lattice point of V")
-    qstar = vertex_enumerate(dualize(q))
-    for idx in supported_vertex_indices(aug, q, qstar):
+    qstar = vertex_enumerate(polar(q))
+    supported = supported_vertex_indices(aug, q, qstar)
+    for idx in supported:
         v = qstar.vertices[idx]
         if any(x.denominator != 1 for x in v):
             out.append(f"(4) supported vertex {v} is not a lattice point")
-    return out
+    return out, FanoPolytope(aug, q, qstar, supported)
+
+
+def validate_reflexive(aug: AugmentedData) -> list[str]:
+    """The four reflexivity conditions on Q = conv(rho'(D)/m_D)."""
+    return reflexive_polytopes(aug)[0]
 
 
 def supported_vertex_indices(
@@ -197,15 +215,19 @@ def supported_vertex_indices(
 
 
 def build_fano(aug: AugmentedData, check: bool = True) -> FanoPolytope:
-    violations = validate_reflexive(aug) if check else []
-    if violations:
+    violations, fp = reflexive_polytopes(aug)
+    if check and violations:
         raise FanoDataError("; ".join(violations))
-    q = VPolytope.build(aug.u_map().values(), aug.lattice_rank)
-    qstar = vertex_enumerate(dualize(q))
-    supported = supported_vertex_indices(aug, q, qstar)
-    if not supported:
+    return require_supported(fp)
+
+
+def require_supported(fp: FanoPolytope | None) -> FanoPolytope:
+    """fp itself, once Q* is the dual of Q and has a supported vertex."""
+    if fp is None:
+        raise OriginNotInterior("0 must lie in the interior of the polytope")
+    if not fp.supported:
         raise NoSupportedVertices("no supported vertex: not genuine Fano data")
-    return FanoPolytope(aug, q, qstar, supported)
+    return fp
 
 
 def _primitive(v: Sequence[Q]) -> tuple[Vec, int]:
@@ -222,23 +244,27 @@ def _primitive(v: Sequence[Q]) -> tuple[Vec, int]:
 
 
 def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
+    """Vertex pairs of Q* that span an edge.
+
+    The facets of Q* are the vertices of Q, so the smallest face holding
+    two vertices lies on exactly the facets the two share.  It is an edge
+    iff no third vertex lies on all of them; an edge lies on at least
+    d - 1 facets.
+    """
     verts = fp.qstar.vertices
     d = fp.qstar.ambient_dim
-    normals = fp.q.vertices
     active = [
-        frozenset(i for i, u in enumerate(normals) if dot(u, v) == -1) for v in verts
+        frozenset(i for i, u in enumerate(fp.q.vertices) if dot(u, v) == -1)
+        for v in verts
     ]
-    from .linalg import rank as mat_rank
-
     edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            common = active[i] & active[j]
-            if mat_rank([normals[t] for t in common]) != d - 1:
-                continue
-            if any(common <= active[z] for z in range(len(verts)) if z not in (i, j)):
-                continue
-            edges.append((i, j))
+    for i, j in combinations(range(len(verts)), 2):
+        common = active[i] & active[j]
+        if len(common) < d - 1:
+            continue
+        if any(common <= active[z] for z in range(len(verts)) if z not in (i, j)):
+            continue
+        edges.append((i, j))
     return edges
 
 
@@ -353,11 +379,17 @@ def p_via_polytope(fp: FanoPolytope) -> Q | None:
     return base + res.value
 
 
-def mukai_check(fp: FanoPolytope) -> MukaiReport:
-    """Generalized Mukai inequality report plus the invariant cross-check."""
+def mukai_check(
+    fp: FanoPolytope, curves: CurveDegreeReport | None = None
+) -> MukaiReport:
+    """Generalized Mukai inequality report plus the invariant cross-check.
+
+    ``curves`` is the report of ``curve_degrees(fp)`` when the caller has
+    it already; it is computed here otherwise.
+    """
     if not check_q_factorial(fp):
         raise NotQFactorial("a supported dual face violates the rank criterion")
-    report = curve_degrees(fp)
+    report = curves if curves is not None else curve_degrees(fp)
     p_skel = compute_p(fp.aug.skeleton).p_value
     p_poly = p_via_polytope(fp)
     # Pasquier-style bound at each supported vertex inside cone(sigma).

@@ -1,19 +1,22 @@
 """Exact polytope machinery: H/V representations, polarity, cone membership.
 
-Dimensions stay small (ambient rank <= 8), so vertex enumeration is a
-combinatorial active-set search over constraint subsets and every
-incidence question is decided by an exact LP.
+Dimensions stay small (ambient rank <= 8).  Vertex enumeration is the
+double description method (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+integer arithmetic on the homogenised cone, so its cost follows the number
+of vertices rather than the number of constraint subsets.  Hull and cone
+membership, interiority, and boundedness when the cone shows the polytope
+is not a bounded non-empty one, are decided by an exact LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, rank, solve_linear, vec
+from .linalg import Vec, dot, echelon, rank, vec
 
 MAX_DIM = 8
 
@@ -140,9 +143,11 @@ def cone_contains(generators: Sequence[Sequence[Q]], target: Sequence[Q]) -> boo
 def vertex_enumerate(p: HPolytope) -> VPolytope:
     """Exact vertex set of a bounded H-polytope.
 
-    Every point where ambient_dim linearly independent constraints are
-    active and all constraints hold.  Boundedness is checked first with one
-    LP per signed coordinate direction.
+    The vertices are the extreme rays (x0, x) with x0 > 0 of the
+    homogenised cone {(x0, x) : <n, x> - o x0 >= 0, x0 >= 0}, scaled to
+    x0 = 1.  When that cone has a line or a ray with x0 = 0, the polytope
+    is empty or unbounded, and one LP per signed coordinate direction
+    tells which.
     """
     d = p.ambient_dim
     if d > MAX_DIM:
@@ -150,25 +155,86 @@ def vertex_enumerate(p: HPolytope) -> VPolytope:
     if d == 0:
         ok = all(o <= 0 for _, o in p.rows)
         return VPolytope(((),) if ok else (), 0)
+    rows = [_integral((-offset, *normal)) for normal, offset in p.rows]
+    rows.append((1,) + (0,) * d)
+    rays = _extreme_rays(rows, d + 1)
+    if rays is None or any(ray[0] == 0 for ray in rays):
+        _raise_if_unbounded(p)
+        return VPolytope((), d)
+    found = [tuple(Q(x, ray[0]) for x in ray[1:]) for ray in rays]
+    return VPolytope(tuple(sorted(found)), d)
+
+
+def _raise_if_unbounded(p: HPolytope) -> None:
+    """Raise UnboundedPolytope unless p is bounded or empty."""
     a = [[-v for v in normal] for normal, _ in p.rows]
     b = [-offset for _, offset in p.rows]
-    for j in range(d):
+    for j in range(p.ambient_dim):
         for sign in (1, -1):
-            c = [Q(sign) if t == j else Q(0) for t in range(d)]
+            c = [Q(sign) if t == j else Q(0) for t in range(p.ambient_dim)]
             res = lp.solve_free(c, a, b)
             if res.status == lp.UNBOUNDED:
                 raise UnboundedPolytope(f"unbounded in coordinate direction {j}")
             if res.status == lp.INFEASIBLE:
-                return VPolytope((), d)
-    found: set[Vec] = set()
-    for subset in combinations(range(len(p.rows)), d):
-        normals = [p.rows[i][0] for i in subset]
-        if rank(normals) < d:
-            continue
-        sol = solve_linear(normals, [p.rows[i][1] for i in subset])
-        if sol is not None and p.contains(sol):
-            found.add(sol)
-    return VPolytope(tuple(sorted(found)), d)
+                return
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _integral(v: Sequence[Q]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through v."""
+    scale = lcm(*(x.denominator for x in v))
+    return _primitive([int(x * scale) for x in v])
+
+
+def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]] | None:
+    """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n,
+    or None when the rows have rank below n (the cone contains a line).
+
+    Double description: start from the simplicial cone of the first n
+    linearly independent rows, then add the other rows one at a time.  Each
+    ray is a primitive integer vector with its zero set, a bit mask over the
+    rows added so far.  Adding a row keeps the rays on its side and joins
+    each adjacent pair across it; two rays are adjacent iff they share at
+    least n - 2 zeros and no third ray vanishes on all of those.
+    """
+    _, basis = echelon([list(map(Q, col)) for col in zip(*rows)])
+    if len(basis) < n:
+        return None
+    inverse, _ = echelon(
+        [
+            list(map(Q, rows[i])) + [Q(int(j == k)) for j in range(n)]
+            for k, i in enumerate(basis)
+        ]
+    )
+    rays = [_integral([inverse[r][n + k] for r in range(n)]) for k in range(n)]
+    everything = sum(1 << i for i in basis)
+    masks = [everything & ~(1 << i) for i in basis]
+    for i in sorted(set(range(len(rows))) - set(basis)):
+        a = rows[i]
+        bit = 1 << i
+        side = [sum(x * y for x, y in zip(a, ray)) for ray in rays]
+        plus = [k for k, s in enumerate(side) if s > 0]
+        minus = [k for k, s in enumerate(side) if s < 0]
+        new_rays = [ray for ray, s in zip(rays, side) if s >= 0]
+        new_masks = [z | bit if s == 0 else z for z, s in zip(masks, side) if s >= 0]
+        for kp in plus:
+            for km in minus:
+                common = masks[kp] & masks[km]
+                if common.bit_count() < n - 2:
+                    continue
+                if sum(z & common == common for z in masks) > 2:
+                    continue
+                sp, sm = side[kp], side[km]
+                new_rays.append(
+                    _primitive([sp * x - sm * y for x, y in zip(rays[km], rays[kp])])
+                )
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays
 
 
 def _full_dimensional(points: Sequence[Vec], d: int) -> bool:
@@ -208,11 +274,17 @@ def origin_interior(q: VPolytope) -> bool:
     return res.status == lp.OPTIMAL and res.value is not None and res.value > 0
 
 
+def polar(q: VPolytope) -> HPolytope:
+    """{v : <u, v> >= -1 for every vertex u of q}, the dual of q when 0 is
+    interior to q (see dualize)."""
+    return HPolytope(tuple((u, Q(-1)) for u in q.vertices), q.ambient_dim)
+
+
 def dualize(q: VPolytope) -> HPolytope:
     """Polar dual {v : <u, v> >= -1 for every vertex u of q}."""
     if not origin_interior(q):
         raise OriginNotInterior("0 must lie in the interior of the polytope")
-    return HPolytope(tuple((u, Q(-1)) for u in q.vertices), q.ambient_dim)
+    return polar(q)
 
 
 def dual_face(q: VPolytope, v: Sequence[Q]) -> frozenset[int]:

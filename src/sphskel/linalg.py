@@ -39,8 +39,13 @@ def sub(x: Sequence[Q], y: Sequence[Q]) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Row-reduce in place; returns the matrix and the pivot columns."""
+def echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Row-reduce in place to reduced row echelon form; returns the matrix
+    and the pivot columns.
+
+    The pivot columns are the first linearly independent columns, found
+    greedily from the left.
+    """
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -66,7 +71,7 @@ def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
 
 def rank(rows: Iterable[Sequence[Q]]) -> int:
     work = [list(map(Q, r)) for r in rows]
-    _, pivots = _echelon(work)
+    _, pivots = echelon(work)
     return len(pivots)
 
 
@@ -80,7 +85,7 @@ def solve_linear(rows: Iterable[Sequence[Q]], rhs: Sequence[Q]) -> Vec | None:
     if not a:
         return ()
     n = len(a[0]) - 1
-    reduced, pivots = _echelon(a)
+    reduced, pivots = echelon(a)
     for row in reduced:
         if all(v == 0 for v in row[:-1]) and row[-1] != 0:
             return None

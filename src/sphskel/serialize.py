@@ -48,7 +48,9 @@ def parse_rational(text: str) -> Q | None:
 
 # ---------------------------------------------------------------------------
 # Minimal structural schema interpreter (type / required / properties /
-# additionalProperties / items / enum), enough to express the documents.
+# additionalProperties / items / enum / minimum), enough to express the
+# documents.  additionalProperties is false (reject unknown fields) or a
+# schema that every field not in properties must satisfy.
 
 def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
     out: list[str] = []
@@ -64,15 +66,21 @@ def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
             return [f"{path}: expected {expected}"]
     if "enum" in schema and doc not in schema["enum"]:
         out.append(f"{path}: {doc!r} not one of {schema['enum']}")
+    if "minimum" in schema and doc < schema["minimum"]:
+        out.append(f"{path}: {doc!r} is below {schema['minimum']}")
     if expected == "object":
         props = schema.get("properties", {})
         for key in schema.get("required", []):
             if key not in doc:
                 out.append(f"{path}: missing required field {key!r}")
-        if not schema.get("additionalProperties", True):
-            for key in doc:
-                if key not in props:
-                    out.append(f"{path}: unknown field {key!r}")
+        extra = schema.get("additionalProperties", True)
+        for key in doc:
+            if key in props:
+                continue
+            if extra is False:
+                out.append(f"{path}: unknown field {key!r}")
+            elif isinstance(extra, dict):
+                out.extend(_schema_check(doc[key], extra, f"{path}.{key}"))
         for key, sub in props.items():
             if key in doc:
                 out.extend(_schema_check(doc[key], sub, f"{path}.{key}"))
@@ -170,24 +178,39 @@ def augmented_to_doc(aug: AugmentedData) -> dict:
     return doc
 
 
-_AUG_KEYS = {
-    "schema_version", "skeleton", "lattice_rank", "sigma_in_M",
-    "rho_prime", "m", "coroot_on_M",
+_INT_VECTOR = {"type": "array", "items": {"type": "integer"}}
+
+_AUGMENTED_SCHEMA = {
+    "type": "object",
+    "required": [
+        "schema_version", "skeleton", "lattice_rank", "sigma_in_M", "rho_prime", "m",
+    ],
+    "additionalProperties": False,
+    "properties": {
+        "schema_version": {"type": "integer"},
+        "skeleton": {"type": "object"},
+        "lattice_rank": {"type": "integer", "minimum": 0},
+        "sigma_in_M": {"type": "array", "items": _INT_VECTOR},
+        "rho_prime": {"type": "object", "additionalProperties": _INT_VECTOR},
+        "m": {
+            "type": "object",
+            "additionalProperties": {"type": "integer", "minimum": 1},
+        },
+        "coroot_on_M": {"type": "object", "additionalProperties": _INT_VECTOR},
+    },
 }
 
 
 def augmented_from_doc(doc: dict) -> AugmentedData:
-    if not isinstance(doc, dict):
-        raise DocumentError("augmented document must be an object")
-    unknown = set(doc) - _AUG_KEYS
-    if unknown:
-        raise DocumentError(f"unknown fields {sorted(unknown)}")
-    for key in ("schema_version", "skeleton", "lattice_rank", "sigma_in_M", "rho_prime", "m"):
-        if key not in doc:
-            raise DocumentError(f"missing required field {key!r}")
+    problems = _schema_check(doc, _AUGMENTED_SCHEMA)
+    if problems:
+        raise DocumentError("; ".join(problems))
     sk = skeleton_from_doc(doc["skeleton"])
     coroot = None
     if "coroot_on_M" in doc:
+        bad = [a for a in doc["coroot_on_M"] if not (a.isdecimal() and int(a) >= 1)]
+        if bad:
+            raise DocumentError(f"$.coroot_on_M: keys {bad} are not simple root indices")
         coroot = {
             int(a) - 1: vec(v) for a, v in doc["coroot_on_M"].items()
         }
@@ -196,7 +219,7 @@ def augmented_from_doc(doc: dict) -> AugmentedData:
         lattice_rank=doc["lattice_rank"],
         sigma_in_m=tuple(vec(g) for g in doc["sigma_in_M"]),
         rho_prime={k: vec(v) for k, v in doc["rho_prime"].items()},
-        m={k: int(v) for k, v in doc["m"].items()},
+        m=dict(doc["m"]),
         coroot_on_m=coroot,
     )
 

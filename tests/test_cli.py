@@ -99,6 +99,57 @@ def test_fano_invalid_exit(tmp_path, capsys):
     assert main(["fano", str(path)]) == 2
 
 
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,where",
+    [
+        (_set(["rho_prime"], [[1, 0], [0, 1], [-1, 1], [0, -1]]), "$.rho_prime"),
+        (_set(["rho_prime", "D1"], [1.5, 0]), "$.rho_prime.D1[0]"),
+        (_set(["rho_prime", "D1"], [True, 0]), "$.rho_prime.D1[0]"),
+        (_set(["rho_prime", "D1"], 1), "$.rho_prime.D1"),
+        (_set(["sigma_in_M"], [[1.0, 1]]), "$.sigma_in_M[0][0]"),
+        (_set(["m"], [1, 1, 1, 1]), "$.m"),
+        (_set(["m", "D1"], 1.5), "$.m.D1"),
+        (_set(["m", "D1"], 0), "$.m.D1"),
+        (_set(["m", "D1"], False), "$.m.D1"),
+        (_set(["lattice_rank"], -1), "$.lattice_rank"),
+        (_set(["lattice_rank"], "2"), "$.lattice_rank"),
+        (_set(["lattice_rank"], 2.0), "$.lattice_rank"),
+        (_set(["coroot_on_M"], [[1, 1]]), "$.coroot_on_M"),
+        (_set(["coroot_on_M", "1"], [1, 0.5]), "$.coroot_on_M.1[1]"),
+        (_set(["coroot_on_M", "x"], [1, 1]), "$.coroot_on_M"),
+        (_set(["mystery"], 1), "unknown field 'mystery'"),
+    ],
+)
+def test_fano_mistyped_document_exit_code(tmp_path, capsys, edit, where):
+    doc = json.loads((DATA / "ex32_fano.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fano", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("violation: ") and where in err
+    assert "Traceback" not in err
+
+
+def test_verify_over_no_rows_is_invalid(capsys, tmp_path):
+    json_path = tmp_path / "out.json"
+    assert main(["verify", "all", "--max-rank", "0", "--json", str(json_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "violation: --max-rank 0 selects no catalog marking" in captured.err
+    assert not json_path.exists()
+
+
 def test_smoothness_command(capsys):
     assert main(["smoothness", EX35, "--divisors", "D1,D2,D4"]) == 0
     out = capsys.readouterr().out

@@ -20,21 +20,39 @@ def ex61():
     return augmented_from_doc(load_fixture("ex61_fano.json"))
 
 
-def toric_projective_space(n: int) -> fano.AugmentedData:
-    """P^n as an empty-sigma skeleton with n+1 invariant divisors."""
-    rs = RootSystem(())
-    rows = [(f"D{i}", ()) for i in range(n + 1)]
-    sk = make_skeleton(rs, [], (), gamma_rows=rows)
-    rho = {f"D{i}": vec(1 if j == i else 0 for j in range(n)) for i in range(n)}
-    rho[f"D{n}"] = vec([-1] * n)
+def toric(rays: list[tuple[int, ...]]) -> fano.AugmentedData:
+    """The toric variety of a fan with the given rays, as an empty-sigma
+    skeleton with one invariant divisor per ray."""
+    ids = [f"D{i}" for i in range(len(rays))]
+    sk = make_skeleton(RootSystem(()), [], (), gamma_rows=[(i, ()) for i in ids])
     return fano.AugmentedData(
         skeleton=sk,
-        lattice_rank=n,
+        lattice_rank=len(rays[0]),
         sigma_in_m=(),
-        rho_prime=rho,
-        m={f"D{i}": 1 for i in range(n + 1)},
+        rho_prime={i: vec(r) for i, r in zip(ids, rays)},
+        m={i: 1 for i in ids},
         coroot_on_m={},
     )
+
+
+def projective_rays(n: int) -> list[tuple[int, ...]]:
+    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return rays + [(-1,) * n]
+
+
+def product_rays(*factors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    total = sum(len(f[0]) for f in factors)
+    out, offset = [], 0
+    for rays in factors:
+        d = len(rays[0])
+        out += [(0,) * offset + r + (0,) * (total - offset - d) for r in rays]
+        offset += d
+    return out
+
+
+def toric_projective_space(n: int) -> fano.AugmentedData:
+    """P^n as an empty-sigma skeleton with n+1 invariant divisors."""
+    return toric(projective_rays(n))
 
 
 def test_ex32_augmentation_and_reflexivity():
@@ -224,3 +242,75 @@ def test_non_simplicial_data_rejected():
     assert not fano.check_q_factorial(fp)
     with pytest.raises(fano.NotQFactorial):
         fano.mukai_check(fp)
+
+
+def _rank_edges(fp):
+    """Oracle: vertex pairs whose common facets have rank d - 1 and lie on
+    no third vertex."""
+    from sphskel.linalg import dot, rank
+
+    verts = fp.qstar.vertices
+    d = fp.qstar.ambient_dim
+    normals = fp.q.vertices
+    active = [
+        frozenset(i for i, u in enumerate(normals) if dot(u, v) == -1) for v in verts
+    ]
+    edges = []
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            common = active[i] & active[j]
+            if rank([normals[t] for t in common]) != d - 1:
+                continue
+            if any(common <= active[z] for z in range(len(verts)) if z not in (i, j)):
+                continue
+            edges.append((i, j))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ex32", "ex61", "P2", "P3", "P4", "P5", "P1^2", "P1^3", "P1^4", "P2xP2"],
+)
+def test_qstar_edges_match_rank_oracle(name):
+    cases = {
+        "ex32": ex32,
+        "ex61": ex61,
+        **{f"P{n}": (lambda n=n: toric_projective_space(n)) for n in (2, 3, 4, 5)},
+        **{
+            f"P1^{n}": (lambda n=n: toric(product_rays(*[projective_rays(1)] * n)))
+            for n in (2, 3, 4)
+        },
+        "P2xP2": lambda: toric(product_rays(projective_rays(2), projective_rays(2))),
+    }
+    fp = fano.build_fano(cases[name]())
+    edges = fano._qstar_edges(fp)
+    assert edges == _rank_edges(fp)
+    # Each vertex of a d-polytope lies on at least d edges.
+    d = fp.qstar.ambient_dim
+    for k in range(len(fp.qstar.vertices)):
+        assert sum(k in e for e in edges) >= d
+
+
+def test_one_pass_matches_separate_steps():
+    aug = toric(product_rays(projective_rays(2), projective_rays(1)))
+    violations, fp = fano.reflexive_polytopes(aug)
+    assert violations == fano.validate_reflexive(aug) == []
+    assert fp == fano.build_fano(aug)
+    curves = fano.curve_degrees(fp)
+    assert fano.mukai_check(fp, curves) == fano.mukai_check(fp)
+
+
+def test_unchecked_build_still_needs_interior_origin():
+    aug = ex32()
+    shifted = fano.AugmentedData(
+        skeleton=aug.skeleton,
+        lattice_rank=2,
+        sigma_in_m=aug.sigma_in_m,
+        rho_prime={k: tuple(x + 1 for x in v) for k, v in aug.rho_prime.items()},
+        m=aug.m,
+        coroot_on_m=None,
+    )
+    with pytest.raises(fano.FanoDataError, match=r"\(2\)"):
+        fano.build_fano(shifted)
+    with pytest.raises(fano.OriginNotInterior):
+        fano.build_fano(shifted, check=False)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from sphskel.geometry import (
+    MAX_DIM,
     DimensionTooLarge,
     HPolytope,
     NotAVertex,
@@ -16,6 +17,7 @@ from sphskel.geometry import (
     cone_contains,
     dual_face,
     dualize,
+    polar,
     vertex_enumerate,
 )
 from sphskel.linalg import dot, rank, solve_linear, vec
@@ -245,3 +247,106 @@ def test_vpolytope_drops_redundant_points():
     q = VPolytope.build([(1, 0), (0, 1), (-1, -1), (0, 0)], 2)
     assert (Q(0), Q(0)) not in q.vertices
     assert len(q.vertices) == 3
+
+
+def _random_bounded_rows(rng, dim, extra):
+    """A box [-5, 5]^dim cut by random rows; small coefficients make many
+    rows meet at one vertex, and positive offsets sometimes empty it."""
+    rows = []
+    for j in range(dim):
+        e = tuple(Q(1) if t == j else Q(0) for t in range(dim))
+        rows.append((e, Q(-5)))
+        rows.append((tuple(-v for v in e), Q(-5)))
+    while len(rows) < 2 * dim + extra:
+        normal = tuple(Q(rng.randrange(-2, 3)) for _ in range(dim))
+        if any(normal):
+            rows.append((normal, Q(rng.randrange(-4, 2))))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("dim,cases,extra", [(2, 40, 5), (3, 30, 5), (4, 15, 4), (5, 4, 3)])
+def test_random_polytopes_against_brute_force(rng, dim, cases, extra):
+    for _ in range(cases):
+        rows = _random_bounded_rows(rng, dim, extra)
+        got = vertex_enumerate(HPolytope(tuple(rows), dim)).vertices
+        assert list(got) == sorted(_brute_force_vertices(rows, dim))
+
+
+def _cube_corners(d):
+    return [tuple(Q(x) for x in c) for c in product((-1, 1), repeat=d)]
+
+
+def _cross_vertices(d):
+    return [
+        tuple(Q(s) if j == i else Q(0) for j in range(d)) for i in range(d) for s in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_dual_of_cube_is_cross_polytope(d):
+    # 2^d facets, 2^(d-1) of them through each vertex: far from simple.
+    cube = VPolytope(tuple(sorted(_cube_corners(d))), d)
+    got = vertex_enumerate(polar(cube)).vertices
+    assert list(got) == sorted(_cross_vertices(d))
+
+
+def test_dual_of_small_cubes_against_brute_force():
+    for d in (3, 4):
+        rows = [(c, Q(-1)) for c in _cube_corners(d)]
+        got = vertex_enumerate(HPolytope(tuple(rows), d)).vertices
+        assert set(got) == _brute_force_vertices(rows, d)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, MAX_DIM])
+def test_dual_of_cross_polytope_is_cube(d):
+    cross = VPolytope(tuple(sorted(_cross_vertices(d))), d)
+    got = vertex_enumerate(polar(cross)).vertices
+    assert list(got) == sorted(_cube_corners(d))
+    assert len(got) == 2 ** d
+
+
+def test_unbounded_with_and_without_lines():
+    # A quadrant (pointed homogenised cone) and a strip (a line in it).
+    quadrant = HPolytope.build([((1, 0), 1), ((0, 1), 1)], 2)
+    with pytest.raises(UnboundedPolytope, match="direction 0"):
+        vertex_enumerate(quadrant)
+    strip = HPolytope.build([((1, 0), 0), ((-1, 0), -1)], 2)
+    with pytest.raises(UnboundedPolytope, match="direction 1"):
+        vertex_enumerate(strip)
+    ray = HPolytope.build([((1, 0), 0), ((-1, 0), 0), ((0, 1), 2)], 2)
+    with pytest.raises(UnboundedPolytope, match="direction 1"):
+        vertex_enumerate(ray)
+
+
+def test_infeasible_gives_empty_polytope():
+    bounded = HPolytope.build([((1,), 1), ((-1,), 0)], 1)
+    assert vertex_enumerate(bounded) == VPolytope((), 1)
+    with_line = HPolytope.build([((1, 0), 1), ((-1, 0), 0)], 2)
+    assert vertex_enumerate(with_line) == VPolytope((), 2)
+    box_and_cut = HPolytope.build(
+        [((1, 0), -1), ((-1, 0), -1), ((0, 1), -1), ((0, -1), -1), ((1, 1), 3)], 2
+    )
+    assert vertex_enumerate(box_and_cut) == VPolytope((), 2)
+
+
+def test_lower_dimensional_polytopes():
+    point = HPolytope.build([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)], 2)
+    assert vertex_enumerate(point).vertices == ((Q(0), Q(0)),)
+    segment = HPolytope.build(
+        [((1, 0), -1), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 0), ((1, 1), -1)], 2
+    )
+    assert vertex_enumerate(segment).vertices == ((Q(-1), Q(0)), (Q(1), Q(0)))
+
+
+def test_zero_dimensional_case():
+    assert vertex_enumerate(HPolytope.build([((), 0), ((), -1)], 0)) == VPolytope(((),), 0)
+    assert vertex_enumerate(HPolytope.build([((), 1)], 0)) == VPolytope((), 0)
+    assert vertex_enumerate(HPolytope.build([], 0)) == VPolytope(((),), 0)
+
+
+def test_rational_rows_and_vertices():
+    # Triangle with rational offsets: vertices (1/2, 0), (0, 1/3) and (0, 0).
+    rows = [((1, 0), 0), ((0, 1), 0), ((-2, -3), Q(-1))]
+    got = vertex_enumerate(HPolytope.build(rows, 2)).vertices
+    assert got == ((Q(0), Q(0)), (Q(0), Q(1, 3)), (Q(1, 2), Q(0)))
