@@ -6,6 +6,9 @@ Commands:
   fano          reflexivity, curves, and Mukai report for augmented data
   smoothness    localized equality test at a divisor subset
   catalog-list  list the symmetric families and their parameter ranges
+
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
+error (one ``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import sys
 import time
 
 from . import catalog, fano, lp, pinv, serialize
-from .skeleton import InvalidSkeleton, SubsetNotInDelta, localize, validate
+from .skeleton import InvalidSkeleton, SubsetNotInDelta, localize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
+EXIT_INTERNAL = 3
 
 
 def _load_json(path: str) -> dict:
@@ -163,7 +167,10 @@ def cmd_fano(args: argparse.Namespace) -> int:
         violations, warnings = fano.validate_augmentation(aug)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        violations += [v for v in validate(aug.skeleton)]
+        try:
+            invariant = pinv.compute_p(aug.skeleton)
+        except InvalidSkeleton as exc:
+            violations += exc.violations
         if not violations:
             reflexive, fp = fano.reflexive_polytopes(aug)
             violations += reflexive
@@ -175,7 +182,7 @@ def cmd_fano(args: argparse.Namespace) -> int:
             return EXIT_INVALID
         fp = fano.require_supported(fp)
         curves = fano.curve_degrees(fp)
-        mukai = fano.mukai_check(fp, curves)
+        mukai = fano.mukai_check(fp, curves, invariant)
     except (serialize.DocumentError, fano.FanoDataError, ValueError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -335,7 +342,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compute-p" and not args.path and not args.family:
         parser.error("compute-p needs a path or --family")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # Exit 1 means "table mismatch"; anything unforeseen gets its own code.
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:

@@ -26,7 +26,7 @@ from .geometry import (
 from .linalg import Vec, dot, vec
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton
-from .pinv import compute_p
+from .pinv import PInvariantReport, compute_p
 
 
 class FanoDataError(ValueError):
@@ -380,17 +380,22 @@ def p_via_polytope(fp: FanoPolytope) -> Q | None:
 
 
 def mukai_check(
-    fp: FanoPolytope, curves: CurveDegreeReport | None = None
+    fp: FanoPolytope,
+    curves: CurveDegreeReport | None = None,
+    invariant: PInvariantReport | None = None,
 ) -> MukaiReport:
     """Generalized Mukai inequality report plus the invariant cross-check.
 
-    ``curves`` is the report of ``curve_degrees(fp)`` when the caller has
-    it already; it is computed here otherwise.
+    ``curves`` is the report of ``curve_degrees(fp)`` and ``invariant`` that
+    of ``compute_p(fp.aug.skeleton)`` when the caller has them already; each
+    is computed here otherwise.
     """
     if not check_q_factorial(fp):
         raise NotQFactorial("a supported dual face violates the rank criterion")
     report = curves if curves is not None else curve_degrees(fp)
-    p_skel = compute_p(fp.aug.skeleton).p_value
+    if invariant is None:
+        invariant = compute_p(fp.aug.skeleton)
+    p_skel = invariant.p_value
     p_poly = p_via_polytope(fp)
     # Pasquier-style bound at each supported vertex inside cone(sigma).
     for idx in fp.supported:

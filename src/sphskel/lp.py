@@ -1,17 +1,25 @@
 """Exact rational linear programming.
 
 Solves ``max c.x  s.t.  A x <= b, x >= 0`` with a dense two-phase tableau
-simplex using Bland's anti-cycling rule.  Every pivot is a Fraction
-operation, so optimal values, primal vertices, and dual certificates are
-exact.  Returned primal points are basic solutions, i.e. vertices of the
-feasible region.
+simplex using Bland's anti-cycling rule.  The tableau is integer-preserving
+(Edmonds 1967; Bareiss 1968): each constraint row is a primitive integer
+vector whose basic entry is positive, and it stands for the rational row
+obtained by dividing it by that entry.  A pivot replaces row i by
+``p*row_i - f*row_r`` over the row gcd, which keeps every equation and every
+ratio ``rhs/a_ij``, so the pivots are exactly those of the rational tableau.
+The reduced costs are one integer row over a positive scale; Bland's rule
+reads only their signs.  Inputs are read through numerator and denominator
+and the results are built as Fractions at the end, so optimal values,
+primal vertices, and dual certificates are exact.  Returned primal points
+are basic solutions, i.e. vertices of the feasible region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .linalg import Mat, Vec, dot, mat, vec
 
@@ -48,55 +56,104 @@ class LpResult:
     y: Vec | None = None
 
 
-def _pivot(tab: list[list[Q]], basis: list[int], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+# gcd and lcm are folded pairwise rather than called with ``*args``: every
+# star call builds an argument tuple of the row's length, and those tuples
+# linger in the interpreter's per-size free lists.
+
+
+def _gcd(values: Iterable[int], g: int = 0) -> int:
+    for v in values:
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return g
+
+
+def _lcm(values: Iterable[int], d: int = 1) -> int:
+    for v in values:
+        d = lcm(d, v)
+    return d
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = _gcd(row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _lowest_terms(z: list[int], d: int) -> tuple[list[int], int]:
+    g = _gcd(z, d)
+    return ([v // g for v in z], d // g) if g > 1 else (z, d)
+
+
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> int:
+    """Pivot on (row, col) and return the pivot entry, made positive.
+
+    Row ``i`` stands for the Fraction row ``tab[i] / tab[i][basis[i]]``; the
+    update ``p * row_i - f * row_r`` scales that row by ``p > 0``, so every
+    basic entry stays positive.
+    """
+    prow = tab[row]
+    p = prow[col]
+    if p < 0:
+        prow = tab[row] = [-v for v in prow]
+        p = -p
+    for i, other in enumerate(tab):
+        f = other[col]
+        if f and i != row:
+            tab[i] = _primitive([p * a - f * b for a, b in zip(other, prow)])
     basis[row] = col
+    return p
 
 
-def _reduced_costs(tab: list[list[Q]], basis: list[int], cost: list[Q]) -> list[Q]:
-    red = list(cost)
-    for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb != 0:
-            row = tab[i]
-            for j in range(len(cost)):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
-    return red
+def _objective(
+    tab: list[list[int]], basis: list[int], cost: list[int], scale: int
+) -> tuple[list[int], int]:
+    """Reduced costs of ``cost / scale`` at ``basis``, as (z, d) with z / d.
+
+    ``cost`` has one integer per tableau column, rhs included; the rhs entry
+    of the result is minus the objective value of the basic solution.
+    """
+    rows = [(cost[bi], tab[i], tab[i][bi]) for i, bi in enumerate(basis) if cost[bi]]
+    d = _lcm(s for _, _, s in rows)
+    z = [d * v for v in cost]
+    for cb, row, s in rows:
+        k = cb * (d // s)
+        z = [a - k * b for a, b in zip(z, row)]
+    return _lowest_terms(z, d * scale)
 
 
-def _simplex(tab: list[list[Q]], basis: list[int], cost: list[Q]) -> str:
+def _simplex(
+    tab: list[list[int]], basis: list[int], z: list[int], d: int
+) -> tuple[str, list[int], int]:
     """Run Bland-rule simplex to optimality or unboundedness.
 
-    ``cost`` has one entry per variable column; the rightmost tableau column
-    is the rhs and is never eligible to enter.
+    ``z / d`` is the reduced-cost row, rhs column last; only the signs of
+    ``z`` pick the entering column, and the rhs column never enters.  The
+    leaving row minimises ``rhs / a`` by cross-multiplication, ties going
+    to the lowest basic index.  Returns the status and the final (z, d).
     """
+    ncols = len(z) - 1
     while True:
-        red = _reduced_costs(tab, basis, cost)
-        enter = next((j for j in range(len(cost)) if red[j] > 0), None)
+        enter = next((j for j in range(ncols) if z[j] > 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, z, d
         leave = None
-        best_ratio: Q | None = None
         for i, row in enumerate(tab):
-            aij = row[enter]
-            if aij > 0:
-                ratio = row[-1] / aij
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
         if leave is None:
-            return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
+            return UNBOUNDED, z, d
+        f = z[enter]
+        p = _pivot(tab, basis, leave, enter)
+        z, d = _lowest_terms(
+            [p * a - f * b for a, b in zip(z, tab[leave])], d * p
+        )
 
 
 def solve(problem: LpProblem) -> LpResult:
@@ -108,31 +165,34 @@ def solve(problem: LpProblem) -> LpResult:
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, Q(0), (Q(0),) * n, ())
 
-    # Columns: n originals, m slacks, then phase-1 artificials as needed.
+    # Columns: n originals, m slacks, then phase-1 artificials as needed,
+    # and the rhs.  Each row is scaled to a primitive integer vector.
     art_rows = [i for i in range(m) if problem.b[i] < 0]
     nart = len(art_rows)
-    ncols = n + m + nart
     art_of_row = {r: n + m + k for k, r in enumerate(art_rows)}
-    tab: list[list[Q]] = []
+    tab: list[list[int]] = []
     basis: list[int] = []
     for i in range(m):
-        row = [Q(x) for x in problem.a[i]]
-        row += [Q(1) if j == i else Q(0) for j in range(m)]
-        row += [Q(0)] * nart
-        row.append(Q(problem.b[i]))
+        ai, bi = problem.a[i], problem.b[i]
+        den = _lcm((v.denominator for v in ai), bi.denominator)
+        row = [v.numerator * (den // v.denominator) for v in ai]
+        row += [0] * (m + nart)
+        row.append(bi.numerator * (den // bi.denominator))
+        row[n + i] = den
         if i in art_of_row:
             row = [-v for v in row]
-            row[art_of_row[i]] = Q(1)
+            row[art_of_row[i]] = den
             basis.append(art_of_row[i])
         else:
             basis.append(n + i)
-        tab.append(row)
+        tab.append(_primitive(row))
 
     if nart:
-        cost1 = [Q(0)] * (n + m) + [Q(-1)] * nart
-        _simplex(tab, basis, cost1)
-        infeas = sum((tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m), Q(0))
-        if infeas != 0:
+        cost1 = [0] * (n + m) + [-1] * nart + [0]
+        _simplex(tab, basis, *_objective(tab, basis, cost1, 1))
+        # Basic values are nonnegative, so the artificials sum to zero iff
+        # each of them is zero.
+        if any(tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m):
             return LpResult(INFEASIBLE)
         # Drive remaining (zero-valued) artificials out; drop null rows.
         for i in reversed(range(len(tab))):
@@ -143,24 +203,24 @@ def solve(problem: LpProblem) -> LpResult:
                     del basis[i]
                 else:
                     _pivot(tab, basis, i, col)
-        tab = [row[: n + m] + row[-1:] for row in tab]
-        ncols = n + m
+        tab = [_primitive(row[: n + m] + row[-1:]) for row in tab]
 
-    cost = [Q(c) for c in problem.c] + [Q(0)] * (ncols - n)
-    status = _simplex(tab, basis, cost)
+    scale = _lcm(v.denominator for v in problem.c)
+    cost = [v.numerator * (scale // v.denominator) for v in problem.c]
+    cost += [0] * (m + 1)
+    status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale))
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
     x = [Q(0)] * n
-    for i, bi in enumerate(basis):
+    for row, bi in zip(tab, basis):
         if bi < n:
-            x[bi] = tab[i][-1]
+            x[bi] = Q(row[-1], row[bi])
     # Dual values are the negated reduced costs of the slack columns.  A
     # row dropped as redundant in phase 1 has an all-zero slack column left,
     # hence multiplier 0.
-    red = _reduced_costs(tab, basis, cost)
-    y = tuple(-red[n + j] for j in range(m))
-    return LpResult(OPTIMAL, dot(problem.c, x), tuple(x), y)
+    y = tuple(Q(-z[n + j], d) for j in range(m))
+    return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), y)
 
 
 def check_certificate(problem: LpProblem, result: LpResult) -> bool:

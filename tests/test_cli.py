@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import DATA
+from sphskel import cli, fano, pinv, serialize, skeleton
 from sphskel.cli import main
 
 EX35 = str(DATA / "ex35.json")
@@ -99,6 +100,34 @@ def test_fano_invalid_exit(tmp_path, capsys):
     assert main(["fano", str(path)]) == 2
 
 
+def test_fano_validates_skeleton_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(sk):
+        calls.append(sk)
+        return skeleton.validate(sk)
+
+    monkeypatch.setattr(pinv, "validate", counted)
+    assert main(["fano", EX32, "--json"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["p_cross_check"] is True
+
+
+def test_fano_reports_skeleton_violations(tmp_path, capsys):
+    doc = json.loads((DATA / "ex32_fano.json").read_text())
+    doc["skeleton"]["colors"][0]["pairings"] = [5]
+    aug = serialize.augmented_from_doc(doc)
+    found = skeleton.validate(aug.skeleton)
+    assert found
+    expected = fano.validate_augmentation(aug)[0] + found
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fano", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"violation: {v}\n" for v in expected)
+    assert json.loads(captured.out)["violations"] == expected
+
+
 def _set(path, value):
     def edit(doc):
         *parents, last = path
@@ -191,3 +220,32 @@ def test_catalog_list(capsys):
     assert main(["catalog-list"]) == 0
     out = capsys.readouterr().out
     assert "2:<type>" in out and "30" in out
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("unexpected\nstate")
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("cmd_compute_p", ["compute-p", EX35, "--json"]),
+        ("cmd_fano", ["fano", EX32]),
+        ("cmd_verify", ["verify", "all", "--max-rank", "2"]),
+    ],
+)
+def test_internal_error_exit_code(monkeypatch, capsys, command, argv):
+    monkeypatch.setattr(cli, command, _raise_runtime_error)
+    assert main(argv) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: unexpected state\n"
+
+
+def test_internal_error_deep_in_a_command(monkeypatch, capsys):
+    def broken(sk, check=True):
+        raise RuntimeError("solver state")
+
+    monkeypatch.setattr(pinv, "compute_p", broken)
+    assert main(["smoothness", EX35]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: solver state\n"

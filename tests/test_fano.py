@@ -7,6 +7,7 @@ import pytest
 from conftest import load_fixture
 from sphskel import fano
 from sphskel.linalg import vec
+from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
 from sphskel.serialize import augmented_from_doc
 from sphskel.skeleton import make_skeleton
@@ -298,6 +299,8 @@ def test_one_pass_matches_separate_steps():
     assert fp == fano.build_fano(aug)
     curves = fano.curve_degrees(fp)
     assert fano.mukai_check(fp, curves) == fano.mukai_check(fp)
+    invariant = compute_p(aug.skeleton)
+    assert fano.mukai_check(fp, curves, invariant) == fano.mukai_check(fp)
 
 
 def test_unchecked_build_still_needs_interior_origin():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
 from itertools import combinations
+
+import pytest
 
 from sphskel import lp
 from sphskel.linalg import dot, rank, solve_linear
@@ -55,6 +58,117 @@ def brute_force_lp(c, a, b):
                     if dot(c, cand) > 0:
                         return ("unbounded",)
     return ("optimal", best)
+
+
+# The dense Fraction tableau that ``lp.solve`` replaced, kept as an oracle:
+# the integer kernel must take the same Bland pivots, so every LpResult is
+# equal field by field.  ``stats`` counts ratio-test ties and degenerate
+# pivots so the tests can show that they exercise both.
+
+
+def _frac_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+    basis[row] = col
+
+
+def _frac_reduced_costs(tab, basis, cost):
+    red = list(cost)
+    for i, bi in enumerate(basis):
+        cb = cost[bi]
+        if cb != 0:
+            row = tab[i]
+            for j in range(len(cost)):
+                if row[j] != 0:
+                    red[j] -= cb * row[j]
+    return red
+
+
+def _frac_simplex(tab, basis, cost, stats):
+    while True:
+        red = _frac_reduced_costs(tab, basis, cost)
+        enter = next((j for j in range(len(cost)) if red[j] > 0), None)
+        if enter is None:
+            return lp.OPTIMAL
+        leave = None
+        best_ratio = None
+        for i, row in enumerate(tab):
+            aij = row[enter]
+            if aij > 0:
+                ratio = row[-1] / aij
+                if ratio == best_ratio:
+                    stats["ties"] += 1
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return lp.UNBOUNDED
+        if best_ratio == 0:
+            stats["degenerate"] += 1
+        _frac_pivot(tab, basis, leave, enter)
+
+
+def _fraction_solve(problem, stats=None):
+    stats = stats if stats is not None else {"ties": 0, "degenerate": 0}
+    n = len(problem.c)
+    m = len(problem.b)
+    if m == 0:
+        if any(cj > 0 for cj in problem.c):
+            return lp.LpResult(lp.UNBOUNDED)
+        return lp.LpResult(lp.OPTIMAL, Q(0), (Q(0),) * n, ())
+    art_rows = [i for i in range(m) if problem.b[i] < 0]
+    nart = len(art_rows)
+    ncols = n + m + nart
+    art_of_row = {r: n + m + k for k, r in enumerate(art_rows)}
+    tab = []
+    basis = []
+    for i in range(m):
+        row = [Q(x) for x in problem.a[i]]
+        row += [Q(1) if j == i else Q(0) for j in range(m)]
+        row += [Q(0)] * nart
+        row.append(Q(problem.b[i]))
+        if i in art_of_row:
+            row = [-v for v in row]
+            row[art_of_row[i]] = Q(1)
+            basis.append(art_of_row[i])
+        else:
+            basis.append(n + i)
+        tab.append(row)
+    if nart:
+        cost1 = [Q(0)] * (n + m) + [Q(-1)] * nart
+        _frac_simplex(tab, basis, cost1, stats)
+        infeas = sum((tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m), Q(0))
+        if infeas != 0:
+            return lp.LpResult(lp.INFEASIBLE)
+        for i in reversed(range(len(tab))):
+            if basis[i] >= n + m:
+                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
+                if col is None:
+                    del tab[i]
+                    del basis[i]
+                else:
+                    _frac_pivot(tab, basis, i, col)
+        tab = [row[: n + m] + row[-1:] for row in tab]
+        ncols = n + m
+    cost = [Q(c) for c in problem.c] + [Q(0)] * (ncols - n)
+    status = _frac_simplex(tab, basis, cost, stats)
+    if status == lp.UNBOUNDED:
+        return lp.LpResult(lp.UNBOUNDED)
+    x = [Q(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tab[i][-1]
+    red = _frac_reduced_costs(tab, basis, cost)
+    y = tuple(-red[n + j] for j in range(m))
+    return lp.LpResult(lp.OPTIMAL, dot(problem.c, x), tuple(x), y)
 
 
 def test_one_dimensional():
@@ -161,3 +275,117 @@ def test_solve_free_matches_symmetric_box():
         [Q(1), Q(1), Q(2), Q(2)],
     )
     assert res.status == lp.OPTIMAL and res.value == 3 and res.x == (Q(1), Q(2))
+
+
+def _same_as_oracle(problem, stats):
+    res = lp.solve(problem)
+    assert res == _fraction_solve(problem, stats), problem
+    if res.status == lp.OPTIMAL:
+        assert lp.check_certificate(problem, res), problem
+    return res.status
+
+
+def _hull_problem(rng):
+    # point_in_hull's shape: barycentric weights, equalities as +/- pairs.
+    d = rng.randrange(1, 4)
+    points = [[rng.randrange(-2, 3) for _ in range(d)] for _ in range(rng.randrange(1, 6))]
+    target = [Q(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d)]
+    rows, rhs = [], []
+    for j in range(d):
+        rows += [[p[j] for p in points], [-p[j] for p in points]]
+        rhs += [target[j], -target[j]]
+    rows += [[1] * len(points), [-1] * len(points)]
+    rhs += [1, -1]
+    return lp.LpProblem.build([0] * len(points), rows, rhs)
+
+
+def _degenerate_problem(rng):
+    # Small entries, mostly zero rhs and repeated rows: ratio-test ties.
+    n = rng.randrange(2, 5)
+    base = [[rng.randrange(-1, 2) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+    rows = [list(rng.choice(base)) for _ in range(rng.randrange(2, 7))]
+    b = [rng.choice((0, 0, 0, 1, -1)) for _ in rows]
+    c = [rng.randrange(-1, 3) for _ in range(n)]
+    return lp.LpProblem.build(c, rows, b)
+
+
+def _rational_problem(rng):
+    def r():
+        return Q(rng.randrange(-6, 7), rng.choice((1, 2, 3, 4, 6)))
+
+    n, m = rng.randrange(1, 5), rng.randrange(1, 6)
+    a = [[r() for _ in range(n)] for _ in range(m)]
+    return lp.LpProblem.build([r() for _ in range(n)], a, [r() for _ in range(m)])
+
+
+def _mixed_problem(rng):
+    return lp.LpProblem.build(*random_problem(rng, allow_negative_rhs=True))
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (_mixed_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
+        (_degenerate_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
+        (_hull_problem, {lp.OPTIMAL, lp.INFEASIBLE}),
+        (_rational_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
+    ],
+    ids=["phase1-mixed", "degenerate", "hull-pairs", "rational"],
+)
+def test_integer_kernel_matches_fraction_oracle(make, expected):
+    rng = random.Random(f"lp-oracle-{make.__name__}")
+    stats = {"ties": 0, "degenerate": 0}
+    statuses = [_same_as_oracle(make(rng), stats) for _ in range(300)]
+    assert set(statuses) == expected
+    assert stats["degenerate"] > 0
+    if make is _degenerate_problem:
+        assert stats["ties"] > 0
+
+
+def test_integer_kernel_without_constraints():
+    stats = {"ties": 0, "degenerate": 0}
+    for c in ([], [0, 0], [-1, Q(-1, 2)], [0, Q(1, 3)]):
+        _same_as_oracle(lp.LpProblem.build(c, [], []), stats)
+    assert lp.solve(lp.LpProblem.build([0, Q(1, 3)], [], [])).status == lp.UNBOUNDED
+    res = lp.solve(lp.LpProblem.build([-1, 0], [], []))
+    assert res == lp.LpResult(lp.OPTIMAL, Q(0), (Q(0), Q(0)), ())
+
+
+def test_integer_kernel_returns_fractions(rng):
+    for _ in range(50):
+        res = lp.solve(_rational_problem(rng))
+        if res.status == lp.OPTIMAL:
+            assert type(res.value) is Q
+            assert all(type(v) is Q for v in res.x + res.y)
+
+
+def test_against_sympy_lpmax():
+    # The random LPs of acceptance 7(e), against an independent simplex.
+    simplex = pytest.importorskip("sympy.solvers.simplex")
+    from sympy import Rational, symbols
+
+    rng = random.Random(73)
+    checked = set()
+    for _ in range(60):
+        n = rng.randrange(1, 5)
+        m = rng.randrange(1, 6)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
+        b = [rng.randrange(-2, 6) for _ in range(m)]
+        c = [rng.randrange(-4, 5) for _ in range(n)]
+        res = lp.solve(lp.LpProblem.build(c, a, b))
+        xs = symbols(f"x0:{n}")
+        constraints = [x >= 0 for x in xs] + [
+            sum(v * x for v, x in zip(row, xs)) <= bi for row, bi in zip(a, b)
+        ]
+        objective = sum(v * x for v, x in zip(c, xs))
+        try:
+            value, _ = simplex.lpmax(objective, constraints)
+        except simplex.InfeasibleLPError:
+            assert res.status == lp.INFEASIBLE, (c, a, b)
+        except simplex.UnboundedLPError:
+            assert res.status == lp.UNBOUNDED, (c, a, b)
+        else:
+            assert res.status == lp.OPTIMAL, (c, a, b)
+            assert Rational(res.value.numerator, res.value.denominator) == value
+        checked.add(res.status)
+    assert checked == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
