@@ -10,7 +10,7 @@ sweeps; they are the external cross-check that the family data is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -350,13 +350,7 @@ def mark(spec: FamilySpec, gamma_index: int) -> SphericalSkeleton:
     if not 1 <= gamma_index <= n:
         raise ParameterOutOfRange(f"marking index {gamma_index} not in 1..{n}")
     row = tuple(-1 if j == gamma_index - 1 else 0 for j in range(n))
-    return SphericalSkeleton(
-        sk.root_system,
-        sk.sigma,
-        sk.sp,
-        sk.colors,
-        (GammaDivisor(f"mark{gamma_index}", row),),
-    )
+    return replace(sk, gamma=(GammaDivisor(f"mark{gamma_index}", row),))
 
 
 # ---------------------------------------------------------------------------

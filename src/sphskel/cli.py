@@ -9,6 +9,9 @@ Commands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
 error (one ``internal error: ...`` line on stderr).
+
+The argument parser is built once per process; ``main`` can be called any
+number of times in one process, and each call parses and dispatches anew.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import catalog, fano, lp, pinv, serialize
-from .skeleton import InvalidSkeleton, SubsetNotInDelta, localize
+from .skeleton import InvalidSkeleton, SubsetNotInDelta, localize, validate
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -244,6 +248,11 @@ def cmd_fano(args: argparse.Namespace) -> int:
 def cmd_smoothness(args: argparse.Namespace) -> int:
     try:
         sk = serialize.skeleton_from_doc(_load_json(args.path))
+        # localize reads the pairing rows and color data as they are given,
+        # so the whole skeleton must be valid first.
+        violations = validate(sk)
+        if violations:
+            raise InvalidSkeleton(violations)
         ids = [part for part in args.divisors.split(",") if part] if args.divisors else []
         local = localize(sk, ids)
         report = pinv.compute_p(local)
@@ -302,7 +311,8 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphskel",
         description="Exact p-invariant computations on spherical skeletons",
@@ -314,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     p_compute.add_argument("--family", help="catalog family spec, e.g. 2:G2")
     p_compute.add_argument("--mark", type=int, help="marking index gamma_k")
     _common_flags(p_compute)
-    p_compute.set_defaults(func=cmd_compute_p)
 
     p_verify = sub.add_parser("verify", help="recompute the appendix tables")
     p_verify.add_argument("what", choices=["tables", "equality", "all"])
@@ -322,28 +331,36 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--jobs", type=int, default=None)
     p_verify.add_argument("--json", help="write a JSON report to this path")
     p_verify.add_argument("--csv", help="write a CSV report to this path")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_fano = sub.add_parser("fano", help="reflexive polytope and Mukai report")
     p_fano.add_argument("path", help="augmented JSON document")
     _common_flags(p_fano)
-    p_fano.set_defaults(func=cmd_fano)
 
     p_smooth = sub.add_parser("smoothness", help="localized equality test")
     p_smooth.add_argument("path", help="skeleton JSON document")
     p_smooth.add_argument("--divisors", default="", help="comma separated ids")
     _common_flags(p_smooth)
-    p_smooth.set_defaults(func=cmd_smoothness)
 
     p_list = sub.add_parser("catalog-list", help="list the symmetric families")
     _common_flags(p_list)
-    p_list.set_defaults(func=cmd_catalog_list)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "compute-p" and not args.path and not args.family:
-        parser.error("compute-p needs a path or --family")
+    if args.command == "compute-p":
+        if not args.path and not args.family:
+            parser.error("compute-p needs a path or --family")
+        if args.path and args.family:
+            parser.error("compute-p takes a path or --family, not both")
+        if args.mark is not None and not args.family:
+            parser.error("compute-p --mark needs --family")
+    # Command "x-y" runs cmd_x_y, looked up now rather than when the parser
+    # was built, so the handler in effect at call time runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except Exception as exc:
         # Exit 1 means "table mismatch"; anything unforeseen gets its own code.
         message = " ".join(f"{type(exc).__name__}: {exc}".split())

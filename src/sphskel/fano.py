@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .linalg import Vec, dot, vec
 from .roots import parabolic_count
-from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton
+from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, root_locator
 from .pinv import PInvariantReport, compute_p
 
 
@@ -88,7 +88,10 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
         return (out, warnings)
 
     # (a1) restriction law: <rho'(D), gamma> reproduces every pairing row.
+    # A row of the wrong length is a skeleton violation, reported there.
     for d in sk.divisors:
+        if len(d.pairings) != len(sk.sigma):
+            continue
         for j, g in enumerate(aug.sigma_in_m):
             if dot(aug.rho_prime[d.id], g) != d.pairings[j]:
                 out.append(
@@ -97,10 +100,7 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
 
     rs = sk.root_system
     n = rs.total_rank
-    simple_roots = {g.coeffs: j for j, g in enumerate(sk.sigma)}
-
-    def root_at(alpha: int, mult: int) -> int | None:
-        return simple_roots.get(tuple(mult if j == alpha else 0 for j in range(n)))
+    root_at = root_locator(n, sk.sigma)
 
     if aug.coroot_on_m is None:
         warnings.append(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 from .geometry import cone_contains
 from .linalg import rank, unit
@@ -87,6 +88,19 @@ def coroot_row(rs: RootSystem, alpha: int, sigma: Sequence[SphericalRoot]) -> tu
     return tuple(int(rs.coroot_pairing(alpha, g.coeffs)) for g in sigma)
 
 
+def root_locator(
+    n: int, sigma: Sequence[SphericalRoot]
+) -> Callable[[int, int], int | None]:
+    """``root_at(alpha, mult)``: the index in sigma of the spherical root
+    ``mult * alpha_alpha`` over ``n`` simple roots, or None."""
+    index = {g.coeffs: j for j, g in enumerate(sigma)}
+
+    def root_at(alpha: int, mult: int) -> int | None:
+        return index.get(tuple(mult if j == alpha else 0 for j in range(n)))
+
+    return root_at
+
+
 def build_full_colors(
     rs: RootSystem,
     sigma: Sequence[SphericalRoot],
@@ -102,11 +116,7 @@ def build_full_colors(
     n = rs.total_rank
     spset = frozenset(sp)
     arrowset = frozenset(arrows)
-    simple_roots = {g.coeffs: j for j, g in enumerate(sigma)}
-
-    def root_at(alpha: int, mult: int) -> int | None:
-        key = tuple(mult if j == alpha else 0 for j in range(n))
-        return simple_roots.get(key)
+    root_at = root_locator(n, sigma)
 
     # Vertices joined into one color come exactly from the orthogonal
     # two-vertex sums in sigma.
@@ -214,20 +224,50 @@ def make_skeleton(
 
 
 def validate(sk: SphericalSkeleton) -> list[str]:
-    """All axiom violations, with witnesses; empty means valid."""
-    out: list[str] = []
-    rs = sk.root_system
-    n = rs.total_rank
+    """All axiom violations, with witnesses; empty means valid.
+
+    Every check runs on every distinct value.  The checks that read only
+    the root system, sigma, S^p and the colors are memoised by value in
+    ``_structure_violations``: the markings of one family share that
+    structure and differ only in Gamma.  The divisor id and Gamma row
+    checks run on each call, and each call returns a new list.
+    """
+    head, tail = _structure_violations(sk.root_system, sk.sigma, sk.sp, sk.colors)
+    out = list(head)
+    ids = [d.id for d in sk.divisors]
+    if len(set(ids)) != len(ids):
+        out.append("divisor ids are not unique")
+    out += tail
     nsigma = len(sk.sigma)
+    for d in sk.gamma:
+        if len(d.pairings) != nsigma:
+            out.append(f"{d.id}: pairing row has wrong length")
+        elif any(v > 0 for v in d.pairings):
+            out.append(f"{d.id}: invariant divisor with positive pairing")
+    return out
+
+
+@cache
+def _structure_violations(
+    rs: RootSystem,
+    sigma: tuple[SphericalRoot, ...],
+    sp: frozenset[int],
+    colors: tuple[Color, ...],
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Violations of the Gamma-free axioms, split where ``validate`` puts
+    its divisor id check: (before it, after it)."""
+    out: list[str] = []
+    n = rs.total_rank
+    nsigma = len(sigma)
 
     # Checks that index the coroot matrix are skipped on unknown indices.
     indices = frozenset(range(n))
-    sp_known = sk.sp <= indices
+    sp_known = sp <= indices
     if not sp_known:
         out.append("S^p contains an unknown simple root index")
 
     seen_coeffs: set[tuple[int, ...]] = set()
-    for j, g in enumerate(sk.sigma):
+    for j, g in enumerate(sigma):
         try:
             rebuilt = make_root(g.kind, g.embedding, rs)
         except BadEmbedding as exc:
@@ -238,24 +278,18 @@ def validate(sk: SphericalSkeleton) -> list[str]:
         if g.coeffs in seen_coeffs:
             out.append(f"sigma[{j}]: duplicate spherical root")
         seen_coeffs.add(g.coeffs)
-        if sp_known and not is_compatible(g, sk.sp, rs):
+        if sp_known and not is_compatible(g, sp, rs):
             out.append(f"axiom S: sigma[{j}] is not compatible with S^p")
-    if rank([tuple(Q(c) for c in g.coeffs) for g in sk.sigma]) != nsigma:
+    if rank([tuple(Q(c) for c in g.coeffs) for g in sigma]) != nsigma:
         out.append("sigma is linearly dependent")
+    head = tuple(out)
+    out = []
 
-    simple_idx = {g.coeffs: j for j, g in enumerate(sk.sigma)}
-
-    def root_at(alpha: int, mult: int) -> int | None:
-        return simple_idx.get(tuple(mult if j == alpha else 0 for j in range(n)))
-
+    root_at = root_locator(n, sigma)
     sigma_simple = {a for a in range(n) if root_at(a, 1) is not None}
     sigma_half = {a for a in range(n) if root_at(a, 2) is not None}
 
-    ids = [d.id for d in sk.divisors]
-    if len(set(ids)) != len(ids):
-        out.append("divisor ids are not unique")
-
-    for c in sk.colors:
+    for c in colors:
         if c.kind not in COLOR_KINDS:
             out.append(f"{c.id}: unknown color kind {c.kind}")
             continue
@@ -268,7 +302,7 @@ def validate(sk: SphericalSkeleton) -> list[str]:
         if not indices.issuperset(c.moved_by):
             out.append(f"{c.id}: moved by an unknown simple root index")
             continue
-        if any(a in sk.sp for a in c.moved_by):
+        if any(a in sp for a in c.moved_by):
             out.append(f"{c.id}: moved by a simple root in S^p")
         if c.kind in (PAIR_PLUS, PAIR_MINUS):
             if c.m != 1:
@@ -291,7 +325,7 @@ def validate(sk: SphericalSkeleton) -> list[str]:
                 out.append(f"{c.id}: half color must be moved by one doubled root")
             else:
                 expected = tuple(
-                    Q(rs.coroot_pairing(alpha, g.coeffs), 2) for g in sk.sigma
+                    Q(rs.coroot_pairing(alpha, g.coeffs), 2) for g in sigma
                 )
                 if any(e.denominator != 1 for e in expected):
                     out.append(f"axiom Sigma1: <alpha^vee, Lambda> not even at {alpha}")
@@ -300,16 +334,16 @@ def validate(sk: SphericalSkeleton) -> list[str]:
                 if c.m != 1:
                     out.append(f"{c.id}: half colors have m = 1")
         else:  # around
-            bad = set(c.moved_by) & (sigma_simple | sigma_half | set(sk.sp))
+            bad = set(c.moved_by) & (sigma_simple | sigma_half | set(sp))
             if bad:
                 out.append(f"{c.id}: around color moved by {sorted(bad)}")
                 continue
             for alpha in c.moved_by:
-                if coroot_row(rs, alpha, sk.sigma) != c.pairings:
+                if coroot_row(rs, alpha, sigma) != c.pairings:
                     out.append(f"{c.id}: around color row differs from alpha^vee at {alpha}")
                     break
             try:
-                expected_m = anticanonical_coefficient(rs, sk.sp, c.moved_by[0], sk.sigma)
+                expected_m = anticanonical_coefficient(rs, sp, c.moved_by[0], sigma)
             except ValueError as exc:
                 out.append(f"{c.id}: {exc}")
             else:
@@ -320,16 +354,16 @@ def validate(sk: SphericalSkeleton) -> list[str]:
 
     # Coverage: every simple root outside S^p moves the right number of colors.
     for alpha in range(n):
-        cs = sk.color_set(alpha)
-        if alpha in sk.sp:
+        if alpha in sp:
             continue
+        cs = [c for c in colors if alpha in c.moved_by]
         if alpha in sigma_simple:
             pair = [c for c in cs if c.kind in (PAIR_PLUS, PAIR_MINUS)]
             if len(pair) != 2:
                 out.append(f"axiom A2: {len(pair)} pair colors at simple root {alpha}")
             else:
                 total = tuple(a + b for a, b in zip(pair[0].pairings, pair[1].pairings))
-                if total != coroot_row(rs, alpha, sk.sigma):
+                if total != coroot_row(rs, alpha, sigma):
                     out.append(f"axiom A2: pair rows at {alpha} do not sum to alpha^vee")
         elif alpha in sigma_half:
             if len([c for c in cs if c.kind == HALF]) != 1:
@@ -339,12 +373,12 @@ def validate(sk: SphericalSkeleton) -> list[str]:
                 out.append(f"full colors: simple root {alpha} needs one around color")
 
     # Axiom A3 is structural here: pair colors are exactly the abstract set.
-    for c in sk.colors:
+    for c in colors:
         if c.kind in (PAIR_PLUS, PAIR_MINUS) and not set(c.moved_by) & sigma_simple:
             out.append(f"axiom A3: {c.id} is not moved through Sigma∩S")
 
     for alpha in sigma_half:
-        for j, g in enumerate(sk.sigma):
+        for j, g in enumerate(sigma):
             v = rs.coroot_pairing(alpha, g.coeffs)
             if v % 2 != 0:
                 out.append(f"axiom Sigma1: <alpha_{alpha}^vee, sigma[{j}]> = {v} is odd")
@@ -353,18 +387,12 @@ def validate(sk: SphericalSkeleton) -> list[str]:
                     f"axiom Sigma1: <alpha_{alpha}^vee, sigma[{j}]> = {v} > 0"
                 )
 
-    for g in sk.sigma:
+    for g in sigma:
         if g.kind == SUM_OF_TWO:
             a, b = g.embedding
-            if coroot_row(rs, a, sk.sigma) != coroot_row(rs, b, sk.sigma):
+            if coroot_row(rs, a, sigma) != coroot_row(rs, b, sigma):
                 out.append(f"axiom Sigma2: alpha^vee differs across {a}+{b}")
-
-    for d in sk.gamma:
-        if len(d.pairings) != nsigma:
-            out.append(f"{d.id}: pairing row has wrong length")
-        elif any(v > 0 for v in d.pairings):
-            out.append(f"{d.id}: invariant divisor with positive pairing")
-    return out
+    return head, tuple(out)
 
 
 def is_complete(sk: SphericalSkeleton) -> bool:

@@ -204,6 +204,10 @@ def make_root(kind: str, embedding: Sequence[int], rs: RootSystem) -> SphericalR
     """Embed a pattern; raises BadEmbedding on a support-type mismatch."""
     pat = pattern(kind, len(embedding))
     emb = tuple(embedding)
+    if len(emb) != pat.support_size:
+        raise BadEmbedding(
+            f"{kind} needs {pat.support_size} support vertices, got {len(emb)}"
+        )
     if len(set(emb)) != len(emb):
         raise BadEmbedding("embedding is not injective")
     n = rs.total_rank

@@ -36,6 +36,28 @@ def test_compute_p_file_json_deterministic(capsys):
     assert doc["certificate"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute-p"], "compute-p needs a path or --family"),
+        (["compute-p", EX35, "--mark", "2"], "compute-p --mark needs --family"),
+        (
+            ["compute-p", EX35, "--family", "2:A3", "--mark", "1"],
+            "compute-p takes a path or --family, not both",
+        ),
+        (["compute-p", EX35, "--family", "2:A3"], "compute-p takes a path or --family, not both"),
+    ],
+)
+def test_compute_p_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sphskel")
+    assert captured.err.endswith(f"sphskel: error: {message}\n")
+
+
 def test_compute_p_invalid_exit_code(tmp_path, capsys):
     doc = json.loads((DATA / "ex35.json").read_text())
     doc["gamma"][0]["pairings"] = [1]
@@ -185,6 +207,15 @@ def test_smoothness_command(capsys):
     assert "smooth: yes" in out
     assert main(["smoothness", EX35, "--divisors", ""]) == 0
     assert "smooth: yes" in capsys.readouterr().out
+
+
+def test_smoothness_validates_before_localizing(tmp_path, capsys):
+    doc = json.loads((DATA / "ex35.json").read_text())
+    doc["gamma"][1]["pairings"] = []
+    path = tmp_path / "short_row.json"
+    path.write_text(json.dumps(doc))
+    assert main(["smoothness", str(path), "--divisors", "D1,D2,D4"]) == 2
+    assert capsys.readouterr().err == "violation: D4: pairing row has wrong length\n"
 
 
 def test_smoothness_unknown_divisor(capsys):

@@ -5,10 +5,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import load_fixture, permuted_copy, random_skeleton
-from sphskel.catalog import FamilySpec, generate
+from sphskel import skeleton
+from sphskel.catalog import FamilySpec, generate, mark
 from sphskel.roots import RootSystem, SimpleType
-from sphskel.serialize import skeleton_from_doc
+from sphskel.serialize import augmented_from_doc, skeleton_from_doc, skeleton_to_doc
 from sphskel.skeleton import (
+    COLOR_KINDS,
     GammaDivisor,
     SubsetNotInDelta,
     elementary,
@@ -224,3 +226,133 @@ def test_localize_random_subsets_validate(rng):
         for _ in range(4):
             subset = [i for i in ids if rng.random() < 0.6]
             assert validate(localize(sk, subset)) == []
+
+
+def _uncached_validate(sk):
+    """``validate`` rebuilt from the uncached structural checker."""
+    head, tail = skeleton._structure_violations.__wrapped__(
+        sk.root_system, sk.sigma, sk.sp, sk.colors
+    )
+    ids = [d.id for d in sk.divisors]
+    unique = [] if len(set(ids)) == len(ids) else ["divisor ids are not unique"]
+    rows = []
+    for d in sk.gamma:
+        if len(d.pairings) != len(sk.sigma):
+            rows.append(f"{d.id}: pairing row has wrong length")
+        elif any(v > 0 for v in d.pairings):
+            rows.append(f"{d.id}: invariant divisor with positive pairing")
+    return [*head, *unique, *tail, *rows]
+
+
+def _mutate(sk, rng):
+    """One random structural or Gamma edit of a skeleton."""
+    n = sk.root_system.total_rank
+    what = rng.randrange(8)
+    if what == 0 and sk.colors:
+        i = rng.randrange(len(sk.colors))
+        c = sk.colors[i]
+        edits = [
+            {"pairings": tuple(v + rng.choice((-1, 1, 2)) for v in c.pairings)},
+            {"pairings": c.pairings[1:] if rng.random() < 0.5 else c.pairings + (0,)},
+            {"m": c.m + rng.choice((-1, 1))},
+            {"kind": rng.choice(COLOR_KINDS + ("bogus",))},
+            {"moved_by": rng.choice(((), (rng.randrange(-1, n + 2),)))},
+        ]
+        colors = list(sk.colors)
+        colors[i] = replace(c, **rng.choice(edits))
+        return replace(sk, colors=tuple(colors))
+    if what == 1 and sk.colors:
+        colors = list(sk.colors)
+        i = rng.randrange(len(colors))
+        if rng.random() < 0.5:
+            del colors[i]
+        else:
+            colors.insert(i, colors[i])
+        return replace(sk, colors=tuple(colors))
+    if what == 2:
+        return replace(sk, sp=sk.sp ^ {rng.randrange(n + 2)})
+    if what == 3 and sk.sigma:
+        sigma = list(sk.sigma)
+        i = rng.randrange(len(sigma))
+        if rng.random() < 0.5:
+            del sigma[i]
+        else:
+            sigma.insert(i, sigma[i])
+        return replace(sk, sigma=tuple(sigma))
+    if what == 4 and sk.gamma and sk.colors:
+        gamma = list(sk.gamma)
+        i = rng.randrange(len(gamma))
+        gamma[i] = replace(gamma[i], id=rng.choice(sk.divisors).id)
+        return replace(sk, gamma=tuple(gamma))
+    if what == 5:
+        nsigma = len(sk.sigma) + rng.choice((-1, 0, 0, 1))
+        row = tuple(rng.choice((-2, -1, 0, 1)) for _ in range(max(nsigma, 0)))
+        return replace(sk, gamma=sk.gamma + (GammaDivisor(f"x{rng.randrange(9)}", row),))
+    if what == 6 and sk.gamma:
+        return replace(sk, gamma=sk.gamma[1:])
+    return sk
+
+
+def _fixture_skeletons():
+    return [
+        worked_example(),
+        augmented_from_doc(load_fixture("ex32_fano.json")).skeleton,
+        augmented_from_doc(load_fixture("ex61_fano.json")).skeleton,
+    ]
+
+
+def test_validate_equals_uncached_checks(rng):
+    samples = [random_skeleton(rng) for _ in range(40)]
+    for base in _fixture_skeletons() + samples[:20]:
+        for _ in range(15):
+            sk = base
+            for _ in range(rng.randint(1, 3)):
+                sk = _mutate(sk, rng)
+            samples.append(sk)
+    # Twice each, in shuffled order: the second pass reads the memo.
+    order = samples + rng.sample(samples, len(samples))
+    for sk in order:
+        assert validate(sk) == _uncached_validate(sk)
+    assert sum(1 for sk in samples if validate(sk)) > len(samples) // 3
+
+
+def test_equal_skeletons_built_apart_get_equal_lists():
+    spec = FamilySpec.parse("3:l=2,m=1")
+    marked = mark(spec, 2)
+    bad = replace(marked, colors=(replace(marked.colors[0], m=3),) + marked.colors[1:])
+    for sk in (marked, bad):
+        doc = skeleton_to_doc(sk)
+        again = skeleton_from_doc(doc)
+        assert again == sk and again.colors is not sk.colors
+        assert validate(again) == validate(sk) == _uncached_validate(sk)
+    assert validate(bad)
+
+
+def test_validate_returns_a_new_list():
+    sk = worked_example()
+    bad = replace(sk, colors=(replace(sk.colors[0], pairings=(2,)),) + sk.colors[1:])
+    first = validate(bad)
+    expected = list(first)
+    first.append("edited by the caller")
+    first[0] = "overwritten"
+    assert validate(bad) == expected
+    clean = validate(sk)
+    clean.append("edited by the caller")
+    assert validate(sk) == []
+
+
+def test_violation_order_with_duplicate_ids_and_bad_color():
+    sk = worked_example()
+    bad = replace(
+        sk,
+        sp=frozenset({5}),
+        colors=(replace(sk.colors[0], pairings=(2,)),) + sk.colors[1:],
+        gamma=(GammaDivisor("D1", (1,)),) + sk.gamma[1:],
+    )
+    assert validate(bad) == [
+        "S^p contains an unknown simple root index",
+        "divisor ids are not unique",
+        "axiom A1: <rho(D1), sigma[0]> = 2 > 1",
+        "axiom A2: pair rows at 0 do not sum to alpha^vee",
+        "D1: invariant divisor with positive pairing",
+    ]

@@ -79,6 +79,13 @@ def test_bad_embedding_rejected():
         make_root(B_CHAIN, (0, 1, 2), rs)  # simply laced support
     with pytest.raises(BadEmbedding):
         make_root(ALPHA, (0, 0), rs)
+    # Fixed-size patterns given too few or too many support vertices.
+    with pytest.raises(BadEmbedding):
+        make_root(ALPHA, (), rs)
+    with pytest.raises(BadEmbedding):
+        make_root(SUM_OF_TWO, (0, 2, 3), rs)
+    with pytest.raises(BadEmbedding):
+        embed_from_coeffs(ALPHA, (0, 0, 0), rs)
 
 
 def test_embed_from_coeffs_roundtrip():
