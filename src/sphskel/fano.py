@@ -430,16 +430,8 @@ def _cone_coordinates(fp: FanoPolytope, v: Vec) -> Vec | None:
     sigma = fp.aug.sigma_in_m
     if not sigma:
         return () if all(x == 0 for x in v) else None
-    k = len(sigma)
-    rows = []
-    rhs = []
-    for j in range(fp.aug.lattice_rank):
-        row = [g[j] for g in sigma]
-        rows.append(row)
-        rhs.append(v[j])
-        rows.append([-x for x in row])
-        rhs.append(-v[j])
-    res = lp.solve(lp.LpProblem.build([0] * k, rows, rhs))
+    a_eq = [[g[j] for g in sigma] for j in range(fp.aug.lattice_rank)]
+    res = lp.solve(lp.LpProblem.build([0] * len(sigma), (), (), a_eq, v))
     if res.status != lp.OPTIMAL:
         return None
     return res.x

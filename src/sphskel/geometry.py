@@ -4,8 +4,9 @@ Dimensions stay small (ambient rank <= 8).  Vertex enumeration is the
 double description method (Motzkin et al. 1953; Fukuda & Prodon 1996) in
 integer arithmetic on the homogenised cone, so its cost follows the number
 of vertices rather than the number of constraint subsets.  Hull and cone
-membership, interiority, and boundedness when the cone shows the polytope
-is not a bounded non-empty one, are decided by an exact LP.
+membership and interiority are exact LPs with equality rows; boundedness,
+when the cone shows the polytope is not a bounded non-empty one, is decided
+by exact LPs over free variables.
 """
 
 from __future__ import annotations
@@ -88,56 +89,20 @@ class VPolytope:
 
 
 def point_in_hull(points: Sequence[Sequence[Q]], target: Sequence[Q]) -> bool:
-    """Decide target in conv(points) by LP feasibility on barycentric weights."""
-    if not points:
-        return False
+    """Decide target in conv(points) by LP feasibility on barycentric weights:
+    sum(l_i p_i) = target, sum(l_i) = 1, l >= 0."""
     k = len(points)
-    d = len(target)
-    # Equalities sum(l_i p_i) = target, sum(l_i) = 1 as <= pairs; minimize
-    # nothing (feasibility); l >= 0 handled natively.
-    rows: list[list[Q]] = []
-    rhs: list[Q] = []
-    for j in range(d):
-        row = [Q(p[j]) for p in points]
-        rows.append(row)
-        rhs.append(Q(target[j]))
-        rows.append([-v for v in row])
-        rhs.append(-Q(target[j]))
-    rows.append([Q(1)] * k)
-    rhs.append(Q(1))
-    rows.append([Q(-1)] * k)
-    rhs.append(Q(-1))
-    res = lp.solve(lp.LpProblem.build([0] * k, rows, rhs))
+    a_eq = [[p[j] for p in points] for j in range(len(target))] + [[1] * k]
+    res = lp.solve(lp.LpProblem.build([0] * k, (), (), a_eq, [*target, 1]))
     return res.status == lp.OPTIMAL
 
 
 def cone_contains(generators: Sequence[Sequence[Q]], target: Sequence[Q]) -> bool:
-    """True iff target is a nonnegative combination of the generators.
-
-    Decided by LP feasibility: minimize the l1 error of G l - target over
-    l >= 0 via split slack variables; membership iff the error is 0.
-    """
-    d = len(target)
-    k = len(generators)
-    if all(Q(t) == 0 for t in target):
-        return True
-    if k == 0:
-        return False
-    # Variables: l (k), s_plus (d), s_minus (d) with
-    # G l + s_plus - s_minus = target; maximize -(sum s).
-    rows: list[list[Q]] = []
-    rhs: list[Q] = []
-    for j in range(d):
-        row = [Q(generators[i][j]) for i in range(k)]
-        row += [Q(1) if t == j else Q(0) for t in range(d)]
-        row += [Q(-1) if t == j else Q(0) for t in range(d)]
-        rows.append(row)
-        rhs.append(Q(target[j]))
-        rows.append([-v for v in row])
-        rhs.append(-Q(target[j]))
-    c = [Q(0)] * k + [Q(-1)] * (2 * d)
-    res = lp.solve(lp.LpProblem.build(c, rows, rhs))
-    return res.status == lp.OPTIMAL and res.value == 0
+    """True iff target is a nonnegative combination of the generators, i.e.
+    G l = target, l >= 0 is feasible."""
+    a_eq = [[g[j] for g in generators] for j in range(len(target))]
+    res = lp.solve(lp.LpProblem.build([0] * len(generators), (), (), a_eq, target))
+    return res.status == lp.OPTIMAL
 
 
 def vertex_enumerate(p: HPolytope) -> VPolytope:
@@ -250,28 +215,13 @@ def origin_interior(q: VPolytope) -> bool:
         return False
     k = len(q.vertices)
     # 0 in relint iff some strictly positive convex combination hits 0:
-    # maximize eps s.t. l_i >= eps, sum l = 1, sum l_i v_i = 0.
-    rows: list[list[Q]] = []
-    rhs: list[Q] = []
-    for j in range(q.ambient_dim):
-        row = [Q(v[j]) for v in q.vertices] + [Q(0)]
-        rows.append(row)
-        rhs.append(Q(0))
-        rows.append([-x for x in row])
-        rhs.append(Q(0))
-    rows.append([Q(1)] * k + [Q(0)])
-    rhs.append(Q(1))
-    rows.append([Q(-1)] * k + [Q(0)])
-    rhs.append(Q(-1))
-    for i in range(k):
-        row = [Q(0)] * (k + 1)
-        row[i] = Q(-1)
-        row[k] = Q(1)
-        rows.append(row)
-        rhs.append(Q(0))
-    c = [Q(0)] * k + [Q(1)]
-    res = lp.solve(lp.LpProblem.build(c, rows, rhs))
-    return res.status == lp.OPTIMAL and res.value is not None and res.value > 0
+    # maximize eps s.t. eps - l_i <= 0, sum l_i v_i = 0, sum l = 1.
+    a = [[-int(j == i) for j in range(k)] + [1] for i in range(k)]
+    a_eq = [[v[j] for v in q.vertices] + [0] for j in range(q.ambient_dim)]
+    a_eq.append([1] * k + [0])
+    b_eq = [0] * q.ambient_dim + [1]
+    res = lp.solve(lp.LpProblem.build([0] * k + [1], a, [0] * k, a_eq, b_eq))
+    return res.status == lp.OPTIMAL and res.value > 0
 
 
 def polar(q: VPolytope) -> HPolytope:

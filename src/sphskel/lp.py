@@ -1,17 +1,23 @@
 """Exact rational linear programming.
 
-Solves ``max c.x  s.t.  A x <= b, x >= 0`` with a dense two-phase tableau
-simplex using Bland's anti-cycling rule.  The tableau is integer-preserving
-(Edmonds 1967; Bareiss 1968): each constraint row is a primitive integer
-vector whose basic entry is positive, and it stands for the rational row
-obtained by dividing it by that entry.  A pivot replaces row i by
-``p*row_i - f*row_r`` over the row gcd, which keeps every equation and every
-ratio ``rhs/a_ij``, so the pivots are exactly those of the rational tableau.
+Solves ``max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0`` with a dense
+two-phase tableau simplex using Bland's anti-cycling rule.  The tableau is
+integer-preserving (Edmonds 1967; Bareiss 1968): each constraint row is a
+primitive integer vector whose basic entry is positive, and it stands for
+the rational row obtained by dividing it by that entry.  A pivot replaces
+row i by ``p*row_i - f*row_r`` over the row gcd, which keeps every equation
+and every ratio ``rhs/a_ij``, so the pivots are exactly those of the
+rational tableau.
 The reduced costs are one integer row over a positive scale; Bland's rule
 reads only their signs.  Inputs are read through numerator and denominator
 and the results are built as Fractions at the end, so optimal values,
 primal vertices, and dual certificates are exact.  Returned primal points
 are basic solutions, i.e. vertices of the feasible region.
+
+The dual vector ``y`` has one entry per row, the inequality rows first and
+then the equality rows, such that ``A^T y_le + A_eq^T y_eq >= c`` and
+``b.y_le + b_eq.y_eq = c.x``.  Inequality duals are nonnegative; equality
+duals are free in sign.
 """
 
 from __future__ import annotations
@@ -30,22 +36,30 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max c.x  s.t.  A x <= b, x >= 0 (A is |b| x |c|)."""
+    """max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0 (A is |b| x |c|)."""
 
     c: Vec
     a: Mat
     b: Vec
+    a_eq: Mat = ()
+    b_eq: Vec = ()
 
     def __post_init__(self) -> None:
-        for row in self.a:
+        for row in self.a + self.a_eq:
             if len(row) != len(self.c):
                 raise ValueError("constraint row length differs from objective")
-        if len(self.a) != len(self.b):
+        if len(self.a) != len(self.b) or len(self.a_eq) != len(self.b_eq):
             raise ValueError("constraint count differs from rhs length")
 
     @staticmethod
-    def build(c: Sequence, a: Sequence[Sequence], b: Sequence) -> "LpProblem":
-        return LpProblem(vec(c), mat(a), vec(b))
+    def build(
+        c: Sequence,
+        a: Sequence[Sequence],
+        b: Sequence,
+        a_eq: Sequence[Sequence] = (),
+        b_eq: Sequence = (),
+    ) -> "LpProblem":
+        return LpProblem(vec(c), mat(a), vec(b), mat(a_eq), vec(b_eq))
 
 
 @dataclass(frozen=True)
@@ -123,18 +137,17 @@ def _objective(
 
 
 def _simplex(
-    tab: list[list[int]], basis: list[int], z: list[int], d: int
+    tab: list[list[int]], basis: list[int], z: list[int], d: int, last: int
 ) -> tuple[str, list[int], int]:
     """Run Bland-rule simplex to optimality or unboundedness.
 
     ``z / d`` is the reduced-cost row, rhs column last; only the signs of
-    ``z`` pick the entering column, and the rhs column never enters.  The
+    ``z`` pick the entering column among the columns before ``last``.  The
     leaving row minimises ``rhs / a`` by cross-multiplication, ties going
     to the lowest basic index.  Returns the status and the final (z, d).
     """
-    ncols = len(z) - 1
     while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        enter = next((j for j in range(last) if z[j] > 0), None)
         if enter is None:
             return OPTIMAL, z, d
         leave = None
@@ -160,36 +173,41 @@ def solve(problem: LpProblem) -> LpResult:
     """Solve the LP; statuses are optimal / unbounded / infeasible."""
     n = len(problem.c)
     m = len(problem.b)
-    if m == 0:
+    rows = list(zip(problem.a, problem.b)) + list(zip(problem.a_eq, problem.b_eq))
+    if not rows:
         if any(cj > 0 for cj in problem.c):
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, Q(0), (Q(0),) * n, ())
 
-    # Columns: n originals, m slacks, then phase-1 artificials as needed,
-    # and the rhs.  Each row is scaled to a primitive integer vector.
-    art_rows = [i for i in range(m) if problem.b[i] < 0]
-    nart = len(art_rows)
-    art_of_row = {r: n + m + k for k, r in enumerate(art_rows)}
+    # Columns: n originals; one unit column per row, the slack of an
+    # inequality row or the artificial of an equality row; artificials for
+    # the inequality rows with negative rhs; the rhs.  A row with negative
+    # rhs is negated.  Each row is scaled to a primitive integer vector.
+    r = len(rows)
+    negative = [i for i in range(m) if problem.b[i] < 0]
+    art_of_row = {i: n + r + k for k, i in enumerate(negative)}
+    ncols = n + r + len(art_of_row)
     tab: list[list[int]] = []
     basis: list[int] = []
-    for i in range(m):
-        ai, bi = problem.a[i], problem.b[i]
+    for i, (ai, bi) in enumerate(rows):
         den = _lcm((v.denominator for v in ai), bi.denominator)
         row = [v.numerator * (den // v.denominator) for v in ai]
-        row += [0] * (m + nart)
+        row += [0] * (ncols - n)
         row.append(bi.numerator * (den // bi.denominator))
-        row[n + i] = den
-        if i in art_of_row:
+        if row[-1] < 0:
             row = [-v for v in row]
+        if i in art_of_row:
+            row[n + i] = -den
             row[art_of_row[i]] = den
             basis.append(art_of_row[i])
         else:
+            row[n + i] = den
             basis.append(n + i)
         tab.append(_primitive(row))
 
-    if nart:
-        cost1 = [0] * (n + m) + [-1] * nart + [0]
-        _simplex(tab, basis, *_objective(tab, basis, cost1, 1))
+    if ncols > n + m:
+        cost1 = [0] * (n + m) + [-1] * (ncols - n - m) + [0]
+        _simplex(tab, basis, *_objective(tab, basis, cost1, 1), ncols)
         # Basic values are nonnegative, so the artificials sum to zero iff
         # each of them is zero.
         if any(tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m):
@@ -203,12 +221,14 @@ def solve(problem: LpProblem) -> LpResult:
                     del basis[i]
                 else:
                     _pivot(tab, basis, i, col)
-        tab = [_primitive(row[: n + m] + row[-1:]) for row in tab]
+        # The equality rows' artificials stay for their duals; none of the
+        # artificials may enter again.
+        tab = [_primitive(row[: n + r] + row[-1:]) for row in tab]
 
     scale = _lcm(v.denominator for v in problem.c)
     cost = [v.numerator * (scale // v.denominator) for v in problem.c]
-    cost += [0] * (m + 1)
-    status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale))
+    cost += [0] * (r + 1)
+    status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale), n + m)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
@@ -216,34 +236,43 @@ def solve(problem: LpProblem) -> LpResult:
     for row, bi in zip(tab, basis):
         if bi < n:
             x[bi] = Q(row[-1], row[bi])
-    # Dual values are the negated reduced costs of the slack columns.  A
-    # row dropped as redundant in phase 1 has an all-zero slack column left,
-    # hence multiplier 0.
-    y = tuple(Q(-z[n + j], d) for j in range(m))
+    # Dual values are the negated reduced costs of the unit columns, negated
+    # again for an equality row that was negated.  Each final row combines
+    # original rows, so these price every row, those dropped as redundant in
+    # phase 1 included.
+    for i in range(m, r):
+        if rows[i][1] < 0:
+            z[n + i] = -z[n + i]
+    y = tuple(Q(-z[n + i], d) for i in range(r))
     return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), y)
 
 
 def check_certificate(problem: LpProblem, result: LpResult) -> bool:
     """Exact strong-duality check of a claimed optimal result.
 
-    Verifies primal feasibility (A x <= b, x >= 0), dual feasibility
-    (A^T y >= c, y >= 0), and the zero duality gap c.x == b.y.
+    Verifies primal feasibility (A x <= b, A_eq x = b_eq, x >= 0), dual
+    feasibility (A^T y_le + A_eq^T y_eq >= c, y_le >= 0, y_eq free), and the
+    zero duality gap c.x == b.y_le + b_eq.y_eq.
     """
     if result.status != OPTIMAL or result.x is None or result.y is None:
         return False
     x, y = result.x, result.y
-    if len(x) != len(problem.c) or len(y) != len(problem.b):
+    m = len(problem.b)
+    a = problem.a + problem.a_eq
+    b = problem.b + problem.b_eq
+    if len(x) != len(problem.c) or len(y) != len(b):
         return False
-    if any(v < 0 for v in x) or any(v < 0 for v in y):
+    if any(v < 0 for v in x) or any(v < 0 for v in y[:m]):
         return False
-    for row, bi in zip(problem.a, problem.b):
-        if dot(row, x) > bi:
+    for i, (row, bi) in enumerate(zip(a, b)):
+        ax = dot(row, x)
+        if ax > bi or (i >= m and ax != bi):
             return False
     for j in range(len(problem.c)):
-        col = sum((problem.a[i][j] * y[i] for i in range(len(y))), Q(0))
+        col = sum((a[i][j] * y[i] for i in range(len(y))), Q(0))
         if col < problem.c[j]:
             return False
-    if dot(problem.c, x) != dot(problem.b, y):
+    if dot(problem.c, x) != dot(b, y):
         return False
     if result.value is not None and result.value != dot(problem.c, x):
         return False

@@ -3,12 +3,14 @@
 Rationals are rendered as exact "p/q" strings (plain "p" for integers);
 floats never appear.  Skeleton documents are validated against a bundled
 structural schema (override with the SKELETON_SCHEMA_PATH environment
-variable) and reject unknown fields.
+variable, read on every call; each schema file is parsed once per process)
+and reject unknown fields.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -91,7 +93,13 @@ def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
 
 
 def load_schema() -> dict:
-    override = os.environ.get(SCHEMA_ENV)
+    """The skeleton schema, parsed once per path; read-only (``_schema_check``
+    never changes it), since every caller shares the parsed object."""
+    return _parse_schema(os.environ.get(SCHEMA_ENV) or None)
+
+
+@functools.cache
+def _parse_schema(override: str | None) -> dict:
     if override:
         with open(override, "r", encoding="utf-8") as handle:
             return json.load(handle)

@@ -17,6 +17,7 @@ from sphskel.geometry import (
     cone_contains,
     dual_face,
     dualize,
+    point_in_hull,
     polar,
     vertex_enumerate,
 )
@@ -219,6 +220,14 @@ def test_cone_contains_trivial_cases():
     assert not cone_contains([(1, 0)], (0, 1))
     assert cone_contains([], (0, 0))
     assert not cone_contains([], (1, 0))
+
+
+def test_point_in_hull_trivial_cases():
+    assert point_in_hull([(0, 0), (2, 0), (0, 2)], (Q(1, 2), Q(3, 2)))
+    assert not point_in_hull([(0, 0), (2, 0), (0, 2)], (Q(3, 2), Q(3, 2)))
+    assert point_in_hull([(1, 1)], (1, 1))
+    assert not point_in_hull([], (0, 0))
+    assert not point_in_hull([], ())
 
 
 def test_cone_contains_against_fourier_motzkin(rng):

@@ -88,10 +88,11 @@ def _frac_reduced_costs(tab, basis, cost):
     return red
 
 
-def _frac_simplex(tab, basis, cost, stats):
+def _frac_simplex(tab, basis, cost, stats, last=None):
+    last = len(cost) if last is None else last
     while True:
         red = _frac_reduced_costs(tab, basis, cost)
-        enter = next((j for j in range(len(cost)) if red[j] > 0), None)
+        enter = next((j for j in range(last) if red[j] > 0), None)
         if enter is None:
             return lp.OPTIMAL
         leave = None
@@ -117,33 +118,36 @@ def _frac_simplex(tab, basis, cost, stats):
 
 
 def _fraction_solve(problem, stats=None):
+    # Columns as in lp.solve: originals, one unit column per row (slack or
+    # equality artificial), artificials of negative-rhs inequality rows.
     stats = stats if stats is not None else {"ties": 0, "degenerate": 0}
     n = len(problem.c)
     m = len(problem.b)
-    if m == 0:
+    rows = list(zip(problem.a, problem.b)) + list(zip(problem.a_eq, problem.b_eq))
+    r = len(rows)
+    if r == 0:
         if any(cj > 0 for cj in problem.c):
             return lp.LpResult(lp.UNBOUNDED)
         return lp.LpResult(lp.OPTIMAL, Q(0), (Q(0),) * n, ())
     art_rows = [i for i in range(m) if problem.b[i] < 0]
-    nart = len(art_rows)
-    ncols = n + m + nart
-    art_of_row = {r: n + m + k for k, r in enumerate(art_rows)}
+    ncols = n + r + len(art_rows)
+    art_of_row = {i: n + r + k for k, i in enumerate(art_rows)}
     tab = []
     basis = []
-    for i in range(m):
-        row = [Q(x) for x in problem.a[i]]
-        row += [Q(1) if j == i else Q(0) for j in range(m)]
-        row += [Q(0)] * nart
-        row.append(Q(problem.b[i]))
-        if i in art_of_row:
+    for i, (ai, bi) in enumerate(rows):
+        row = [Q(x) for x in ai] + [Q(0)] * (ncols - n) + [Q(bi)]
+        if bi < 0:
             row = [-v for v in row]
+        if i in art_of_row:
+            row[n + i] = Q(-1)
             row[art_of_row[i]] = Q(1)
             basis.append(art_of_row[i])
         else:
+            row[n + i] = Q(1)
             basis.append(n + i)
         tab.append(row)
-    if nart:
-        cost1 = [Q(0)] * (n + m) + [Q(-1)] * nart
+    if ncols > n + m:
+        cost1 = [Q(0)] * (n + m) + [Q(-1)] * (ncols - n - m)
         _frac_simplex(tab, basis, cost1, stats)
         infeas = sum((tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m), Q(0))
         if infeas != 0:
@@ -156,10 +160,9 @@ def _fraction_solve(problem, stats=None):
                     del basis[i]
                 else:
                     _frac_pivot(tab, basis, i, col)
-        tab = [row[: n + m] + row[-1:] for row in tab]
-        ncols = n + m
-    cost = [Q(c) for c in problem.c] + [Q(0)] * (ncols - n)
-    status = _frac_simplex(tab, basis, cost, stats)
+        tab = [row[: n + r] + row[-1:] for row in tab]
+    cost = [Q(c) for c in problem.c] + [Q(0)] * r
+    status = _frac_simplex(tab, basis, cost, stats, last=n + m)
     if status == lp.UNBOUNDED:
         return lp.LpResult(lp.UNBOUNDED)
     x = [Q(0)] * n
@@ -167,7 +170,9 @@ def _fraction_solve(problem, stats=None):
         if bi < n:
             x[bi] = tab[i][-1]
     red = _frac_reduced_costs(tab, basis, cost)
-    y = tuple(-red[n + j] for j in range(m))
+    y = tuple(
+        red[n + i] if i >= m and bi < 0 else -red[n + i] for i, (_, bi) in enumerate(rows)
+    )
     return lp.LpResult(lp.OPTIMAL, dot(problem.c, x), tuple(x), y)
 
 
@@ -286,17 +291,12 @@ def _same_as_oracle(problem, stats):
 
 
 def _hull_problem(rng):
-    # point_in_hull's shape: barycentric weights, equalities as +/- pairs.
+    # point_in_hull's shape: barycentric weights, equalities as native rows.
     d = rng.randrange(1, 4)
     points = [[rng.randrange(-2, 3) for _ in range(d)] for _ in range(rng.randrange(1, 6))]
     target = [Q(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(d)]
-    rows, rhs = [], []
-    for j in range(d):
-        rows += [[p[j] for p in points], [-p[j] for p in points]]
-        rhs += [target[j], -target[j]]
-    rows += [[1] * len(points), [-1] * len(points)]
-    rhs += [1, -1]
-    return lp.LpProblem.build([0] * len(points), rows, rhs)
+    a_eq = [[p[j] for p in points] for j in range(d)] + [[1] * len(points)]
+    return lp.LpProblem.build([0] * len(points), [], [], a_eq, target + [1])
 
 
 def _degenerate_problem(rng):
@@ -322,6 +322,28 @@ def _mixed_problem(rng):
     return lp.LpProblem.build(*random_problem(rng, allow_negative_rhs=True))
 
 
+def _equality_problem(rng):
+    # Mixed <= and = rows, either rhs sign; 1-3 equality rows, most of them
+    # through a common point x >= 0, the third (if any) the sum of the
+    # others, so that phase 1 also meets redundant equality rows.
+    c, a, b = random_problem(rng, allow_negative_rhs=True)
+    point = [rng.randrange(0, 3) for _ in c]
+    a_eq = [[rng.randrange(-3, 4) for _ in c] for _ in range(rng.randrange(1, 3))]
+    if len(a_eq) == 2 and rng.random() < 0.5:
+        a_eq.append([u + v for u, v in zip(*a_eq)])
+    b_eq = [dot(row, point) + rng.choice((0, 0, 0, 1, -1)) for row in a_eq]
+    return lp.LpProblem.build(c, a, b, a_eq, b_eq)
+
+
+def _as_pairs(problem):
+    """The same LP with each equality row written as a <= / >= row pair."""
+    return lp.LpProblem(
+        problem.c,
+        problem.a + problem.a_eq + tuple(tuple(-v for v in row) for row in problem.a_eq),
+        problem.b + problem.b_eq + tuple(-v for v in problem.b_eq),
+    )
+
+
 @pytest.mark.parametrize(
     "make, expected",
     [
@@ -329,8 +351,9 @@ def _mixed_problem(rng):
         (_degenerate_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
         (_hull_problem, {lp.OPTIMAL, lp.INFEASIBLE}),
         (_rational_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
+        (_equality_problem, {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}),
     ],
-    ids=["phase1-mixed", "degenerate", "hull-pairs", "rational"],
+    ids=["phase1-mixed", "degenerate", "hull-equalities", "rational", "equalities"],
 )
 def test_integer_kernel_matches_fraction_oracle(make, expected):
     rng = random.Random(f"lp-oracle-{make.__name__}")
@@ -340,6 +363,74 @@ def test_integer_kernel_matches_fraction_oracle(make, expected):
     assert stats["degenerate"] > 0
     if make is _degenerate_problem:
         assert stats["ties"] > 0
+
+
+def test_equality_rows_match_pair_encoding():
+    # The native equality rows against the +/- row pairs they replaced, on
+    # both kernels; and the checker on the native certificates.
+    rng = random.Random("lp-equality-rows")
+    statuses = []
+    dual_cases = primal_cases = 0
+    for _ in range(300):
+        problem = _equality_problem(rng)
+        res = lp.solve(problem)
+        pairs = _as_pairs(problem)
+        for other in (lp.solve(pairs), _fraction_solve(pairs)):
+            assert (res.status, res.value) == (other.status, other.value), problem
+        statuses.append(res.status)
+        if res.status != lp.OPTIMAL:
+            continue
+        assert lp.check_certificate(problem, res), problem
+        m = len(problem.b)
+        for k, bk in enumerate(problem.b_eq):
+            if bk != 0:
+                # The gap c.x - b.y moves by b_eq[k].
+                y = list(res.y)
+                y[m + k] += 1
+                bad = lp.LpResult(lp.OPTIMAL, res.value, res.x, tuple(y))
+                assert not lp.check_certificate(problem, bad), problem
+                dual_cases += 1
+                break
+        for j in range(len(problem.c)):
+            if any(row[j] for row in problem.a_eq):
+                x = list(res.x)
+                x[j] += 1
+                bad = lp.LpResult(lp.OPTIMAL, None, tuple(x), res.y)
+                assert not lp.check_certificate(problem, bad), problem
+                primal_cases += 1
+                break
+    assert set(statuses) == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
+    assert dual_cases > 20 and primal_cases > 20
+
+
+def test_equality_duals_are_free_in_sign():
+    # max -x s.t. x = 2 has dual -1; the negated row -x = -2 (negated again
+    # inside the solver) has dual +1.
+    for a_eq, b_eq, y in (([[1]], [2], -1), ([[-1]], [-2], 1)):
+        problem = lp.LpProblem.build([-1], [], [], a_eq, b_eq)
+        res = lp.solve(problem)
+        assert res == lp.LpResult(lp.OPTIMAL, Q(-2), (Q(2),), (Q(y),))
+        assert lp.check_certificate(problem, res)
+
+
+def test_certificate_checks_equality_rows():
+    # x1 = x2 with a zero objective: every feasible x is optimal with y = 0,
+    # so only the equality test can reject x = (1, 0).
+    problem = lp.LpProblem.build([0, 0], [], [], [[1, -1]], [0])
+    good = lp.LpResult(lp.OPTIMAL, Q(0), (Q(1), Q(1)), (Q(0),))
+    assert lp.check_certificate(problem, good)
+    bad = lp.LpResult(lp.OPTIMAL, Q(0), (Q(1), Q(0)), (Q(0),))
+    assert not lp.check_certificate(problem, bad)
+
+
+@pytest.mark.parametrize(
+    "a_eq, b_eq",
+    [([[1, 0], [1]], [0, 0]), ([[1, 0]], [0, 1])],
+    ids=["row-length", "rhs-length"],
+)
+def test_equality_rows_are_checked(a_eq, b_eq):
+    with pytest.raises(ValueError):
+        lp.LpProblem.build([1, 1], [], [], a_eq, b_eq)
 
 
 def test_integer_kernel_without_constraints():

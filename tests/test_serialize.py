@@ -13,6 +13,7 @@ from sphskel.serialize import (
     augmented_from_doc,
     augmented_to_doc,
     format_rational,
+    load_schema,
     parse_rational,
     skeleton_from_doc,
     skeleton_to_doc,
@@ -92,3 +93,15 @@ def test_schema_env_override(tmp_path, monkeypatch):
     doc["extra"] = 1
     sk = skeleton_from_doc(doc)
     assert len(sk.sigma) == 1
+
+
+def test_schema_parsed_once_per_path(tmp_path, monkeypatch):
+    monkeypatch.delenv("SKELETON_SCHEMA_PATH", raising=False)
+    packaged = load_schema()
+    assert load_schema() is packaged
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"type": "object"}), encoding="utf-8")
+    monkeypatch.setenv("SKELETON_SCHEMA_PATH", str(path))
+    assert load_schema() is load_schema() is not packaged
+    monkeypatch.delenv("SKELETON_SCHEMA_PATH")
+    assert load_schema() is packaged
