@@ -5,6 +5,10 @@ and assigns each divisor an integer vector in the dual lattice N.  From
 that we build the divisor polytope Q, its dual Q*, the supported vertices,
 the two generating curve families with their anticanonical degrees, the
 combinatorial bound epsilon, and the generalized Mukai inequality report.
+
+Q, Q* and the divisor points on each facet of Q (a bit mask per vertex of
+Q*) come from one double description run per document (polar_pair); the
+edges of Q*, the rank criterion and the curve families read those masks.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from . import lp
 from .geometry import (
     OriginNotInterior,
     VPolytope,
-    origin_interior,
+    check_dimension,
+    cone_contains,
     polar,
-    vertex_enumerate,
+    polar_pair,
 )
 from .linalg import Vec, dot, vec
 from .roots import parabolic_count
@@ -149,7 +154,9 @@ class FanoPolytope:
     aug: AugmentedData
     q: VPolytope
     qstar: VPolytope
+    incidence: tuple[int, ...]  # per Q* vertex: bit i iff divisor i is on its facet
     supported: tuple[int, ...]  # indices into qstar.vertices
+    sigma_rows: tuple[Vec, ...]  # -<w, sigma_g> for each vertex w of Q
 
 
 def _in_valuation_cone(aug: AugmentedData, u: Sequence[Q]) -> bool:
@@ -165,12 +172,14 @@ def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | N
     """
     out: list[str] = []
     u = aug.u_map()
-    q = VPolytope.build(u.values(), aug.lattice_rank)
-    if not origin_interior(q):
+    pair = polar_pair([u[did] for did in aug.divisor_ids()], aug.lattice_rank)
+    if pair is None:
         out.append("(2) 0 is not in the topological interior of Q")
         return out, None
+    check_dimension(aug.lattice_rank)
+    q, qstar, incidence = pair
     for cid in aug.color_ids():
-        if not q.contains(u[cid]):
+        if not polar(qstar).contains(u[cid]):
             out.append(f"(1) u_{cid} is not in Q")
     color_points = {u[cid] for cid in aug.color_ids()}
     for v in q.vertices:
@@ -179,13 +188,13 @@ def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | N
         if all(x.denominator == 1 for x in v) and _in_valuation_cone(aug, v):
             continue
         out.append(f"(3) vertex {v} is neither a color point nor a lattice point of V")
-    qstar = vertex_enumerate(polar(q))
-    supported = supported_vertex_indices(aug, q, qstar)
+    sigma_rows = tuple(vec(-dot(w, g) for g in aug.sigma_in_m) for w in q.vertices)
+    supported = supported_vertex_indices(q, qstar, sigma_rows)
     for idx in supported:
         v = qstar.vertices[idx]
         if any(x.denominator != 1 for x in v):
             out.append(f"(4) supported vertex {v} is not a lattice point")
-    return out, FanoPolytope(aug, q, qstar, supported)
+    return out, FanoPolytope(aug, q, qstar, incidence, supported, sigma_rows)
 
 
 def validate_reflexive(aug: AugmentedData) -> list[str]:
@@ -194,21 +203,17 @@ def validate_reflexive(aug: AugmentedData) -> list[str]:
 
 
 def supported_vertex_indices(
-    aug: AugmentedData, q: VPolytope, qstar: VPolytope
+    q: VPolytope, qstar: VPolytope, sigma_rows: Sequence[Vec]
 ) -> tuple[int, ...]:
-    """v supported iff max{sum t : v + sum t_g sigma_g in Q*, t >= 0} is 0."""
+    """v supported iff max{sum t : v + sum t_g sigma_g in Q*, t >= 0} is 0;
+    its rows are sigma_rows . t <= <w, v> + 1 over the vertices w of Q."""
+    k = len(sigma_rows[0])
+    if k == 0:
+        return tuple(range(len(qstar.vertices)))
     out = []
-    k = len(aug.sigma_in_m)
     for idx, v in enumerate(qstar.vertices):
-        if k == 0:
-            out.append(idx)
-            continue
-        rows = []
-        rhs = []
-        for uvert in q.vertices:
-            rows.append([-dot(uvert, g) for g in aug.sigma_in_m])
-            rhs.append(dot(uvert, v) + 1)
-        res = lp.solve(lp.LpProblem.build([1] * k, rows, rhs))
+        rhs = [dot(w, v) + 1 for w in q.vertices]
+        res = lp.solve(lp.LpProblem.build([1] * k, sigma_rows, rhs))
         if res.status == lp.OPTIMAL and res.value == 0:
             out.append(idx)
     return tuple(out)
@@ -246,23 +251,19 @@ def _primitive(v: Sequence[Q]) -> tuple[Vec, int]:
 def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
     """Vertex pairs of Q* that span an edge.
 
-    The facets of Q* are the vertices of Q, so the smallest face holding
-    two vertices lies on exactly the facets the two share.  It is an edge
-    iff no third vertex lies on all of them; an edge lies on at least
-    d - 1 facets.
+    Each divisor point p gives a row <p, x> >= -1 of Q*, so the smallest
+    face holding two vertices is cut out by the rows tight at both, the
+    bits their masks share.  It is an edge iff no third vertex is tight on
+    all of them; an edge is tight on at least d - 1 rows.
     """
-    verts = fp.qstar.vertices
+    masks = fp.incidence
     d = fp.qstar.ambient_dim
-    active = [
-        frozenset(i for i, u in enumerate(fp.q.vertices) if dot(u, v) == -1)
-        for v in verts
-    ]
     edges = []
-    for i, j in combinations(range(len(verts)), 2):
-        common = active[i] & active[j]
-        if len(common) < d - 1:
+    for i, j in combinations(range(len(masks)), 2):
+        common = masks[i] & masks[j]
+        if common.bit_count() < d - 1:
             continue
-        if any(common <= active[z] for z in range(len(verts)) if z not in (i, j)):
+        if sum(z & common == common for z in masks) > 2:
             continue
         edges.append((i, j))
     return edges
@@ -283,17 +284,23 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
     """Anticanonical degrees of the two generating curve families."""
     aug = fp.aug
     sk = aug.skeleton
-    u = aug.u_map()
-    supported = [fp.qstar.vertices[i] for i in fp.supported]
+    colors = len(sk.colors)  # the first divisors
     dv = []
-    for cid in aug.color_ids():
-        for v in supported:
-            if dot(u[cid], v) == -1:
+    eps_candidates = []
+    # m_D + <rho'_D, v> = m_D (1 + <u_D, v>) over the pairs with D off the
+    # facet of v: the degree of the curve (D, v) when D is a color.
+    for i, did in enumerate(aug.divisor_ids()):
+        for idx in fp.supported:
+            if fp.incidence[idx] >> i & 1:
                 continue
-            degree = aug.m[cid] + dot(aug.rho_prime[cid], v)
+            v = fp.qstar.vertices[idx]
+            degree = aug.m[did] + dot(aug.rho_prime[did], v)
+            eps_candidates.append(degree)
+            if i >= colors:
+                continue
             if degree.denominator != 1 or degree <= 0:
-                raise FanoDataError(f"curve degree {degree} at ({cid}, {v})")
-            dv.append((cid, v, int(degree)))
+                raise FanoDataError(f"curve degree {degree} at ({did}, {v})")
+            dv.append((did, v, int(degree)))
     edge = []
     supported_set = set(fp.supported)
     for i, j in _qstar_edges(fp):
@@ -305,12 +312,6 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
     if not degrees:
         raise NoSupportedVertices("no generating curves found")
     iota = min(degrees)
-    eps_candidates = []
-    for did in aug.divisor_ids():
-        for v in supported:
-            pairing = dot(u[did], v)
-            if pairing != -1:
-                eps_candidates.append(aug.m[did] * (1 + pairing))
     epsilon = min(eps_candidates)
     picard = len(aug.divisor_ids()) - aug.lattice_rank
     dim = aug.lattice_rank + parabolic_count(sk.root_system, sk.sp)
@@ -324,15 +325,12 @@ def check_q_factorial(fp: FanoPolytope) -> bool:
     vertex of that face carries two divisors."""
     aug = fp.aug
     u = aug.u_map()
-    for idx in fp.supported:
-        v = fp.qstar.vertices[idx]
-        face = [w for w in fp.q.vertices if dot(w, v) == -1]
-        if len(face) != aug.lattice_rank:
-            return False
-        for w in face:
-            if sum(1 for did in aug.divisor_ids() if u[did] == w) > 1:
-                return False
-    return True
+    points = [u[did] for did in aug.divisor_ids()]
+    vertices = set(fp.q.vertices)
+    on_vertex = sum(1 << i for i, p in enumerate(points) if p in vertices)
+    shared = sum(1 << i for i, p in enumerate(points) if points.count(p) > 1)
+    faces = [fp.incidence[idx] & on_vertex for idx in fp.supported]
+    return all(z.bit_count() == aug.lattice_rank and not z & shared for z in faces)
 
 
 @dataclass(frozen=True)
@@ -356,24 +354,14 @@ def p_via_polytope(fp: FanoPolytope) -> Q | None:
     independent of the skeleton-level LP data path.
     """
     aug = fp.aug
-    k = len(aug.sigma_in_m)
     base = Q(sum(aug.m[did] - 1 for did in aug.divisor_ids()))
-    if k == 0:
+    if not aug.sigma_in_m:
         return base
-    c = []
-    for j in range(k):
-        c.append(
-            sum(
-                (dot(aug.rho_prime[did], aug.sigma_in_m[j]) for did in aug.divisor_ids()),
-                Q(0),
-            )
-        )
-    rows = []
-    rhs = []
-    for uvert in fp.q.vertices:
-        rows.append([-dot(uvert, g) for g in aug.sigma_in_m])
-        rhs.append(Q(1))
-    res = lp.solve(lp.LpProblem.build(c, rows, rhs))
+    c = [
+        sum((dot(aug.rho_prime[did], g) for did in aug.divisor_ids()), Q(0))
+        for g in aug.sigma_in_m
+    ]
+    res = lp.solve(lp.LpProblem.build(c, fp.sigma_rows, [1] * len(fp.sigma_rows)))
     if res.status != lp.OPTIMAL:
         return None
     return base + res.value
@@ -397,19 +385,15 @@ def mukai_check(
         invariant = compute_p(fp.aug.skeleton)
     p_skel = invariant.p_value
     p_poly = p_via_polytope(fp)
-    # Pasquier-style bound at each supported vertex inside cone(sigma).
-    for idx in fp.supported:
+    # Pasquier-style bound at each supported vertex inside cone(sigma).  No
+    # vertex of Q* is 0, so none lies in the cone of an empty sigma.
+    aug = fp.aug
+    for idx in fp.supported if aug.sigma_in_m else ():
         v = fp.qstar.vertices[idx]
-        coords = _cone_coordinates(fp, v)
-        if coords is None:
+        if not cone_contains(aug.sigma_in_m, v):
             continue
-        value = sum(
-            (
-                fp.aug.m[did] - 1 + dot(fp.aug.rho_prime[did], v)
-                for did in fp.aug.divisor_ids()
-            ),
-            Q(0),
-        )
+        terms = (aug.m[did] - 1 + dot(aug.rho_prime[did], v) for did in aug.divisor_ids())
+        value = sum(terms, Q(0))
         if p_skel is not None and value > p_skel:
             raise FanoDataError("supported vertex exceeds the skeleton invariant")
     return MukaiReport(
@@ -423,18 +407,6 @@ def mukai_check(
         p_poly,
         p_skel == p_poly,
     )
-
-
-def _cone_coordinates(fp: FanoPolytope, v: Vec) -> Vec | None:
-    """Express v as a nonnegative combination of sigma (None if outside)."""
-    sigma = fp.aug.sigma_in_m
-    if not sigma:
-        return () if all(x == 0 for x in v) else None
-    a_eq = [[g[j] for g in sigma] for j in range(fp.aug.lattice_rank)]
-    res = lp.solve(lp.LpProblem.build([0] * len(sigma), (), (), a_eq, v))
-    if res.status != lp.OPTIMAL:
-        return None
-    return res.x
 
 
 def color_vertex_check(fp: FanoPolytope) -> bool:

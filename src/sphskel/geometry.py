@@ -3,10 +3,12 @@
 Dimensions stay small (ambient rank <= 8).  Vertex enumeration is the
 double description method (Motzkin et al. 1953; Fukuda & Prodon 1996) in
 integer arithmetic on the homogenised cone, so its cost follows the number
-of vertices rather than the number of constraint subsets.  Hull and cone
-membership and interiority are exact LPs with equality rows; boundedness,
-when the cone shows the polytope is not a bounded non-empty one, is decided
-by exact LPs over free variables.
+of vertices rather than the number of constraint subsets.  One such run on
+the cone of a point set gives, by polarity, the hull Q of the points, its
+dual Q* and their incidence, and decides whether 0 is interior to Q
+(polar_pair).  Hull and cone membership for general input are exact LPs
+with equality rows; boundedness, when the cone shows the polytope is not a
+bounded non-empty one, is decided by exact LPs over free variables.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, echelon, rank, vec
+from .linalg import Vec, dot, echelon, vec
 
 MAX_DIM = 8
 
@@ -84,9 +86,6 @@ class VPolytope:
         ]
         return VPolytope(tuple(sorted(keep)), dim)
 
-    def contains(self, point: Sequence[Q]) -> bool:
-        return point_in_hull(self.vertices, point)
-
 
 def point_in_hull(points: Sequence[Sequence[Q]], target: Sequence[Q]) -> bool:
     """Decide target in conv(points) by LP feasibility on barycentric weights:
@@ -115,19 +114,20 @@ def vertex_enumerate(p: HPolytope) -> VPolytope:
     tells which.
     """
     d = p.ambient_dim
-    if d > MAX_DIM:
-        raise DimensionTooLarge(f"ambient dimension {d} exceeds cap {MAX_DIM}")
-    if d == 0:
-        ok = all(o <= 0 for _, o in p.rows)
-        return VPolytope(((),) if ok else (), 0)
+    check_dimension(d)
     rows = [_integral((-offset, *normal)) for normal, offset in p.rows]
     rows.append((1,) + (0,) * d)
-    rays = _extreme_rays(rows, d + 1)
-    if rays is None or any(ray[0] == 0 for ray in rays):
+    hull = _extreme_rays(rows, d + 1)
+    if hull is None or any(ray[0] == 0 for ray in hull[0]):
         _raise_if_unbounded(p)
         return VPolytope((), d)
-    found = [tuple(Q(x, ray[0]) for x in ray[1:]) for ray in rays]
+    found = [tuple(Q(x, ray[0]) for x in ray[1:]) for ray in hull[0]]
     return VPolytope(tuple(sorted(found)), d)
+
+
+def check_dimension(d: int) -> None:
+    if d > MAX_DIM:
+        raise DimensionTooLarge(f"ambient dimension {d} exceeds cap {MAX_DIM}")
 
 
 def _raise_if_unbounded(p: HPolytope) -> None:
@@ -155,9 +155,10 @@ def _integral(v: Sequence[Q]) -> tuple[int, ...]:
     return _primitive([int(x * scale) for x in v])
 
 
-def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]] | None:
-    """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n,
-    or None when the rows have rank below n (the cone contains a line).
+def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> tuple[list, list[int]] | None:
+    """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n
+    with their zero sets, or None when the rows have rank below n (the cone
+    contains a line).  Bit i of a ray's zero set is set iff <rows[i], ray> = 0.
 
     Double description: start from the simplicial cone of the first n
     linearly independent rows, then add the other rows one at a time.  Each
@@ -199,29 +200,46 @@ def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]] 
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    return rays
+    return rays, masks
 
 
-def _full_dimensional(points: Sequence[Vec], d: int) -> bool:
-    if not points:
-        return d == 0
-    base = points[0]
-    return rank([tuple(a - b for a, b in zip(pt, base)) for pt in points[1:]]) == d
+def polar_pair(
+    points: Sequence[Sequence[Q]], dim: int
+) -> tuple[VPolytope, VPolytope, tuple[int, ...]] | None:
+    """(Q, Q*, masks) for Q = conv(points) from one double description run,
+    or None unless 0 is interior to Q.
+
+    The cone {(a0, a) : a0 + <a, p> >= 0 for every point p} has one extreme
+    ray per facet {<a, x> = -a0} of Q (Ziegler, Lectures on Polytopes, 2.3).
+    0 is interior iff the rows (1, p) have rank dim + 1 and every ray has
+    a0 > 0.  Then the rays scaled to a0 = 1 are the vertices of Q*, and
+    masks[k], the zero set of the k-th, has bit i set iff points[i] lies on
+    its facet.  A point is a vertex of Q iff no other distinct point lies on
+    every facet it lies on.
+    """
+    pts = [vec(p) for p in points]
+    if any(len(p) != dim for p in pts):
+        raise GeometryError("point length differs from ambient dimension")
+    hull = _extreme_rays([_integral((1, *p)) for p in pts], dim + 1)
+    if hull is None or any(ray[0] <= 0 for ray in hull[0]):
+        return None
+    rays, masks = hull
+    # facets[i]: bit k set iff point i lies on the facet of ray k.
+    facets = [
+        sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(pts))
+    ]
+    vertices = {
+        p for p, f in zip(pts, facets)
+        if not any(o != p and g & f == f for o, g in zip(pts, facets))
+    }
+    dual = sorted((tuple(Q(x, r[0]) for x in r[1:]), z) for r, z in zip(rays, masks))
+    qstar = VPolytope(tuple(v for v, _ in dual), dim)
+    return VPolytope(tuple(sorted(vertices)), dim), qstar, tuple(z for _, z in dual)
 
 
 def origin_interior(q: VPolytope) -> bool:
     """True iff 0 lies in the topological interior of conv(vertices)."""
-    if not _full_dimensional(q.vertices, q.ambient_dim):
-        return False
-    k = len(q.vertices)
-    # 0 in relint iff some strictly positive convex combination hits 0:
-    # maximize eps s.t. eps - l_i <= 0, sum l_i v_i = 0, sum l = 1.
-    a = [[-int(j == i) for j in range(k)] + [1] for i in range(k)]
-    a_eq = [[v[j] for v in q.vertices] + [0] for j in range(q.ambient_dim)]
-    a_eq.append([1] * k + [0])
-    b_eq = [0] * q.ambient_dim + [1]
-    res = lp.solve(lp.LpProblem.build([0] * k + [1], a, [0] * k, a_eq, b_eq))
-    return res.status == lp.OPTIMAL and res.value > 0
+    return polar_pair(q.vertices, q.ambient_dim) is not None
 
 
 def polar(q: VPolytope) -> HPolytope:
@@ -239,8 +257,12 @@ def dualize(q: VPolytope) -> HPolytope:
 
 def dual_face(q: VPolytope, v: Sequence[Q]) -> frozenset[int]:
     """Indices of vertices of q pairing to -1 with a vertex v of the dual."""
-    dual_vertices = vertex_enumerate(dualize(q)).vertices
+    pair = polar_pair(q.vertices, q.ambient_dim)
+    if pair is None:
+        raise OriginNotInterior("0 must lie in the interior of the polytope")
+    _, qstar, masks = pair
     vv = vec(v)
-    if vv not in dual_vertices:
+    if vv not in qstar.vertices:
         raise NotAVertex(f"{v} is not a vertex of the dual polytope")
-    return frozenset(i for i, u in enumerate(q.vertices) if dot(u, vv) == -1)
+    mask = masks[qstar.vertices.index(vv)]
+    return frozenset(i for i in range(len(q.vertices)) if mask >> i & 1)

@@ -280,3 +280,37 @@ def test_internal_error_deep_in_a_command(monkeypatch, capsys):
     monkeypatch.setattr(pinv, "compute_p", broken)
     assert main(["smoothness", EX35]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: solver state\n"
+
+
+def _toric_doc(rays):
+    """A fano document for the toric variety of a fan with these rays."""
+    ids = [f"D{i}" for i in range(len(rays))]
+    skel = {"schema_version": 1, "root_system": [], "sigma": [], "sp": [], "colors": []}
+    skel["gamma"] = [{"id": i, "pairings": []} for i in ids]
+    return {
+        "schema_version": 1,
+        "skeleton": skel,
+        "lattice_rank": len(rays[0]),
+        "sigma_in_M": [],
+        "rho_prime": dict(zip(ids, map(list, rays))),
+        "m": {i: 1 for i in ids},
+        "coroot_on_M": {},
+    }
+
+
+def test_fano_rank_cap_after_interior_test(tmp_path, capsys):
+    # P^9 has 0 interior, so it reaches the rank cap; shifted by one it
+    # fails condition (2) first, which needs no cap.
+    rays = [tuple(int(j == i) for j in range(9)) for i in range(9)] + [(-1,) * 9]
+    path = tmp_path / "p9.json"
+    path.write_text(json.dumps(_toric_doc(rays)))
+    assert main(["fano", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "violation: ambient dimension 9 exceeds cap 8\n"
+    path.write_text(json.dumps(_toric_doc([tuple(x + 1 for x in r) for r in rays])))
+    assert main(["fano", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    violation = "(2) 0 is not in the topological interior of Q"
+    assert json.loads(captured.out) == {"error": "invalid data", "violations": [violation]}
+    assert captured.err == f"violation: {violation}\n"

@@ -145,13 +145,15 @@ def test_missing_coroot_table_warns():
 
 
 def test_projective_line_equality_case():
-    fp = fano.build_fano(toric_projective_space(1))
-    curves = fano.curve_degrees(fp)
-    assert curves.iota == 2 and curves.epsilon == 2
-    mukai = fano.mukai_check(fp)
-    assert mukai.picard == 1 and mukai.dim == 1
-    assert mukai.mukai_lhs == 1 and mukai.holds
-    assert mukai.p_skeleton == 0 == mukai.p_polytope
+    # P^1 and (P^1)^7: iota = 2 and picard = dim, so the bound is attained.
+    for n in (1, 7):
+        fp = fano.build_fano(toric(product_rays(*[projective_rays(1)] * n)))
+        curves = fano.curve_degrees(fp)
+        assert curves.iota == 2 and curves.epsilon == 2
+        mukai = fano.mukai_check(fp)
+        assert mukai.picard == n and mukai.dim == n
+        assert mukai.mukai_lhs == n and mukai.holds
+        assert mukai.p_skeleton == 0 == mukai.p_polytope
 
 
 def test_projective_spaces_edge_degrees():
@@ -221,28 +223,16 @@ def test_random_rank2_color_vertex_scan(rng):
 
 
 def test_non_simplicial_data_rejected():
-    # A cube of invariant divisors: the dual faces are squares, so the
-    # rank criterion fails and the Mukai report refuses to run.
+    # A cube of invariant divisors: the dual faces are cubes of one
+    # dimension less, so the rank criterion fails and the Mukai report
+    # refuses to run.
     from itertools import product as iproduct
 
-    from sphskel.roots import RootSystem
-    from sphskel.skeleton import make_skeleton
-
-    corners = list(iproduct((-1, 1), repeat=3))
-    rows = [(f"D{i}", ()) for i in range(len(corners))]
-    sk = make_skeleton(RootSystem(()), [], (), gamma_rows=rows)
-    aug = fano.AugmentedData(
-        skeleton=sk,
-        lattice_rank=3,
-        sigma_in_m=(),
-        rho_prime={f"D{i}": vec(c) for i, c in enumerate(corners)},
-        m={f"D{i}": 1 for i in range(len(corners))},
-        coroot_on_m={},
-    )
-    fp = fano.build_fano(aug)
-    assert not fano.check_q_factorial(fp)
-    with pytest.raises(fano.NotQFactorial):
-        fano.mukai_check(fp)
+    for d in (3, 5):
+        fp = fano.build_fano(toric(list(iproduct((-1, 1), repeat=d))))
+        assert not fano.check_q_factorial(fp)
+        with pytest.raises(fano.NotQFactorial):
+            fano.mukai_check(fp)
 
 
 def _rank_edges(fp):

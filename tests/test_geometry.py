@@ -19,8 +19,10 @@ from sphskel.geometry import (
     dualize,
     point_in_hull,
     polar,
+    polar_pair,
     vertex_enumerate,
 )
+from sphskel import lp
 from sphskel.linalg import dot, rank, solve_linear, vec
 
 
@@ -359,3 +361,79 @@ def test_rational_rows_and_vertices():
     rows = [((1, 0), 0), ((0, 1), 0), ((-2, -3), Q(-1))]
     got = vertex_enumerate(HPolytope.build(rows, 2)).vertices
     assert got == ((Q(0), Q(0)), (Q(0), Q(1, 3)), (Q(1, 2), Q(0)))
+
+
+def _lp_origin_interior(q):
+    """Oracle: q is full-dimensional and some strictly positive convex
+    combination of its vertices is 0 (max eps s.t. eps <= l_i, sum l_i v_i
+    = 0, sum l = 1 has a positive optimum)."""
+    base = q.vertices[0]
+    diffs = [tuple(a - b for a, b in zip(v, base)) for v in q.vertices[1:]]
+    if rank(diffs) != q.ambient_dim:
+        return False
+    k = len(q.vertices)
+    a = [[-int(j == i) for j in range(k)] + [1] for i in range(k)]
+    a_eq = [[v[j] for v in q.vertices] + [0] for j in range(q.ambient_dim)]
+    a_eq.append([1] * k + [0])
+    b_eq = [0] * q.ambient_dim + [1]
+    res = lp.solve(lp.LpProblem.build([0] * k + [1], a, [0] * k, a_eq, b_eq))
+    return res.status == lp.OPTIMAL and res.value > 0
+
+
+def _random_point_set(rng, d):
+    """Small integer points, often around the cross-polytope, with one
+    twist: duplicates, edge midpoints, a flattened set or a shift."""
+    pts = [
+        tuple(Q(rng.randrange(-2, 3)) for _ in range(d))
+        for _ in range(rng.randrange(2, d + 3))
+    ]
+    if rng.random() < 0.6:
+        pts += [p for p in _cross_vertices(d) if rng.random() < 0.8]
+    twist = rng.randrange(5)
+    if twist == 0:
+        pts += [rng.choice(pts) for _ in range(rng.randrange(1, 4))]
+    elif twist == 1:
+        for _ in range(rng.randrange(1, 3)):
+            a, b = rng.sample(pts, 2)
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    elif twist == 2:
+        j = rng.randrange(d)
+        pts = [tuple(Q(0) if t == j else x for t, x in enumerate(p)) for p in pts]
+    elif twist == 3:
+        shift = tuple(Q(rng.randrange(-1, 2), rng.randrange(1, 3)) for _ in range(d))
+        pts = [tuple(x + s for x, s in zip(p, shift)) for p in pts]
+    rng.shuffle(pts)
+    return pts
+
+
+def test_polar_pair_against_lp_and_separate_steps(rng):
+    interior = 0
+    for t in range(300):
+        d = 1 + t % 4
+        pts = _random_point_set(rng, d)
+        q = VPolytope.build(pts, d)
+        pair = polar_pair(pts, d)
+        assert (pair is not None) == _lp_origin_interior(q)
+        if pair is None:
+            continue
+        interior += 1
+        got_q, qstar, masks = pair
+        assert got_q == q
+        assert qstar == vertex_enumerate(polar(q))
+        assert masks == tuple(
+            sum(1 << i for i, p in enumerate(pts) if dot(p, v) == -1)
+            for v in qstar.vertices
+        )
+    assert 100 < interior < 250
+
+
+def test_polar_pair_degenerate_inputs():
+    assert polar_pair([], 2) is None
+    assert polar_pair([(1,), (2,)], 1) is None  # 0 outside
+    assert polar_pair([(0,), (1,)], 1) is None  # 0 on the boundary
+    assert polar_pair([(1, 0), (-1, 0)], 2) is None  # flat
+    assert polar_pair([(), ()], 0) == (VPolytope(((),), 0), VPolytope(((),), 0), (0,))
+    q, qstar, masks = polar_pair([(1,), (-1,), (1,), (0,)], 1)
+    assert q.vertices == ((Q(-1),), (Q(1),))
+    assert qstar.vertices == ((Q(-1),), (Q(1),))
+    assert masks == (0b0101, 0b0010)
