@@ -23,7 +23,6 @@ from . import lp
 from .geometry import (
     OriginNotInterior,
     VPolytope,
-    check_dimension,
     cone_contains,
     polar,
     polar_pair,
@@ -176,7 +175,6 @@ def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | N
     if pair is None:
         out.append("(2) 0 is not in the topological interior of Q")
         return out, None
-    check_dimension(aug.lattice_rank)
     q, qstar, incidence = pair
     for cid in aug.color_ids():
         if not polar(qstar).contains(u[cid]):

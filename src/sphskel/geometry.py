@@ -4,11 +4,10 @@ Dimensions stay small (ambient rank <= 8).  Vertex enumeration is the
 double description method (Motzkin et al. 1953; Fukuda & Prodon 1996) in
 integer arithmetic on the homogenised cone, so its cost follows the number
 of vertices rather than the number of constraint subsets.  One such run on
-the cone of a point set gives, by polarity, the hull Q of the points, its
-dual Q* and their incidence, and decides whether 0 is interior to Q
-(polar_pair).  Hull and cone membership for general input are exact LPs
-with equality rows; boundedness, when the cone shows the polytope is not a
-bounded non-empty one, is decided by exact LPs over free variables.
+a point set gives its hull Q, the dual Q* and their incidence (polar_pair).
+Hull and cone membership and interiority are exact LPs with equality rows;
+boundedness, when the cone shows the polytope is not a bounded non-empty
+one, is decided by exact LPs over free variables.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, echelon, vec
+from .linalg import Vec, dot, echelon, rank, vec
 
 MAX_DIM = 8
 
@@ -215,11 +214,16 @@ def polar_pair(
     a0 > 0.  Then the rays scaled to a0 = 1 are the vertices of Q*, and
     masks[k], the zero set of the k-th, has bit i set iff points[i] lies on
     its facet.  A point is a vertex of Q iff no other distinct point lies on
-    every facet it lies on.
+    every facet it lies on.  Above MAX_DIM (exponentially many facets) the
+    run is refused once origin_interior has decided None.
     """
     pts = [vec(p) for p in points]
     if any(len(p) != dim for p in pts):
         raise GeometryError("point length differs from ambient dimension")
+    if dim > MAX_DIM:
+        if not origin_interior(VPolytope(tuple(pts), dim)):
+            return None
+        check_dimension(dim)
     hull = _extreme_rays([_integral((1, *p)) for p in pts], dim + 1)
     if hull is None or any(ray[0] <= 0 for ray in hull[0]):
         return None
@@ -238,8 +242,15 @@ def polar_pair(
 
 
 def origin_interior(q: VPolytope) -> bool:
-    """True iff 0 lies in the topological interior of conv(vertices)."""
-    return polar_pair(q.vertices, q.ambient_dim) is not None
+    """True iff 0 is in the topological interior of conv(vertices): the rows
+    (1, v) have rank d + 1 and max{e : l >= e, sum l_i v_i = 0, sum l = 1} > 0."""
+    pts, d, k = q.vertices, q.ambient_dim, len(q.vertices)
+    if rank([(1, *v) for v in pts]) != d + 1:
+        return False
+    a = [[-int(j == i) for j in range(k)] + [1] for i in range(k)]
+    a_eq = [[v[j] for v in pts] + [0] for j in range(d)] + [[1] * k + [0]]
+    res = lp.solve(lp.LpProblem.build([0] * k + [1], a, [0] * k, a_eq, [0] * d + [1]))
+    return res.status == lp.OPTIMAL and res.value > 0
 
 
 def polar(q: VPolytope) -> HPolytope:
@@ -260,9 +271,7 @@ def dual_face(q: VPolytope, v: Sequence[Q]) -> frozenset[int]:
     pair = polar_pair(q.vertices, q.ambient_dim)
     if pair is None:
         raise OriginNotInterior("0 must lie in the interior of the polytope")
-    _, qstar, masks = pair
-    vv = vec(v)
-    if vv not in qstar.vertices:
+    mask = dict(zip(pair[1].vertices, pair[2])).get(vec(v))
+    if mask is None:
         raise NotAVertex(f"{v} is not a vertex of the dual polytope")
-    mask = masks[qstar.vertices.index(vv)]
     return frozenset(i for i in range(len(q.vertices)) if mask >> i & 1)

@@ -7,6 +7,7 @@ import pytest
 from conftest import DATA
 from sphskel import cli, fano, pinv, serialize, skeleton
 from sphskel.cli import main
+from test_fano import product_rays, projective_rays, toric
 
 EX35 = str(DATA / "ex35.json")
 EX32 = str(DATA / "ex32_fano.json")
@@ -282,34 +283,27 @@ def test_internal_error_deep_in_a_command(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: solver state\n"
 
 
-def _toric_doc(rays):
-    """A fano document for the toric variety of a fan with these rays."""
-    ids = [f"D{i}" for i in range(len(rays))]
-    skel = {"schema_version": 1, "root_system": [], "sigma": [], "sp": [], "colors": []}
-    skel["gamma"] = [{"id": i, "pairings": []} for i in ids]
-    return {
-        "schema_version": 1,
-        "skeleton": skel,
-        "lattice_rank": len(rays[0]),
-        "sigma_in_M": [],
-        "rho_prime": dict(zip(ids, map(list, rays))),
-        "m": {i: 1 for i in ids},
-        "coroot_on_M": {},
-    }
+def _write_toric(path, rays):
+    path.write_text(json.dumps(serialize.augmented_to_doc(toric(rays))))
+    return str(path)
 
 
-def test_fano_rank_cap_after_interior_test(tmp_path, capsys):
-    # P^9 has 0 interior, so it reaches the rank cap; shifted by one it
-    # fails condition (2) first, which needs no cap.
-    rays = [tuple(int(j == i) for j in range(9)) for i in range(9)] + [(-1,) * 9]
-    path = tmp_path / "p9.json"
-    path.write_text(json.dumps(_toric_doc(rays)))
-    assert main(["fano", str(path)]) == 2
+@pytest.mark.parametrize(
+    "rays",
+    [projective_rays(9), product_rays(*[projective_rays(1)] * 16)],
+    ids=["P^9", "(P^1)^16"],
+)
+def test_fano_rank_cap_after_interior_test(rays, tmp_path, capsys):
+    # 0 is interior, so the document reaches the rank cap; shifted by one it
+    # fails condition (2) first, which needs no cap.  (P^1)^16 has 2^16
+    # facets: both answers come from one LP, not from listing them.
+    rank = len(rays[0])
+    assert main(["fano", _write_toric(tmp_path / "in.json", rays)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "violation: ambient dimension 9 exceeds cap 8\n"
-    path.write_text(json.dumps(_toric_doc([tuple(x + 1 for x in r) for r in rays])))
-    assert main(["fano", str(path), "--json"]) == 2
+    assert captured.err == f"violation: ambient dimension {rank} exceeds cap 8\n"
+    shifted = _write_toric(tmp_path / "out.json", [tuple(x + 1 for x in r) for r in rays])
+    assert main(["fano", shifted, "--json"]) == 2
     captured = capsys.readouterr()
     violation = "(2) 0 is not in the topological interior of Q"
     assert json.loads(captured.out) == {"error": "invalid data", "violations": [violation]}

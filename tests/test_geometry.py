@@ -17,6 +17,7 @@ from sphskel.geometry import (
     cone_contains,
     dual_face,
     dualize,
+    origin_interior,
     point_in_hull,
     polar,
     polar_pair,
@@ -363,23 +364,6 @@ def test_rational_rows_and_vertices():
     assert got == ((Q(0), Q(0)), (Q(0), Q(1, 3)), (Q(1, 2), Q(0)))
 
 
-def _lp_origin_interior(q):
-    """Oracle: q is full-dimensional and some strictly positive convex
-    combination of its vertices is 0 (max eps s.t. eps <= l_i, sum l_i v_i
-    = 0, sum l = 1 has a positive optimum)."""
-    base = q.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, base)) for v in q.vertices[1:]]
-    if rank(diffs) != q.ambient_dim:
-        return False
-    k = len(q.vertices)
-    a = [[-int(j == i) for j in range(k)] + [1] for i in range(k)]
-    a_eq = [[v[j] for v in q.vertices] + [0] for j in range(q.ambient_dim)]
-    a_eq.append([1] * k + [0])
-    b_eq = [0] * q.ambient_dim + [1]
-    res = lp.solve(lp.LpProblem.build([0] * k + [1], a, [0] * k, a_eq, b_eq))
-    return res.status == lp.OPTIMAL and res.value > 0
-
-
 def _random_point_set(rng, d):
     """Small integer points, often around the cross-polytope, with one
     twist: duplicates, edge midpoints, a flattened set or a shift."""
@@ -413,7 +397,7 @@ def test_polar_pair_against_lp_and_separate_steps(rng):
         pts = _random_point_set(rng, d)
         q = VPolytope.build(pts, d)
         pair = polar_pair(pts, d)
-        assert (pair is not None) == _lp_origin_interior(q)
+        assert (pair is not None) == origin_interior(q)  # rank test and LP
         if pair is None:
             continue
         interior += 1
@@ -437,3 +421,18 @@ def test_polar_pair_degenerate_inputs():
     assert q.vertices == ((Q(-1),), (Q(1),))
     assert qstar.vertices == ((Q(-1),), (Q(1),))
     assert masks == (0b0101, 0b0010)
+
+
+def test_polar_pair_above_cap_decides_interior_first():
+    # 2^16 facets would be enumerated; one LP answers instead.
+    cross = _cross_vertices(16)
+    assert origin_interior(VPolytope(tuple(cross), 16))
+    with pytest.raises(DimensionTooLarge):
+        polar_pair(cross, 16)
+    with pytest.raises(DimensionTooLarge):
+        dual_face(VPolytope(tuple(cross), 16), (1,) * 16)
+    shifted = [tuple(x + 1 for x in p) for p in cross]
+    assert polar_pair(shifted, 16) is None
+    assert polar_pair([p[:15] + (0,) for p in cross], 16) is None  # flat
+    with pytest.raises(OriginNotInterior):
+        dual_face(VPolytope(tuple(shifted), 16), (1,) * 16)
