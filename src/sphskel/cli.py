@@ -47,6 +47,18 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _invalid_input(exc: ValueError, args: argparse.Namespace) -> int:
+    """Report rejected input: the error document on stdout under --json,
+    else one ``violation:`` line per violation on stderr."""
+    violations = getattr(exc, "violations", [str(exc)])
+    if args.json:
+        _emit({"error": "invalid input", "violations": violations}, args)
+    else:
+        for v in violations:
+            print(f"violation: {v}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _report_doc(report: pinv.PInvariantReport) -> dict:
     doc = {
         "p": serialize.format_rational(report.p_value),
@@ -94,13 +106,7 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
         serialize.DocumentError,
         ValueError,
     ) as exc:
-        violations = getattr(exc, "violations", [str(exc)])
-        if args.json:
-            _emit({"error": "invalid input", "violations": violations}, args)
-        else:
-            for v in violations:
-                print(f"violation: {v}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid_input(exc, args)
     if args.json:
         _emit(_report_doc(report), args)
     elif args.csv:
@@ -262,8 +268,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
         serialize.DocumentError,
         ValueError,
     ) as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid_input(exc, args)
     smooth = report.is_equality
     doc = {
         "localized_root_system": str(local.root_system),
@@ -297,7 +302,10 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
         ("12:m=..", "m >= 2"),
         ("13:m=..", "m >= 2"),
         ("14:l=..", "l >= 2"),
-        ("15:l=..,m=..", "(0,>=3) (1,>=2) (>=1,>=2) (0 with m>=3) as (l,m)"),
+        (
+            "15:l=..,m=..",
+            "(m = 0, l >= 3) or (m = 1, l >= 2) or (m >= 2, l >= 1) or (m >= 3, l = 0)",
+        ),
         ("16/1:m=..", "m >= 1"),
         ("16/2:m=..", "m >= 1"),
         ("17:m=..", "m >= 1"),

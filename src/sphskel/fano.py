@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
-from math import gcd
 from typing import Sequence
 
 from . import lp
@@ -27,7 +26,7 @@ from .geometry import (
     polar,
     polar_pair,
 )
-from .linalg import Vec, dot, vec
+from .linalg import Vec, dot, gcd_fold, primitive, vec
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, root_locator
 from .pinv import PInvariantReport, compute_p
@@ -233,17 +232,15 @@ def require_supported(fp: FanoPolytope | None) -> FanoPolytope:
     return fp
 
 
-def _primitive(v: Sequence[Q]) -> tuple[Vec, int]:
+def _lattice_multiple(v: Sequence[Q]) -> tuple[Vec, int]:
     """Write an integer vector as t * chi with chi primitive and t > 0."""
-    ints = [int(x) for x in v]
-    if any(Q(x) != i for x, i in zip(v, ints)):
+    if any(x.denominator != 1 for x in v):
         raise FanoDataError(f"difference {v} is not a lattice vector")
-    t = 0
-    for x in ints:
-        t = gcd(t, abs(x))
+    ints = [x.numerator for x in v]
+    t = gcd_fold(ints)
     if t == 0:
         raise FanoDataError("zero edge vector")
-    return vec(x // t for x in ints), t
+    return vec(primitive(ints)), t
 
 
 def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
@@ -304,7 +301,7 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
     for i, j in _qstar_edges(fp):
         if i in supported_set and j in supported_set:
             v, w = fp.qstar.vertices[i], fp.qstar.vertices[j]
-            chi, t = _primitive(tuple(a - b for a, b in zip(v, w)))
+            chi, t = _lattice_multiple(tuple(a - b for a, b in zip(v, w)))
             edge.append((v, w, chi, t))
     degrees = [d for _, _, d in dv] + [t for _, _, _, t in edge]
     if not degrees:

@@ -3,8 +3,10 @@
 Dimensions stay small (ambient rank <= 8).  Vertex enumeration is the
 double description method (Motzkin et al. 1953; Fukuda & Prodon 1996) in
 integer arithmetic on the homogenised cone, so its cost follows the number
-of vertices rather than the number of constraint subsets.  One such run on
-a point set gives its hull Q, the dual Q* and their incidence (polar_pair).
+of vertices rather than the number of constraint subsets.  Its start cone
+comes from one fraction-free elimination (``linalg.eliminate``).  One such
+run on a point set gives its hull Q, the dual Q* and their incidence
+(polar_pair).
 Hull and cone membership and interiority are exact LPs with equality rows;
 boundedness, when the cone shows the polytope is not a bounded non-empty
 one, is decided by exact LPs over free variables.
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, echelon, rank, vec
+from .linalg import Vec, dot, eliminate, integral, primitive, rank, vec
 
 MAX_DIM = 8
 
@@ -114,7 +115,7 @@ def vertex_enumerate(p: HPolytope) -> VPolytope:
     """
     d = p.ambient_dim
     check_dimension(d)
-    rows = [_integral((-offset, *normal)) for normal, offset in p.rows]
+    rows = [integral((-offset, *normal)) for normal, offset in p.rows]
     rows.append((1,) + (0,) * d)
     hull = _extreme_rays(rows, d + 1)
     if hull is None or any(ray[0] == 0 for ray in hull[0]):
@@ -143,18 +144,22 @@ def _raise_if_unbounded(p: HPolytope) -> None:
                 return
 
 
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
+def _start_cone(rows: list[Sequence[int]], n: int) -> tuple[list, list] | None:
+    """(basis, rays): the first n linearly independent rows and, for each,
+    the primitive ray pairing to 0 with the other basis rows and positively
+    with its own; None when the rows have rank below n.  One elimination of
+    [R^T | I] gives both: a reduced row is e [R^T | I] for its identity
+    block e, so its entry in column c is <rows[c], e>."""
+    m = len(rows)
+    tab = [[row[k] for row in rows] + [int(j == k) for j in range(n)] for k in range(n)]
+    pivots = eliminate(tab, m)
+    if -1 in pivots:
+        return None
+    start = sorted(zip(pivots, tab))
+    return [c for c, _ in start], [primitive(row[m:]) for _, row in start]
 
 
-def _integral(v: Sequence[Q]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray through v."""
-    scale = lcm(*(x.denominator for x in v))
-    return _primitive([int(x * scale) for x in v])
-
-
-def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> tuple[list, list[int]] | None:
+def _extreme_rays(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]] | None:
     """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n
     with their zero sets, or None when the rows have rank below n (the cone
     contains a line).  Bit i of a ray's zero set is set iff <rows[i], ray> = 0.
@@ -166,16 +171,10 @@ def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> tuple[list, list[int]]
     each adjacent pair across it; two rays are adjacent iff they share at
     least n - 2 zeros and no third ray vanishes on all of those.
     """
-    _, basis = echelon([list(map(Q, col)) for col in zip(*rows)])
-    if len(basis) < n:
+    start = _start_cone(rows, n)
+    if start is None:
         return None
-    inverse, _ = echelon(
-        [
-            list(map(Q, rows[i])) + [Q(int(j == k)) for j in range(n)]
-            for k, i in enumerate(basis)
-        ]
-    )
-    rays = [_integral([inverse[r][n + k] for r in range(n)]) for k in range(n)]
+    basis, rays = start
     everything = sum(1 << i for i in basis)
     masks = [everything & ~(1 << i) for i in basis]
     for i in sorted(set(range(len(rows))) - set(basis)):
@@ -195,7 +194,7 @@ def _extreme_rays(rows: list[tuple[int, ...]], n: int) -> tuple[list, list[int]]
                     continue
                 sp, sm = side[kp], side[km]
                 new_rays.append(
-                    _primitive([sp * x - sm * y for x, y in zip(rays[km], rays[kp])])
+                    primitive([sp * x - sm * y for x, y in zip(rays[km], rays[kp])])
                 )
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
@@ -224,7 +223,7 @@ def polar_pair(
         if not origin_interior(VPolytope(tuple(pts), dim)):
             return None
         check_dimension(dim)
-    hull = _extreme_rays([_integral((1, *p)) for p in pts], dim + 1)
+    hull = _extreme_rays([integral((1, *p)) for p in pts], dim + 1)
     if hull is None or any(ray[0] <= 0 for ray in hull[0]):
         return None
     rays, masks = hull

@@ -1,12 +1,16 @@
-"""Exact rational vectors, matrices, and Gaussian elimination.
+"""Exact rational vectors and fraction-free Gaussian elimination.
 
-All arithmetic is done with :class:`fractions.Fraction`; nothing in this
-package ever touches a float.
+Vectors and results are Fractions; nothing in this package touches a float.
+Elimination runs on primitive integer rows only: ``pivot``, the one
+integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968), serves
+``rank``, ``solve_linear``, the simplex in ``lp`` and the double description
+in ``geometry``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
@@ -31,48 +35,72 @@ def dot(x: Sequence[Q], y: Sequence[Q]) -> Q:
     return sum((a * b for a, b in zip(x, y)), Q(0))
 
 
-def add(x: Sequence[Q], y: Sequence[Q]) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+# gcd and lcm are folded pairwise rather than called with ``*args``: every
+# star call builds an argument tuple of the row's length, and those tuples
+# linger in the interpreter's per-size free lists.
 
 
-def sub(x: Sequence[Q], y: Sequence[Q]) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Row-reduce in place to reduced row echelon form; returns the matrix
-    and the pivot columns.
-
-    The pivot columns are the first linearly independent columns, found
-    greedily from the left.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def gcd_fold(values: Iterable[int], g: int = 0) -> int:
+    for v in values:
+        g = gcd(g, v)
+        if g == 1:
             break
-    return rows, pivots
+    return g
 
 
-def rank(rows: Iterable[Sequence[Q]]) -> int:
-    work = [list(map(Q, r)) for r in rows]
-    _, pivots = echelon(work)
-    return len(pivots)
+def lcm_fold(values: Iterable[int], d: int = 1) -> int:
+    for v in values:
+        d = lcm(d, v)
+    return d
+
+
+def primitive(row: list[int]) -> list[int]:
+    g = gcd_fold(row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def integral(v: Sequence[int | Q]) -> list[int]:
+    """The primitive integer vector on the ray through v."""
+    scale = lcm_fold(x.denominator for x in v)
+    return primitive([x.numerator * (scale // x.denominator) for x in v])
+
+
+def pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> int:
+    """Pivot on (row, col) and return the pivot entry, made positive.
+
+    Row ``i`` stands for the Fraction row ``tab[i] / tab[i][basis[i]]``; the
+    update ``p * row_i - f * row_r`` scales that row by ``p > 0``, so every
+    basic entry stays positive.
+    """
+    prow = tab[row]
+    p = prow[col]
+    if p < 0:
+        prow = tab[row] = [-v for v in prow]
+        p = -p
+    for i, other in enumerate(tab):
+        f = other[col]
+        if f and i != row:
+            tab[i] = primitive([p * a - f * b for a, b in zip(other, prow)])
+    basis[row] = col
+    return p
+
+
+def eliminate(tab: list[list[int]], ncols: int) -> list[int]:
+    """Reduce the integer rows of tab in place; return each row's pivot
+    column, or -1 for a row with no pivot.  Pivot columns are taken greedily
+    from the left among the first ``ncols``, so they are the first linearly
+    independent ones; each is zero outside its row and positive in it."""
+    pivots = [-1] * len(tab)
+    for col in range(ncols):
+        row = next((i for i, c in enumerate(pivots) if c < 0 and tab[i][col]), None)
+        if row is not None:
+            pivot(tab, pivots, row, col)
+    return pivots
+
+
+def rank(rows: Iterable[Sequence[int | Q]]) -> int:
+    tab = [integral(r) for r in rows]
+    return sum(c >= 0 for c in eliminate(tab, len(tab[0]) if tab else 0))
 
 
 def solve_linear(rows: Iterable[Sequence[Q]], rhs: Sequence[Q]) -> Vec | None:
@@ -81,19 +109,16 @@ def solve_linear(rows: Iterable[Sequence[Q]], rhs: Sequence[Q]) -> Vec | None:
     Returns one solution, or None when the system is inconsistent.  When the
     solution space is positive-dimensional, free variables are set to zero.
     """
-    a = [list(map(Q, r)) + [Q(v)] for r, v in zip(rows, rhs)]
-    if not a:
+    tab = [integral([*r, v]) for r, v in zip(rows, rhs)]
+    if not tab:
         return ()
-    n = len(a[0]) - 1
-    reduced, pivots = echelon(a)
-    for row in reduced:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None
+    n = len(tab[0]) - 1
+    pivots = eliminate(tab, n)
+    # A row without a pivot reads 0 = rhs.
+    if any(c < 0 and row[-1] for row, c in zip(tab, pivots)):
+        return None
     x = [Q(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = reduced[r][-1] - sum(
-            (reduced[r][j] * x[j] for j in range(c + 1, n)), Q(0)
-        )
+    for row, c in zip(tab, pivots):
+        if c >= 0:
+            x[c] = Q(row[-1], row[c])
     return tuple(x)

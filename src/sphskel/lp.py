@@ -2,10 +2,10 @@
 
 Solves ``max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0`` with a dense
 two-phase tableau simplex using Bland's anti-cycling rule.  The tableau is
-integer-preserving (Edmonds 1967; Bareiss 1968): each constraint row is a
-primitive integer vector whose basic entry is positive, and it stands for
-the rational row obtained by dividing it by that entry.  A pivot replaces
-row i by ``p*row_i - f*row_r`` over the row gcd, which keeps every equation
+integer-preserving: each constraint row is a primitive integer vector whose
+basic entry is positive, and it stands for the rational row obtained by
+dividing it by that entry.  Each pivot is ``linalg.pivot``, which replaces
+row i by ``p*row_i - f*row_r`` over the row gcd; that keeps every equation
 and every ratio ``rhs/a_ij``, so the pivots are exactly those of the
 rational tableau.
 The reduced costs are one integer row over a positive scale; Bland's rule
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import Mat, Vec, dot, mat, vec
+from .linalg import Mat, Vec, dot, gcd_fold, lcm_fold, mat, pivot, primitive, vec
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -70,53 +69,9 @@ class LpResult:
     y: Vec | None = None
 
 
-# gcd and lcm are folded pairwise rather than called with ``*args``: every
-# star call builds an argument tuple of the row's length, and those tuples
-# linger in the interpreter's per-size free lists.
-
-
-def _gcd(values: Iterable[int], g: int = 0) -> int:
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return g
-
-
-def _lcm(values: Iterable[int], d: int = 1) -> int:
-    for v in values:
-        d = lcm(d, v)
-    return d
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = _gcd(row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def _lowest_terms(z: list[int], d: int) -> tuple[list[int], int]:
-    g = _gcd(z, d)
+    g = gcd_fold(z, d)
     return ([v // g for v in z], d // g) if g > 1 else (z, d)
-
-
-def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int) -> int:
-    """Pivot on (row, col) and return the pivot entry, made positive.
-
-    Row ``i`` stands for the Fraction row ``tab[i] / tab[i][basis[i]]``; the
-    update ``p * row_i - f * row_r`` scales that row by ``p > 0``, so every
-    basic entry stays positive.
-    """
-    prow = tab[row]
-    p = prow[col]
-    if p < 0:
-        prow = tab[row] = [-v for v in prow]
-        p = -p
-    for i, other in enumerate(tab):
-        f = other[col]
-        if f and i != row:
-            tab[i] = _primitive([p * a - f * b for a, b in zip(other, prow)])
-    basis[row] = col
-    return p
 
 
 def _objective(
@@ -128,7 +83,7 @@ def _objective(
     of the result is minus the objective value of the basic solution.
     """
     rows = [(cost[bi], tab[i], tab[i][bi]) for i, bi in enumerate(basis) if cost[bi]]
-    d = _lcm(s for _, _, s in rows)
+    d = lcm_fold(s for _, _, s in rows)
     z = [d * v for v in cost]
     for cb, row, s in rows:
         k = cb * (d // s)
@@ -163,7 +118,7 @@ def _simplex(
         if leave is None:
             return UNBOUNDED, z, d
         f = z[enter]
-        p = _pivot(tab, basis, leave, enter)
+        p = pivot(tab, basis, leave, enter)
         z, d = _lowest_terms(
             [p * a - f * b for a, b in zip(z, tab[leave])], d * p
         )
@@ -190,7 +145,7 @@ def solve(problem: LpProblem) -> LpResult:
     tab: list[list[int]] = []
     basis: list[int] = []
     for i, (ai, bi) in enumerate(rows):
-        den = _lcm((v.denominator for v in ai), bi.denominator)
+        den = lcm_fold((v.denominator for v in ai), bi.denominator)
         row = [v.numerator * (den // v.denominator) for v in ai]
         row += [0] * (ncols - n)
         row.append(bi.numerator * (den // bi.denominator))
@@ -203,7 +158,7 @@ def solve(problem: LpProblem) -> LpResult:
         else:
             row[n + i] = den
             basis.append(n + i)
-        tab.append(_primitive(row))
+        tab.append(primitive(row))
 
     if ncols > n + m:
         cost1 = [0] * (n + m) + [-1] * (ncols - n - m) + [0]
@@ -220,12 +175,12 @@ def solve(problem: LpProblem) -> LpResult:
                     del tab[i]
                     del basis[i]
                 else:
-                    _pivot(tab, basis, i, col)
+                    pivot(tab, basis, i, col)
         # The equality rows' artificials stay for their duals; none of the
         # artificials may enter again.
-        tab = [_primitive(row[: n + r] + row[-1:]) for row in tab]
+        tab = [primitive(row[: n + r] + row[-1:]) for row in tab]
 
-    scale = _lcm(v.denominator for v in problem.c)
+    scale = lcm_fold(v.denominator for v in problem.c)
     cost = [v.numerator * (scale // v.denominator) for v in problem.c]
     cost += [0] * (r + 1)
     status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale), n + m)

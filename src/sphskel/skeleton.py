@@ -280,7 +280,7 @@ def _structure_violations(
         seen_coeffs.add(g.coeffs)
         if sp_known and not is_compatible(g, sp, rs):
             out.append(f"axiom S: sigma[{j}] is not compatible with S^p")
-    if rank([tuple(Q(c) for c in g.coeffs) for g in sigma]) != nsigma:
+    if rank([g.coeffs for g in sigma]) != nsigma:
         out.append("sigma is linearly dependent")
     head = tuple(out)
     out = []

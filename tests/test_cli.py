@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import DATA
-from sphskel import cli, fano, pinv, serialize, skeleton
+from sphskel import catalog, cli, fano, pinv, serialize, skeleton
 from sphskel.cli import main
 from test_fano import product_rays, projective_rays, toric
 
@@ -223,6 +223,23 @@ def test_smoothness_unknown_divisor(capsys):
     assert main(["smoothness", EX35, "--divisors", "Dx"]) == 2
 
 
+def test_smoothness_reports_each_violation(tmp_path, capsys):
+    doc = json.loads((DATA / "ex35.json").read_text())
+    for row in doc["gamma"]:
+        row["pairings"] = []
+    path = tmp_path / "short_rows.json"
+    path.write_text(json.dumps(doc))
+    violations = ["D3: pairing row has wrong length", "D4: pairing row has wrong length"]
+    assert main(["smoothness", str(path), "--divisors", "D1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"violation: {v}\n" for v in violations)
+    assert main(["smoothness", str(path), "--divisors", "D1", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "invalid input", "violations": violations}
+    assert captured.err == ""
+
+
 def test_compute_p_sp_out_of_range_exit_code(tmp_path, capsys):
     doc = json.loads((DATA / "ex35.json").read_text())
     doc["sp"] = [3]
@@ -242,16 +259,31 @@ def test_missing_file_exit_code(tmp_path, capsys, command):
 
 
 def test_missing_file_json_document(tmp_path, capsys):
-    assert main(["compute-p", str(tmp_path / "missing.json"), "--json"]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert report["error"] == "invalid input"
-    assert report["violations"][0].startswith("cannot read")
+    for command in ("compute-p", "smoothness"):
+        assert main([command, str(tmp_path / "missing.json"), "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "invalid input"
+        assert report["violations"][0].startswith("cannot read")
 
 
 def test_catalog_list(capsys):
     assert main(["catalog-list"]) == 0
     out = capsys.readouterr().out
     assert "2:<type>" in out and "30" in out
+    family15 = next(line for line in out.splitlines() if line.startswith("15:"))
+    assert family15.split(None, 1)[1] == (
+        "(m = 0, l >= 3) or (m = 1, l >= 2) or (m >= 2, l >= 1) or (m >= 3, l = 0)"
+    )
+    # generate agrees at the edge of each clause.
+    edges = [(3, 0, True), (2, 0, False), (2, 1, True), (1, 1, False), (1, 2, True),
+             (0, 2, False), (0, 3, True)]
+    for l, m, accepted in edges:
+        try:
+            catalog.generate(catalog.FamilySpec("15", l=l, m=m))
+        except catalog.ParameterOutOfRange:
+            assert not accepted, (l, m)
+        else:
+            assert accepted, (l, m)
 
 
 def _raise_runtime_error(args):
