@@ -106,7 +106,7 @@ def _random_matrix(rng):
 
 def test_kernel_against_fraction_echelon(rng):
     inconsistent = deficient = 0
-    for _ in range(250):
+    for _ in range(200):
         rows = _random_matrix(rng)
         _, oracle = _echelon([r[:] for r in rows])
         assert rank(rows) == len(oracle)
@@ -129,7 +129,7 @@ def test_kernel_against_fraction_echelon(rng):
                 inconsistent += 1
             else:
                 assert all(dot(r, x) == v for r, v in zip(rows, rhs))
-    assert deficient > 80 and inconsistent > 100
+    assert deficient > 60 and inconsistent > 80
 
 
 def test_start_cone_rays_pair_with_the_basis(rng):
