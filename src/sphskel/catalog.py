@@ -592,13 +592,14 @@ class EqualityRow:
         return self.listed == self.is_equality and (not self.listed or self.theta_ok)
 
 
-def _evaluate(task: tuple[FamilySpec, int, bool]) -> tuple[TableRow, EqualityRow]:
+def _evaluate(
+    spec: FamilySpec, k: int, with_certificates: bool
+) -> tuple[TableRow, EqualityRow]:
     """Solve one marking once and report it for both tables.
 
     For listed markings the printed optimal vertex must be feasible and
     attain the value; every other marking must be strictly below the bound.
     """
-    spec, k, with_certificates = task
     sk = mark(spec, k)
     report = compute_p(sk)
     expected = expected_value(spec, k)
@@ -636,27 +637,12 @@ def _evaluate(task: tuple[FamilySpec, int, bool]) -> tuple[TableRow, EqualityRow
 
 
 def verify_catalog(
-    max_rank: int = 8, jobs: int = 1, with_certificates: bool = False
+    max_rank: int = 8, with_certificates: bool = False
 ) -> tuple[list[TableRow], list[EqualityRow]]:
-    """One sweep over every (family, params, marking): table and equality rows."""
-    tasks = [(spec, k, with_certificates) for spec, k in table_tasks(max_rank)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """One sweep over every (family, params, marking): table and equality rows.
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_evaluate, tasks, chunksize=8))
-    else:
-        pairs = [_evaluate(task) for task in tasks]
+    The table rows recompute every table value; the equality rows check that
+    the bound is attained exactly on the listed markings.
+    """
+    pairs = [_evaluate(spec, k, with_certificates) for spec, k in table_tasks(max_rank)]
     return [t for t, _ in pairs], [e for _, e in pairs]
-
-
-def verify_tables(
-    max_rank: int = 8, jobs: int = 1, with_certificates: bool = False
-) -> list[TableRow]:
-    """Recompute every table value; one row per (family, params, marking)."""
-    return verify_catalog(max_rank, jobs, with_certificates)[0]
-
-
-def verify_equality_cases(max_rank: int = 8, jobs: int = 1) -> list[EqualityRow]:
-    """Check that the bound is attained exactly on the listed markings."""
-    return verify_catalog(max_rank, jobs)[1]

@@ -12,15 +12,15 @@ error (one ``internal error: ...`` line on stderr).
 
 The argument parser is built once per process; ``main`` can be called any
 number of times in one process, and each call parses and dispatches anew.
+Output is deterministic byte for byte.  ``verify`` runs one serial sweep
+over the catalog; it still accepts ``--jobs N``, and ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from functools import cache
 
 from . import catalog, fano, lp, pinv, serialize
@@ -38,12 +38,11 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise serialize.DocumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise serialize.DocumentError(str(exc)) from exc
 
 
-def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "meta", False):
-        doc = dict(doc)
-        doc["meta"] = {"tool": "sphskel", "timestamp": int(time.time())}
+def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -52,7 +51,7 @@ def _invalid_input(exc: ValueError, args: argparse.Namespace) -> int:
     else one ``violation:`` line per violation on stderr."""
     violations = getattr(exc, "violations", [str(exc)])
     if args.json:
-        _emit({"error": "invalid input", "violations": violations}, args)
+        _emit({"error": "invalid input", "violations": violations})
     else:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -108,7 +107,7 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
     ) as exc:
         return _invalid_input(exc, args)
     if args.json:
-        _emit(_report_doc(report), args)
+        _emit(_report_doc(report))
     elif args.csv:
         print("p_num,p_den,bound,equality")
         p = report.p_value
@@ -123,11 +122,10 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    jobs = args.jobs or min(os.cpu_count() or 1, 8)
     doc: dict = {}
     failures = 0
     tables, equality = catalog.verify_catalog(
-        max_rank=args.max_rank, jobs=jobs, with_certificates=bool(args.json)
+        max_rank=args.max_rank, with_certificates=bool(args.json)
     )
     if not tables:
         print(
@@ -188,12 +186,14 @@ def cmd_fano(args: argparse.Namespace) -> int:
             for v in violations:
                 print(f"violation: {v}", file=sys.stderr)
             if args.json:
-                _emit({"error": "invalid data", "violations": violations}, args)
+                _emit({"error": "invalid data", "violations": violations})
             return EXIT_INVALID
         fp = fano.require_supported(fp)
         curves = fano.curve_degrees(fp)
         mukai = fano.mukai_check(fp, curves, invariant)
-    except (serialize.DocumentError, fano.FanoDataError, ValueError) as exc:
+    except serialize.DocumentError as exc:
+        return _invalid_input(exc, args)
+    except (fano.FanoDataError, ValueError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
     fmt = serialize.format_rational
@@ -227,7 +227,7 @@ def cmd_fano(args: argparse.Namespace) -> int:
         "color_vertex_check": fano.color_vertex_check(fp),
     }
     if args.json:
-        _emit(doc, args)
+        _emit(doc)
     else:
         print("reflexive: yes")
         print(f"supported vertices: {doc['supported']}")
@@ -280,7 +280,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
         "smooth": smooth,
     }
     if args.json:
-        _emit(doc, args)
+        _emit(doc)
     else:
         print(f"localized root system: {doc['localized_root_system']}")
         print(f"localized sigma: {doc['localized_sigma']}")
@@ -311,7 +311,7 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
         ("17:m=..", "m >= 1"),
     ] + [(fam, "fixed") for fam in catalog.FIXED_FAMILIES]
     if args.json:
-        _emit({"families": [{"spec": s, "conditions": c} for s, c in lines]}, args)
+        _emit({"families": [{"spec": s, "conditions": c} for s, c in lines]})
     else:
         for specname, cond in lines:
             print(f"{specname:18s} {cond}")
@@ -332,11 +332,13 @@ def _parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--family", help="catalog family spec, e.g. 2:G2")
     p_compute.add_argument("--mark", type=int, help="marking index gamma_k")
     _common_flags(p_compute)
+    p_compute.add_argument("--csv", action="store_true", help="CSV output")
 
     p_verify = sub.add_parser("verify", help="recompute the appendix tables")
     p_verify.add_argument("what", choices=["tables", "equality", "all"])
     p_verify.add_argument("--max-rank", type=int, default=8)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    # Accepted and ignored, so that existing command lines keep working.
+    p_verify.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p_verify.add_argument("--json", help="write a JSON report to this path")
     p_verify.add_argument("--csv", help="write a CSV report to this path")
 
@@ -378,8 +380,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    p.add_argument("--meta", action="store_true", help="include tool metadata")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Canonical JSON and CSV formats.
 
 Rationals are rendered as exact "p/q" strings (plain "p" for integers);
-floats never appear.  Skeleton documents are validated against a bundled
-structural schema (override with the SKELETON_SCHEMA_PATH environment
-variable, read on every call; each schema file is parsed once per process)
-and reject unknown fields.
+floats never appear.  Skeleton documents are validated against the
+packaged structural schema (parsed once per process) and reject unknown
+fields.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import os
 from fractions import Fraction as Q
 from importlib import resources
 from typing import Any, Sequence
@@ -24,7 +22,6 @@ from .roots import RootSystem
 from .skeleton import Color, GammaDivisor, SphericalSkeleton
 from .sphroots import embed_from_coeffs
 
-SCHEMA_ENV = "SKELETON_SCHEMA_PATH"
 SCHEMA_VERSION = 1
 
 
@@ -92,17 +89,10 @@ def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
     return out
 
 
-def load_schema() -> dict:
-    """The skeleton schema, parsed once per path; read-only (``_schema_check``
-    never changes it), since every caller shares the parsed object."""
-    return _parse_schema(os.environ.get(SCHEMA_ENV) or None)
-
-
 @functools.cache
-def _parse_schema(override: str | None) -> dict:
-    if override:
-        with open(override, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+def load_schema() -> dict:
+    """The packaged skeleton schema, parsed once; read-only (``_schema_check``
+    never changes it), since every caller shares the parsed object."""
     with resources.files("sphskel").joinpath("data/skeleton.schema.json").open(
         "r", encoding="utf-8"
     ) as handle:

@@ -15,7 +15,7 @@ from sphskel.catalog import (
     expected_value,
     mark,
     sigma_size,
-    verify_equality_cases,
+    verify_catalog,
 )
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem, SimpleType, cartan_matrix
@@ -77,7 +77,7 @@ def test_criterion_3_symmetric_subgroup_tables():
 
 
 def test_criterion_4_equality_suite():
-    rows = verify_equality_cases(max_rank=8)
+    rows = verify_catalog(max_rank=8)[1]
     bad = [r for r in rows if not r.match]
     assert bad == []
     listed = [r for r in rows if r.listed]

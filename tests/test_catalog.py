@@ -16,8 +16,7 @@ from sphskel.catalog import (
     generate,
     mark,
     sigma_size,
-    verify_equality_cases,
-    verify_tables,
+    verify_catalog,
 )
 from sphskel.pinv import compute_p
 from sphskel.roots import SimpleType
@@ -199,14 +198,8 @@ def test_expected_value_spot_checks():
 
 
 def test_verify_tables_small_budget():
-    rows = verify_tables(max_rank=4)
+    rows = verify_catalog(max_rank=4)[0]
     assert rows and all(r.match for r in rows)
-
-
-def test_verify_tables_parallel_matches_serial():
-    serial = verify_tables(max_rank=3)
-    parallel = verify_tables(max_rank=3, jobs=2)
-    assert serial == parallel
 
 
 # Digest of the rank-4 table rows (with certificates) and equality rows as
@@ -214,10 +207,8 @@ def test_verify_tables_parallel_matches_serial():
 SWEEP_DIGEST_RANK_4 = "56e6aa5608bc062b6ca144782bf3837736ff4f776a5ffa5574c359d83f5d7326"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_verify_sweep_rows_unchanged(jobs):
-    tables = verify_tables(max_rank=4, jobs=jobs, with_certificates=True)
-    equality = verify_equality_cases(max_rank=4, jobs=jobs)
+def test_verify_sweep_rows_unchanged():
+    tables, equality = verify_catalog(max_rank=4, with_certificates=True)
     doc = {
         "tables": table_rows_to_json(tables),
         "equality": equality_rows_to_json(equality),
@@ -228,7 +219,7 @@ def test_verify_sweep_rows_unchanged(jobs):
 
 
 def test_verify_equality_small_budget():
-    rows = verify_equality_cases(max_rank=4)
+    rows = verify_catalog(max_rank=4)[1]
     assert rows and all(r.match for r in rows)
     assert any(r.listed for r in rows)
 

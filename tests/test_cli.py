@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
@@ -259,11 +260,77 @@ def test_missing_file_exit_code(tmp_path, capsys, command):
 
 
 def test_missing_file_json_document(tmp_path, capsys):
-    for command in ("compute-p", "smoothness"):
-        assert main([command, str(tmp_path / "missing.json"), "--json"]) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["error"] == "invalid input"
-        assert report["violations"][0].startswith("cannot read")
+    (tmp_path / "not.json").write_text("not json")
+    for name, message in (("missing.json", "cannot read"), ("not.json", "Expecting value")):
+        for command in ("compute-p", "smoothness", "fano"):
+            assert main([command, str(tmp_path / name), "--json"]) == 2
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert report["error"] == "invalid input"
+            assert report["violations"][0].startswith(message)
+            assert captured.err == ""
+    doc = json.loads((DATA / "ex32_fano.json").read_text())
+    doc["m"]["D1"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fano", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "error": "invalid input",
+        "violations": ["$.m.D1: 0 is below 1"],
+    }
+    assert captured.err == ""
+    assert main(["fano", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "violation: $.m.D1: 0 is below 1\n"
+
+
+def test_compute_p_csv(tmp_path, capsys):
+    assert main(["compute-p", "--family", "29:F4", "--mark", "4", "--csv"]) == 0
+    assert capsys.readouterr().out == "p_num,p_den,bound,equality\n3,2,24,no\n"
+    doc = json.loads((DATA / "ex35.json").read_text())
+    doc["gamma"] = []
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute-p", str(path), "--csv"]) == 0
+    assert capsys.readouterr().out == "p_num,p_den,bound,equality\ninf,,1,no\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-p", EX35, "--meta"],
+        ["fano", EX32, "--csv"],
+        ["smoothness", EX35, "--csv"],
+        ["catalog-list", "--csv"],
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[str]:
+    text = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("sphskel ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Fixture paths are relative to the repository; outputs land in tmp_path.
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        argv = [
+            str(DATA / arg.removeprefix("tests/data/")) if arg.startswith("tests/data/") else arg
+            for arg in shlex.split(line)[1:]
+        ]
+        assert main(argv) == 0, line
+    capsys.readouterr()
 
 
 def test_catalog_list(capsys):

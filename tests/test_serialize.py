@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 from fractions import Fraction as Q
 
 import pytest
@@ -18,6 +17,8 @@ from sphskel.serialize import (
     skeleton_from_doc,
     skeleton_to_doc,
 )
+from sphskel.skeleton import COLOR_KINDS
+from sphskel.sphroots import PATTERN_KINDS
 
 
 def test_rational_rendering():
@@ -83,25 +84,14 @@ def test_augmented_unknown_field_rejected():
         augmented_from_doc(doc)
 
 
-def test_schema_env_override(tmp_path, monkeypatch):
-    # A permissive override schema accepts an extra top-level field.
-    schema = {"type": "object"}
-    path = tmp_path / "schema.json"
-    path.write_text(json.dumps(schema), encoding="utf-8")
-    monkeypatch.setenv("SKELETON_SCHEMA_PATH", str(path))
-    doc = load_fixture("ex35.json")
-    doc["extra"] = 1
-    sk = skeleton_from_doc(doc)
-    assert len(sk.sigma) == 1
+def test_schema_parsed_once():
+    assert load_schema() is load_schema()
 
 
-def test_schema_parsed_once_per_path(tmp_path, monkeypatch):
-    monkeypatch.delenv("SKELETON_SCHEMA_PATH", raising=False)
-    packaged = load_schema()
-    assert load_schema() is packaged
-    path = tmp_path / "schema.json"
-    path.write_text(json.dumps({"type": "object"}), encoding="utf-8")
-    monkeypatch.setenv("SKELETON_SCHEMA_PATH", str(path))
-    assert load_schema() is load_schema() is not packaged
-    monkeypatch.delenv("SKELETON_SCHEMA_PATH")
-    assert load_schema() is packaged
+def test_schema_enums_match_the_code():
+    # The packaged schema keeps its own copies of these two lists.
+    props = load_schema()["properties"]
+    pattern = props["sigma"]["items"]["properties"]["pattern"]
+    kind = props["colors"]["items"]["properties"]["kind"]
+    assert pattern["enum"] == list(PATTERN_KINDS)
+    assert kind["enum"] == list(COLOR_KINDS)
