@@ -24,7 +24,7 @@ import sys
 from functools import cache
 
 from . import catalog, fano, lp, pinv, serialize
-from .skeleton import InvalidSkeleton, SubsetNotInDelta, localize, validate
+from .skeleton import InvalidSkeleton, localize, validate
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -99,12 +99,7 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
         else:
             sk = serialize.skeleton_from_doc(_load_json(args.path))
         report = pinv.compute_p(sk)
-    except (
-        InvalidSkeleton,
-        catalog.ParameterOutOfRange,
-        serialize.DocumentError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         return _invalid_input(exc, args)
     if args.json:
         _emit(_report_doc(report))
@@ -193,7 +188,7 @@ def cmd_fano(args: argparse.Namespace) -> int:
         mukai = fano.mukai_check(fp, curves, invariant)
     except serialize.DocumentError as exc:
         return _invalid_input(exc, args)
-    except (fano.FanoDataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
     fmt = serialize.format_rational
@@ -262,12 +257,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
         ids = [part for part in args.divisors.split(",") if part] if args.divisors else []
         local = localize(sk, ids)
         report = pinv.compute_p(local)
-    except (
-        SubsetNotInDelta,
-        InvalidSkeleton,
-        serialize.DocumentError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         return _invalid_input(exc, args)
     smooth = report.is_equality
     doc = {

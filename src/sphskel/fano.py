@@ -26,7 +26,7 @@ from .geometry import (
     polar,
     polar_pair,
 )
-from .linalg import Vec, dot, gcd_fold, primitive, vec
+from .linalg import Vec, dot, format_rational, gcd_fold, primitive
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, root_locator
 from .pinv import PInvariantReport, compute_p
@@ -157,6 +157,10 @@ class FanoPolytope:
     sigma_rows: tuple[Vec, ...]  # -<w, sigma_g> for each vertex w of Q
 
 
+def _text(v: Sequence[int | Q]) -> str:
+    return "(" + ", ".join(format_rational(x) for x in v) + ")"
+
+
 def _in_valuation_cone(aug: AugmentedData, u: Sequence[Q]) -> bool:
     return all(dot(u, g) <= 0 for g in aug.sigma_in_m)
 
@@ -184,13 +188,13 @@ def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | N
             continue
         if all(x.denominator == 1 for x in v) and _in_valuation_cone(aug, v):
             continue
-        out.append(f"(3) vertex {v} is neither a color point nor a lattice point of V")
-    sigma_rows = tuple(vec(-dot(w, g) for g in aug.sigma_in_m) for w in q.vertices)
+        out.append(f"(3) vertex {_text(v)} is neither a color point nor a lattice point of V")
+    sigma_rows = tuple(tuple(-dot(w, g) for g in aug.sigma_in_m) for w in q.vertices)
     supported = supported_vertex_indices(q, qstar, sigma_rows)
     for idx in supported:
         v = qstar.vertices[idx]
         if any(x.denominator != 1 for x in v):
-            out.append(f"(4) supported vertex {v} is not a lattice point")
+            out.append(f"(4) supported vertex {_text(v)} is not a lattice point")
     return out, FanoPolytope(aug, q, qstar, incidence, supported, sigma_rows)
 
 
@@ -235,12 +239,12 @@ def require_supported(fp: FanoPolytope | None) -> FanoPolytope:
 def _lattice_multiple(v: Sequence[Q]) -> tuple[Vec, int]:
     """Write an integer vector as t * chi with chi primitive and t > 0."""
     if any(x.denominator != 1 for x in v):
-        raise FanoDataError(f"difference {v} is not a lattice vector")
+        raise FanoDataError(f"difference {_text(v)} is not a lattice vector")
     ints = [x.numerator for x in v]
     t = gcd_fold(ints)
     if t == 0:
         raise FanoDataError("zero edge vector")
-    return vec(primitive(ints)), t
+    return tuple(primitive(ints)), t
 
 
 def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
@@ -272,7 +276,7 @@ class CurveDegreeReport:
     epsilon: Q
     picard: int
     dim: int
-    mukai_lhs: Q
+    mukai_lhs: int
 
 
 def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
@@ -294,7 +298,9 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
             if i >= colors:
                 continue
             if degree.denominator != 1 or degree <= 0:
-                raise FanoDataError(f"curve degree {degree} at ({did}, {v})")
+                raise FanoDataError(
+                    f"curve degree {format_rational(degree)} at ({did}, {_text(v)})"
+                )
             dv.append((did, v, int(degree)))
     edge = []
     supported_set = set(fp.supported)
@@ -311,7 +317,7 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
     picard = len(aug.divisor_ids()) - aug.lattice_rank
     dim = aug.lattice_rank + parabolic_count(sk.root_system, sk.sp)
     return CurveDegreeReport(
-        tuple(dv), tuple(edge), iota, epsilon, picard, dim, Q(picard * (iota - 1))
+        tuple(dv), tuple(edge), iota, epsilon, picard, dim, picard * (iota - 1)
     )
 
 
@@ -334,14 +340,14 @@ class MukaiReport:
     iota: int
     epsilon: Q
     dim: int
-    mukai_lhs: Q
+    mukai_lhs: int
     holds: bool
     p_skeleton: Q | None
     p_polytope: Q | None
     cross_check: bool
 
 
-def p_via_polytope(fp: FanoPolytope) -> Q | None:
+def p_via_polytope(fp: FanoPolytope) -> int | Q | None:
     """The invariant computed through the dual polytope route.
 
     Optimizes sum_D (m_D - 1 + <rho'(D), theta>) over theta in
@@ -349,13 +355,10 @@ def p_via_polytope(fp: FanoPolytope) -> Q | None:
     independent of the skeleton-level LP data path.
     """
     aug = fp.aug
-    base = Q(sum(aug.m[did] - 1 for did in aug.divisor_ids()))
+    base = sum(aug.m[did] - 1 for did in aug.divisor_ids())
     if not aug.sigma_in_m:
         return base
-    c = [
-        sum((dot(aug.rho_prime[did], g) for did in aug.divisor_ids()), Q(0))
-        for g in aug.sigma_in_m
-    ]
+    c = [sum(dot(aug.rho_prime[d], g) for d in aug.divisor_ids()) for g in aug.sigma_in_m]
     res = lp.solve(lp.LpProblem.build(c, fp.sigma_rows, [1] * len(fp.sigma_rows)))
     if res.status != lp.OPTIMAL:
         return None
@@ -388,7 +391,7 @@ def mukai_check(
         if not cone_contains(aug.sigma_in_m, v):
             continue
         terms = (aug.m[did] - 1 + dot(aug.rho_prime[did], v) for did in aug.divisor_ids())
-        value = sum(terms, Q(0))
+        value = sum(terms)
         if p_skel is not None and value > p_skel:
             raise FanoDataError("supported vertex exceeds the skeleton invariant")
     return MukaiReport(

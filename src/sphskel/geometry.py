@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, eliminate, integral, primitive, rank, vec
+from .linalg import Vec, dot, eliminate, integral, primitive, rank
 
 MAX_DIM = 8
 
@@ -48,7 +48,7 @@ class NotAVertex(GeometryError):
 class HPolytope:
     """Intersection of half-spaces ``<normal, v> >= offset``."""
 
-    rows: tuple[tuple[Vec, Q], ...]
+    rows: tuple[tuple[Vec, int | Q], ...]
     ambient_dim: int
 
     def __post_init__(self) -> None:
@@ -58,7 +58,7 @@ class HPolytope:
 
     @staticmethod
     def build(rows: Iterable[tuple[Sequence, int | Q]], dim: int) -> "HPolytope":
-        return HPolytope(tuple((vec(n), Q(o)) for n, o in rows), dim)
+        return HPolytope(tuple((tuple(n), o) for n, o in rows), dim)
 
     def contains(self, point: Sequence[Q]) -> bool:
         return all(dot(n, point) >= o for n, o in self.rows)
@@ -75,7 +75,7 @@ class VPolytope:
     def build(points: Iterable[Sequence], dim: int) -> "VPolytope":
         pts: list[Vec] = []
         for p in points:
-            v = vec(p)
+            v = tuple(p)
             if len(v) != dim:
                 raise GeometryError("point length differs from ambient dimension")
             if v not in pts:
@@ -136,7 +136,7 @@ def _raise_if_unbounded(p: HPolytope) -> None:
     b = [-offset for _, offset in p.rows]
     for j in range(p.ambient_dim):
         for sign in (1, -1):
-            c = [Q(sign) if t == j else Q(0) for t in range(p.ambient_dim)]
+            c = [sign if t == j else 0 for t in range(p.ambient_dim)]
             res = lp.solve_free(c, a, b)
             if res.status == lp.UNBOUNDED:
                 raise UnboundedPolytope(f"unbounded in coordinate direction {j}")
@@ -216,7 +216,7 @@ def polar_pair(
     every facet it lies on.  Above MAX_DIM (exponentially many facets) the
     run is refused once origin_interior has decided None.
     """
-    pts = [vec(p) for p in points]
+    pts = [tuple(p) for p in points]
     if any(len(p) != dim for p in pts):
         raise GeometryError("point length differs from ambient dimension")
     if dim > MAX_DIM:
@@ -255,7 +255,7 @@ def origin_interior(q: VPolytope) -> bool:
 def polar(q: VPolytope) -> HPolytope:
     """{v : <u, v> >= -1 for every vertex u of q}, the dual of q when 0 is
     interior to q (see dualize)."""
-    return HPolytope(tuple((u, Q(-1)) for u in q.vertices), q.ambient_dim)
+    return HPolytope(tuple((u, -1) for u in q.vertices), q.ambient_dim)
 
 
 def dualize(q: VPolytope) -> HPolytope:
@@ -270,7 +270,7 @@ def dual_face(q: VPolytope, v: Sequence[Q]) -> frozenset[int]:
     pair = polar_pair(q.vertices, q.ambient_dim)
     if pair is None:
         raise OriginNotInterior("0 must lie in the interior of the polytope")
-    mask = dict(zip(pair[1].vertices, pair[2])).get(vec(v))
+    mask = dict(zip(pair[1].vertices, pair[2])).get(tuple(v))
     if mask is None:
         raise NotAVertex(f"{v} is not a vertex of the dual polytope")
     return frozenset(i for i in range(len(q.vertices)) if mask >> i & 1)

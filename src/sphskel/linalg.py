@@ -1,10 +1,11 @@
 """Exact rational vectors and fraction-free Gaussian elimination.
 
-Vectors and results are Fractions; nothing in this package touches a float.
-Elimination runs on primitive integer rows only: ``pivot``, the one
-integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968), serves
-``rank``, ``solve_linear``, the simplex in ``lp`` and the double description
-in ``geometry``.
+An exact number is an ``int`` unless it came from a division, and then a
+Fraction; both are read through ``numerator`` and ``denominator``, and
+nothing in this package touches a float.  Elimination runs on primitive
+integer rows only: ``pivot``, the one integer-preserving Gauss-Jordan step
+(Edmonds 1967; Bareiss 1968), serves ``rank``, ``solve_linear``, the
+simplex in ``lp`` and the double description in ``geometry``.
 """
 
 from __future__ import annotations
@@ -13,26 +14,24 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vec = tuple[Q, ...]
+Vec = tuple[int | Q, ...]
 Mat = tuple[Vec, ...]
 
 
-def vec(items: Iterable[int | Q]) -> Vec:
-    return tuple(Q(x) for x in items)
-
-
-def mat(rows: Iterable[Iterable[int | Q]]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
-
-
-def dot(x: Sequence[Q], y: Sequence[Q]) -> Q:
+def dot(x: Sequence[int | Q], y: Sequence[int | Q]) -> int | Q:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), Q(0))
+    return sum(a * b for a, b in zip(x, y))
+
+
+def format_rational(value: int | Q | None) -> str:
+    """The exact text of a rational: "p/q", or "p" for an integer, and
+    "inf" for None (+infinity)."""
+    if value is None:
+        return "inf"
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 # gcd and lcm are folded pairwise rather than called with ``*args``: every
@@ -103,7 +102,7 @@ def rank(rows: Iterable[Sequence[int | Q]]) -> int:
     return sum(c >= 0 for c in eliminate(tab, len(tab[0]) if tab else 0))
 
 
-def solve_linear(rows: Iterable[Sequence[Q]], rhs: Sequence[Q]) -> Vec | None:
+def solve_linear(rows: Iterable[Sequence[int | Q]], rhs: Sequence[int | Q]) -> Vec | None:
     """Solve ``rows @ x = rhs`` exactly.
 
     Returns one solution, or None when the system is inconsistent.  When the

@@ -9,10 +9,11 @@ row i by ``p*row_i - f*row_r`` over the row gcd; that keeps every equation
 and every ratio ``rhs/a_ij``, so the pivots are exactly those of the
 rational tableau.
 The reduced costs are one integer row over a positive scale; Bland's rule
-reads only their signs.  Inputs are read through numerator and denominator
-and the results are built as Fractions at the end, so optimal values,
-primal vertices, and dual certificates are exact.  Returned primal points
-are basic solutions, i.e. vertices of the feasible region.
+reads only their signs.  Inputs are stored as given, ints or Fractions,
+and read through numerator and denominator; the results are quotients and
+are built as Fractions at the end, so optimal values, primal vertices, and
+dual certificates are exact.  Returned primal points are basic solutions,
+i.e. vertices of the feasible region.
 
 The dual vector ``y`` has one entry per row, the inequality rows first and
 then the equality rows, such that ``A^T y_le + A_eq^T y_eq >= c`` and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .linalg import Mat, Vec, dot, gcd_fold, lcm_fold, mat, pivot, primitive, vec
+from .linalg import Mat, Vec, dot, gcd_fold, lcm_fold, pivot, primitive
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -58,7 +59,9 @@ class LpProblem:
         a_eq: Sequence[Sequence] = (),
         b_eq: Sequence = (),
     ) -> "LpProblem":
-        return LpProblem(vec(c), mat(a), vec(b), mat(a_eq), vec(b_eq))
+        return LpProblem(
+            tuple(c), tuple(map(tuple, a)), tuple(b), tuple(map(tuple, a_eq)), tuple(b_eq)
+        )
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ def check_certificate(problem: LpProblem, result: LpResult) -> bool:
         if ax > bi or (i >= m and ax != bi):
             return False
     for j in range(len(problem.c)):
-        col = sum((a[i][j] * y[i] for i in range(len(y))), Q(0))
+        col = sum(a[i][j] * y[i] for i in range(len(y)))
         if col < problem.c[j]:
             return False
     if dot(problem.c, x) != dot(b, y):
@@ -234,12 +237,12 @@ def check_certificate(problem: LpProblem, result: LpResult) -> bool:
     return True
 
 
-def solve_free(c: Sequence[Q], a: Sequence[Sequence[Q]], b: Sequence[Q]) -> LpResult:
+def solve_free(c: Sequence, a: Sequence[Sequence], b: Sequence) -> LpResult:
     """max c.x s.t. A x <= b with x unrestricted in sign (x = x+ - x-)."""
     n = len(c)
-    cc = list(c) + [-Q(v) for v in c]
-    aa = [list(row) + [-Q(v) for v in row] for row in a]
-    res = solve(LpProblem.build(cc, aa, list(b)))
+    cc = list(c) + [-v for v in c]
+    aa = [list(row) + [-v for v in row] for row in a]
+    res = solve(LpProblem.build(cc, aa, b))
     if res.status != OPTIMAL:
         return res
     x = tuple(res.x[j] - res.x[n + j] for j in range(n))

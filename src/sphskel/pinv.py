@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec
+from .linalg import Vec, dot
 from .roots import parabolic_count
 from .skeleton import InvalidSkeleton, SphericalSkeleton, localize, validate
 
@@ -26,7 +26,7 @@ class PInvariantReport:
     dual: Vec | None
     is_equality: bool
     problem: lp.LpProblem
-    base: Q  # sum_D (m_D - 1)
+    base: int  # sum_D (m_D - 1)
 
     @property
     def finite(self) -> bool:
@@ -49,7 +49,7 @@ def compute_p(sk: SphericalSkeleton, check: bool = True) -> PInvariantReport:
         if violations:
             raise InvalidSkeleton(violations)
     problem = skeleton_lp(sk)
-    base = Q(sum(m - 1 for m in sk.coefficients()))
+    base = sum(m - 1 for m in sk.coefficients())
     bound = parabolic_count(sk.root_system, sk.sp)
     res = lp.solve(problem)
     if res.status == lp.UNBOUNDED:
@@ -59,28 +59,22 @@ def compute_p(sk: SphericalSkeleton, check: bool = True) -> PInvariantReport:
         # for genuine skeleton data.
         raise InvalidSkeleton([f"invariant LP is {res.status}"])
     value = base + res.value
-    gap = Q(bound) - value
+    gap = bound - value
     return PInvariantReport(
         value, bound, gap, res.x, res.y, gap == 0, problem, base
     )
 
 
-def evaluate_objective(sk: SphericalSkeleton, theta: Sequence[Q]) -> Q:
+def evaluate_objective(sk: SphericalSkeleton, theta: Sequence[int | Q]) -> int | Q:
     """sum_D (m_D - 1 + <rho(D), theta>) for theta in sigma coordinates."""
-    total = Q(sum(m - 1 for m in sk.coefficients()))
-    for row in sk.pairing_rows():
-        total += sum((Q(v) * Q(t) for v, t in zip(row, theta)), Q(0))
-    return total
+    base = sum(m - 1 for m in sk.coefficients())
+    return base + sum(dot(row, theta) for row in sk.pairing_rows())
 
 
-def theta_feasible(sk: SphericalSkeleton, theta: Sequence[Q]) -> bool:
+def theta_feasible(sk: SphericalSkeleton, theta: Sequence[int | Q]) -> bool:
     """theta lies in Q*_R ∩ cone(sigma), in sigma coordinates."""
-    if any(Q(t) < 0 for t in theta):
-        return False
-    for row, m in zip(sk.pairing_rows(), sk.coefficients()):
-        if sum((Q(v) * Q(t) for v, t in zip(row, theta)), Q(0)) < -m:
-            return False
-    return True
+    rows = zip(sk.pairing_rows(), sk.coefficients())
+    return all(t >= 0 for t in theta) and all(dot(row, theta) >= -m for row, m in rows)
 
 
 def smoothness_test(sk: SphericalSkeleton, ids: Iterable[str]) -> bool:
@@ -96,7 +90,7 @@ def mukai_gap_table(
     for name, sk in skeletons:
         try:
             rep = compute_p(sk)
-        except (InvalidSkeleton, ValueError) as exc:
+        except ValueError as exc:
             rows.append({"id": name, "error": str(exc)})
             continue
         rows.append(

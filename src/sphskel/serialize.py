@@ -1,9 +1,10 @@
 """Canonical JSON and CSV formats.
 
-Rationals are rendered as exact "p/q" strings (plain "p" for integers);
-floats never appear.  Skeleton documents are validated against the
-packaged structural schema (parsed once per process) and reject unknown
-fields.
+Integers read from a document stay ints; only quotients, such as an
+optimum, are Fractions.  ``linalg.format_rational`` renders both as exact
+"p/q" strings (plain "p" for integers); floats never appear.  Skeleton
+documents are validated against the packaged structural schema (parsed
+once per process) and reject unknown fields.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 from typing import Any, Sequence
 
 from .fano import AugmentedData
-from .linalg import vec
+from .linalg import format_rational
 from .roots import RootSystem
 from .skeleton import Color, GammaDivisor, SphericalSkeleton
 from .sphroots import embed_from_coeffs
@@ -27,15 +28,6 @@ SCHEMA_VERSION = 1
 
 class DocumentError(ValueError):
     pass
-
-
-def format_rational(value: Q | int | None) -> str:
-    if value is None:
-        return "inf"
-    value = Q(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(text: str) -> Q | None:
@@ -210,13 +202,13 @@ def augmented_from_doc(doc: dict) -> AugmentedData:
         if bad:
             raise DocumentError(f"$.coroot_on_M: keys {bad} are not simple root indices")
         coroot = {
-            int(a) - 1: vec(v) for a, v in doc["coroot_on_M"].items()
+            int(a) - 1: tuple(v) for a, v in doc["coroot_on_M"].items()
         }
     return AugmentedData(
         skeleton=sk,
         lattice_rank=doc["lattice_rank"],
-        sigma_in_m=tuple(vec(g) for g in doc["sigma_in_M"]),
-        rho_prime={k: vec(v) for k, v in doc["rho_prime"].items()},
+        sigma_in_m=tuple(tuple(g) for g in doc["sigma_in_M"]),
+        rho_prime={k: tuple(v) for k, v in doc["rho_prime"].items()},
         m=dict(doc["m"]),
         coroot_on_m=coroot,
     )
@@ -233,14 +225,13 @@ def table_rows_to_csv(rows: Sequence) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        value = Q(r.actual) if r.actual is not None else None
         writer.writerow(
             [
                 r.family,
                 r.params,
                 r.marking,
-                value.numerator if value is not None else "inf",
-                value.denominator if value is not None else "",
+                r.actual.numerator if r.actual is not None else "inf",
+                r.actual.denominator if r.actual is not None else "",
                 r.bound,
                 "yes" if r.match else "no",
             ]

@@ -10,12 +10,11 @@ needs that data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .geometry import cone_contains
-from .linalg import rank, unit
+from .linalg import rank
 from .roots import RootSystem, classify_subsystem, matrix_isomorphisms
 from .sphroots import (
     SUM_OF_TWO,
@@ -182,10 +181,10 @@ def build_full_colors(
         elif root_at(alpha, 2) is not None:
             row = []
             for g in sigma:
-                v = Q(rs.coroot_pairing(alpha, g.coeffs), 2)
-                if v.denominator != 1:
+                half, odd = divmod(rs.coroot_pairing(alpha, g.coeffs), 2)
+                if odd:
                     raise ValueError(f"half color at {alpha} has fractional pairing")
-                row.append(int(v))
+                row.append(half)
             colors.append(Color(next_id(), HALF, (alpha,), tuple(row), 1))
         else:
             group = tuple(sorted(groups[find(alpha)]))
@@ -324,12 +323,10 @@ def _structure_violations(
             if alpha is None or alpha not in sigma_half:
                 out.append(f"{c.id}: half color must be moved by one doubled root")
             else:
-                expected = tuple(
-                    Q(rs.coroot_pairing(alpha, g.coeffs), 2) for g in sigma
-                )
-                if any(e.denominator != 1 for e in expected):
+                expected = [divmod(v, 2) for v in coroot_row(rs, alpha, sigma)]
+                if any(odd for _, odd in expected):
                     out.append(f"axiom Sigma1: <alpha^vee, Lambda> not even at {alpha}")
-                elif tuple(int(e) for e in expected) != c.pairings:
+                elif tuple(half for half, _ in expected) != c.pairings:
                     out.append(f"{c.id}: half color row differs from alpha^vee/2")
                 if c.m != 1:
                     out.append(f"{c.id}: half colors have m = 1")
@@ -399,13 +396,10 @@ def is_complete(sk: SphericalSkeleton) -> bool:
     """cone(rho(D)) must be all of the dual space: contains every ±e_i."""
     nsigma = len(sk.sigma)
     rows = sk.pairing_rows()
-    for i in range(nsigma):
-        e = unit(nsigma, i)
-        if not cone_contains(rows, e):
-            return False
-        if not cone_contains(rows, tuple(-v for v in e)):
-            return False
-    return True
+    units = (
+        tuple(s * (j == i) for j in range(nsigma)) for i in range(nsigma) for s in (1, -1)
+    )
+    return all(cone_contains(rows, e) for e in units)
 
 
 def product(a: SphericalSkeleton, b: SphericalSkeleton) -> SphericalSkeleton:

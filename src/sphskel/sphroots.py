@@ -11,7 +11,6 @@ bond multiplicities and short/long orientation must match exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from .roots import RootSystem, SimpleType, _simple_coroot_matrix, half_sum
@@ -276,7 +275,6 @@ def anticanonical_coefficient(
     rho_s = half_sum(rs, range(n))
     rho_sp = half_sum(rs, spset)
     value = rs.coroot_pairing(alpha, tuple(2 * (a - b) for a, b in zip(rho_s, rho_sp)))
-    result = Q(value)
-    if result.denominator != 1 or result <= 0:
+    if value.denominator != 1 or value <= 0:
         raise ValueError(f"anticanonical coefficient at {alpha} is not a positive integer")
-    return int(result)
+    return int(value)

@@ -407,3 +407,14 @@ def test_fano_rank_cap_after_interior_test(rays, tmp_path, capsys):
     violation = "(2) 0 is not in the topological interior of Q"
     assert json.loads(captured.out) == {"error": "invalid data", "violations": [violation]}
     assert captured.err == f"violation: {violation}\n"
+
+
+def test_fano_violation_text_renders_rationals(tmp_path, capsys):
+    # Q* of this triangle has the vertex (-1, 2/3); vectors in violation
+    # text read as p/q rationals, whatever their number type.
+    path = _write_toric(tmp_path / "triangle.json", [(1, 0), (0, 1), (-1, -3)])
+    assert main(["fano", path, "--json"]) == 2
+    violation = "(4) supported vertex (-1, 2/3) is not a lattice point"
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "invalid data", "violations": [violation]}
+    assert captured.err == f"violation: {violation}\n"

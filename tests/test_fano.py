@@ -6,7 +6,6 @@ import pytest
 
 from conftest import load_fixture
 from sphskel import fano
-from sphskel.linalg import vec
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
 from sphskel.serialize import augmented_from_doc
@@ -30,7 +29,7 @@ def toric(rays: list[tuple[int, ...]]) -> fano.AugmentedData:
         skeleton=sk,
         lattice_rank=len(rays[0]),
         sigma_in_m=(),
-        rho_prime={i: vec(r) for i, r in zip(ids, rays)},
+        rho_prime={i: tuple(r) for i, r in zip(ids, rays)},
         m={i: 1 for i in ids},
         coroot_on_m={},
     )
@@ -122,7 +121,7 @@ def test_wrong_rho_prime_breaks_restriction_law():
         skeleton=aug.skeleton,
         lattice_rank=2,
         sigma_in_m=aug.sigma_in_m,
-        rho_prime={**aug.rho_prime, "D1": vec([2, 0])},
+        rho_prime={**aug.rho_prime, "D1": (2, 0)},
         m=aug.m,
         coroot_on_m=aug.coroot_on_m,
     )

@@ -24,7 +24,7 @@ from sphskel.geometry import (
     vertex_enumerate,
 )
 from sphskel import lp
-from sphskel.linalg import dot, rank, solve_linear, vec
+from sphskel.linalg import dot, rank, solve_linear
 
 
 def _brute_force_vertices(rows, dim):
@@ -89,7 +89,7 @@ def _fm_cone_contains(generators, target):
     for _ in range(k):
         ineqs = _fm_eliminate(ineqs, 0)
     return all(
-        dot(coeffs, vec(target)) >= const for coeffs, const in ineqs
+        dot(coeffs, target) >= const for coeffs, const in ineqs
     )
 
 

@@ -3,34 +3,35 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from sphskel.geometry import _start_cone
-from sphskel.linalg import dot, eliminate, integral, mat, rank, solve_linear, vec
+from sphskel.linalg import dot, eliminate, integral, rank, solve_linear
 from test_geometry import _random_point_set
 
 
 def test_dot_exact():
-    assert dot(vec([1, 2]), vec([Q(1, 2), Q(1, 3)])) == Q(7, 6)
+    assert dot((1, 2), (Q(1, 2), Q(1, 3))) == Q(7, 6)
+    assert dot((1, 2), (3, 4)) == 11 and type(dot((1, 2), (3, 4))) is int
 
 
 def test_solve_linear_unique():
-    a = mat([[2, 1], [1, -1]])
-    x = solve_linear(a, vec([5, 1]))
+    a = [[2, 1], [1, -1]]
+    x = solve_linear(a, [5, 1])
     assert x == (Q(2), Q(1))
 
 
 def test_solve_linear_inconsistent():
-    a = mat([[1, 1], [2, 2]])
-    assert solve_linear(a, vec([1, 3])) is None
+    a = [[1, 1], [2, 2]]
+    assert solve_linear(a, [1, 3]) is None
 
 
 def test_solve_linear_underdetermined_picks_solution():
-    a = mat([[1, 1]])
-    x = solve_linear(a, vec([3]))
+    a = [[1, 1]]
+    x = solve_linear(a, [3])
     assert x is not None and x[0] + x[1] == 3
 
 
 def test_rank():
-    assert rank(mat([[1, 2], [2, 4], [0, 1]])) == 2
-    assert rank(mat([[0, 0]])) == 0
+    assert rank([[1, 2], [2, 4], [0, 1]]) == 2
+    assert rank([[0, 0]]) == 0
 
 
 # The Fraction Gauss-Jordan that linalg ran before the fraction-free

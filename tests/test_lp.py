@@ -450,11 +450,34 @@ def test_integer_kernel_returns_fractions(rng):
             assert all(type(v) is Q for v in res.x + res.y)
 
 
-def test_against_sympy_lpmax():
-    # The random LPs of acceptance 7(e), against an independent simplex.
+def _sympy_linprog(c, a, b, a_eq=(), b_eq=()):
+    """sympy's answer to max c.x s.t. A x <= b, A_eq x = b_eq, x >= 0:
+    ("optimal", value, x), ("unbounded",) or ("infeasible",)."""
     simplex = pytest.importorskip("sympy.solvers.simplex")
-    from sympy import Rational, symbols
+    # linprog minimises, and needs an inequality row beside equality rows;
+    # 0 <= 0 stands in for none.
+    a_le, b_le = (a, b) if a or not a_eq else ([[0] * len(c)], [0])
+    try:
+        value, x = simplex.linprog(
+            [-v for v in c], a_le, b_le, list(a_eq) or None, list(b_eq) or None
+        )
+    except simplex.InfeasibleLPError:
+        return (lp.INFEASIBLE,)
+    except simplex.UnboundedLPError:
+        return (lp.UNBOUNDED,)
+    return (lp.OPTIMAL, -Q(str(value)), [Q(str(v)) for v in x])
 
+
+def _satisfies(c, a, b, a_eq, b_eq, x) -> bool:
+    return (
+        all(v >= 0 for v in x)
+        and all(dot(row, x) <= v for row, v in zip(a, b))
+        and all(dot(row, x) == v for row, v in zip(a_eq, b_eq))
+    )
+
+
+def test_against_sympy_linprog():
+    # The random LPs of acceptance 7(e), against an independent simplex.
     rng = random.Random(73)
     checked = set()
     for _ in range(60):
@@ -464,19 +487,50 @@ def test_against_sympy_lpmax():
         b = [rng.randrange(-2, 6) for _ in range(m)]
         c = [rng.randrange(-4, 5) for _ in range(n)]
         res = lp.solve(lp.LpProblem.build(c, a, b))
-        xs = symbols(f"x0:{n}")
-        constraints = [x >= 0 for x in xs] + [
-            sum(v * x for v, x in zip(row, xs)) <= bi for row, bi in zip(a, b)
-        ]
-        objective = sum(v * x for v, x in zip(c, xs))
-        try:
-            value, _ = simplex.lpmax(objective, constraints)
-        except simplex.InfeasibleLPError:
-            assert res.status == lp.INFEASIBLE, (c, a, b)
-        except simplex.UnboundedLPError:
-            assert res.status == lp.UNBOUNDED, (c, a, b)
-        else:
-            assert res.status == lp.OPTIMAL, (c, a, b)
-            assert Rational(res.value.numerator, res.value.denominator) == value
+        expected = _sympy_linprog(c, a, b)
+        assert res.status == expected[0], (c, a, b)
+        if res.status == lp.OPTIMAL:
+            assert res.value == expected[1], (c, a, b)
         checked.add(res.status)
     assert checked == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
+
+
+def test_against_sympy_linprog_equality_rows():
+    # Rational LPs with equality rows, alone or beside inequality rows, in
+    # sympy through A_eq and b_eq.  sympy 1.14's linprog can return, as the
+    # optimum of an infeasible LP, a point that breaks a row: max x0 + x1
+    # s.t. x0 + x1 <= 0, 2 x0 + x1 = 2 gives (1, 0).  Its optimum counts
+    # only with a point that meets every row; an LP whose point does not
+    # goes to brute_force_lp, each equality row as two inequalities.
+    rng = random.Random(74)
+    checked = set()
+    decided_by_sympy = 0
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        m = rng.randrange(0, 4)
+        k = rng.randrange(1, 3)
+
+        def entry():
+            return Q(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+
+        a = [[entry() for _ in range(n)] for _ in range(m)]
+        b = [rng.randrange(-2, 6) for _ in range(m)]
+        a_eq = [[entry() for _ in range(n)] for _ in range(k)]
+        # About half the equality rows hold at a point x0 >= 0.
+        x0 = [Q(rng.randrange(0, 4), rng.choice((1, 2))) for _ in range(n)]
+        b_eq = [dot(row, x0) if rng.random() < 0.5 else rng.randrange(-3, 4) for row in a_eq]
+        c = [entry() for _ in range(n)]
+        problem = (c, a, b, a_eq, b_eq)
+        res = lp.solve(lp.LpProblem.build(*problem))
+        expected = _sympy_linprog(*problem)
+        if expected[0] == lp.OPTIMAL and not _satisfies(*problem, expected[2]):
+            negated = [[-v for v in row] for row in a_eq]
+            expected = brute_force_lp(c, a + a_eq + negated, b + b_eq + [-v for v in b_eq])
+        else:
+            decided_by_sympy += 1
+        assert res.status == expected[0], problem
+        if res.status == lp.OPTIMAL:
+            assert res.value == expected[1], problem
+        checked.add(res.status)
+    assert checked == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
+    assert decided_by_sympy >= 20

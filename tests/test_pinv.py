@@ -7,7 +7,7 @@ import pytest
 
 from conftest import load_fixture, permuted_copy, random_skeleton
 from sphskel import lp
-from sphskel.catalog import FamilySpec, mark
+from sphskel.catalog import FamilySpec, mark, table_tasks
 from sphskel.pinv import (
     compute_p,
     evaluate_objective,
@@ -172,3 +172,11 @@ def test_certificates_on_catalog_samples():
         rep = compute_p(mark(spec, k))
         result = lp.LpResult(lp.OPTIMAL, rep.p_value - rep.base, rep.theta, rep.dual)
         assert lp.check_certificate(rep.problem, result)
+
+
+def test_skeleton_lp_data_are_ints():
+    # The LP is built from the skeleton's integers as they are.
+    for spec, k in table_tasks(max_rank=4):
+        problem = skeleton_lp(mark(spec, k))
+        entries = [*problem.c, *problem.b, *(v for row in problem.a for v in row)]
+        assert entries and all(type(v) is int for v in entries), (spec.label(), k)

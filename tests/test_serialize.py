@@ -29,6 +29,18 @@ def test_rational_rendering():
     assert parse_rational("inf") is None
 
 
+def test_format_rational_reads_ints_and_fractions_alike():
+    for n in range(-40, 41):
+        assert format_rational(n) == format_rational(Q(n)) == str(n)
+
+
+@pytest.mark.parametrize("name", ["ex32_fano.json", "ex61_fano.json"])
+def test_augmented_vectors_are_ints(name):
+    aug = augmented_from_doc(load_fixture(name))
+    vectors = [*aug.sigma_in_m, *aug.rho_prime.values(), *aug.coroot_on_m.values()]
+    assert vectors and all(type(x) is int for v in vectors for x in v)
+
+
 def test_skeleton_roundtrip_bit_exact():
     doc = load_fixture("ex35.json")
     sk = skeleton_from_doc(doc)
