@@ -355,130 +355,128 @@ def mark(spec: FamilySpec, gamma_index: int) -> SphericalSkeleton:
 
 # ---------------------------------------------------------------------------
 # Expected values (the appendix tables, as closed forms / literal lists).
+# An integer value is an int; only a quotient, such as 37/2, is a Fraction.
 
-def group_embedding_value(series: str, n: int, k: int) -> Q:
+def group_embedding_value(series: str, n: int, k: int) -> int | Q:
     if series == "A":
         kk = min(k, n + 1 - k)
-        return Q(n * n - 2 * kk * n + 3 * n + 2 * kk * kk - 6 * kk + 4)
+        return n * n - 2 * kk * n + 3 * n + 2 * kk * kk - 6 * kk + 4
     if series == "B":
         if k == 1:
-            return Q(3 * n - 1)
+            return 3 * n - 1
         if k == n:
-            return Q(n * n - n)
-        return Q(3 * n + k * k - 2 * k - 4)
+            return n * n - n
+        return 3 * n + k * k - 2 * k - 4
     if series == "C":
         if k == n:
-            return Q(n * n + 1)
-        return Q(n + k * k - 1)
+            return n * n + 1
+        return n + k * k - 1
     if series == "D":
         if k == 1:
-            return Q(3 * n - 3)
+            return 3 * n - 3
         if k >= n - 1:
-            return Q(n * n - 2 * n + 1)
-        return Q(3 * n + k * k - 2 * k - 6)
+            return n * n - 2 * n + 1
+        return 3 * n + k * k - 2 * k - 6
     exceptional = {
-        "E6": {1: Q(37, 2), 2: Q(16), 3: Q(16), 4: Q(14), 5: Q(16), 6: Q(37, 2)},
-        "E7": {1: Q(27), 2: Q(25), 3: Q(25), 4: Q(22), 5: Q(19), 6: Q(19), 7: Q(20)},
-        "E8": {
-            1: Q(38), 2: Q(36), 3: Q(36), 4: Q(32),
-            5: Q(27), 6: Q(24), 7: Q(22), 8: Q(21),
-        },
-        "F4": {1: Q(12), 2: Q(10), 3: Q(8), 4: Q(7)},
-        "G2": {1: Q(2), 2: Q(4)},
+        "E6": {1: Q(37, 2), 2: 16, 3: 16, 4: 14, 5: 16, 6: Q(37, 2)},
+        "E7": {1: 27, 2: 25, 3: 25, 4: 22, 5: 19, 6: 19, 7: 20},
+        "E8": {1: 38, 2: 36, 3: 36, 4: 32, 5: 27, 6: 24, 7: 22, 8: 21},
+        "F4": {1: 12, 2: 10, 3: 8, 4: 7},
+        "G2": {1: 2, 2: 4},
     }
     return exceptional[f"{series}{n}"][k]
 
 
-def symmetric_subgroup_value(fam: str, l: int, m: int, k: int) -> Q:
+def symmetric_subgroup_value(fam: str, l: int, m: int, k: int) -> int | Q:
     if fam == "3":
         if k == 1:
-            return Q(3 * m + 2 * l - 1)
+            return 3 * m + 2 * l - 1
         if k <= m:
-            return Q(3 * m + 2 * l + k * k - 2 * k - 4)
-        return Q(m * m + l * m + l - 2)
+            return 3 * m + 2 * l + k * k - 2 * k - 4
+        return m * m + l * m + l - 2
     if fam == "4":
         if k <= m:
-            return Q(m + k * k - 1)
-        return Q(m * m + m + 1)
+            return m + k * k - 1
+        return m * m + m + 1
     if fam == "5":
         kk = min(k, m + 1 - k)
         return Q(m * m - 2 * kk * m + 3 * m + 2 * kk * kk - 8 * kk + 6, 2)
     if fam == "6":
         kk = min(k, m + 1 - k)
-        return Q(2 * m * m - 4 * kk * m + 6 * m + 4 * kk * kk - 10 * kk + 6)
+        return 2 * m * m - 4 * kk * m + 6 * m + 4 * kk * kk - 10 * kk + 6
     if fam == "8":
-        return Q(2 * l - 2) if k == 1 else Q(4 * l - 2)
+        return 2 * l - 2 if k == 1 else 4 * l - 2
     if fam == "9":
         if k == 1:
-            return Q(m + 2 * l - 1)
+            return m + 2 * l - 1
         if k == m + 1:
             return Q(m * m, 2) + l * m - m + l - Q(3, 2)
         if k == m:
             return Q(m * m, 2) - 1 if l == 1 else Q(m * m + m, 2) + 2 * l - 4
-        return Q(m + 2 * l) + Q(k * k - k, 2) - 4
+        return m + 2 * l + Q(k * k - k, 2) - 4
     if fam == "10/11":
         if k <= m:
-            return Q(3 * m + 2 * l + 2 * k * k - k - 1)
-        return Q(2 * m * m + 4 * m + 3) if l == 1 else Q(2 * m * (m + l + 1) + 2 * l)
+            return 3 * m + 2 * l + 2 * k * k - k - 1
+        return 2 * m * m + 4 * m + 3 if l == 1 else 2 * m * (m + l + 1) + 2 * l
     if fam == "12":
         if k == 1:
-            return Q(m + 1)
+            return m + 1
         if k <= m:
-            return Q(m) + Q(k * k - k, 2) - 2
+            return m + Q(k * k - k, 2) - 2
         return Q(m * m + m, 2) - 1
     if fam == "13":
         if k <= m:
             return Q(k * k + k, 2) - 1
         return Q(m * m + m, 2) + 1
     if fam == "14":
-        return Q(2 * l - 1) if k == 1 else Q(4 * l)
+        return 2 * l - 1 if k == 1 else 4 * l
     if fam == "15":
         if l == 0 and k >= m:
             return Q(m * m - m, 2)
         if k == 1:
-            return Q(m + 2 * l)
+            return m + 2 * l
         if k == m + 1:
             return Q(m * m, 2) + l * m - Q(m, 2) + l - 1
         if k == m:
             return Q(m * m + m, 2) + 2 * l - 3
-        return Q(m + 2 * l) + Q(k * k - k, 2) - 3
+        return m + 2 * l + Q(k * k - k, 2) - 3
     if fam == "16/1":
         if k == 1:
-            return Q(7 * m + 5)
+            return 7 * m + 5
         if k <= m:
-            return Q(7 * m + 2 * k * k - 5 * k + 2)
-        return Q(2 * m * m + 4 * m + 1)
+            return 7 * m + 2 * k * k - 5 * k + 2
+        return 2 * m * m + 4 * m + 1
     if fam == "16/2":
         if k == 1:
-            return Q(7 * m + 1)
+            return 7 * m + 1
         if k <= m:
-            return Q(7 * m + 2 * k * k - 5 * k - 2)
-        return Q(2 * m * m + 2 * m - 1)
+            return 7 * m + 2 * k * k - 5 * k - 2
+        return 2 * m * m + 2 * m - 1
     if fam == "17":
         if k <= m:
-            return Q(3 * m + 2 * k * k - k - 1)
-        return Q(2 * m * m + 2 * m + 1)
+            return 3 * m + 2 * k * k - k - 1
+        return 2 * m * m + 2 * m + 1
     raise KeyError(fam)
 
 
-EXCEPTIONAL_SUBGROUP_VALUES: dict[str, tuple[Q, ...]] = {
-    "18": (Q(13), Q(20)),
-    "19": (Q(24), Q(24)),
-    "20": (Q(4), Q(5), Q(6), Q(7)),
-    "21": (Q(13, 2), Q(5), Q(5), Q(4), Q(5), Q(13, 2)),
-    "22": (Q(31), Q(22), Q(23)),
-    "23": (Q(14), Q(23), Q(25)),
-    "24": (Q(13), Q(12), Q(11), Q(9)),
-    "25": (Q(10), Q(9), Q(9), Q(8), Q(6), Q(6), Q(13, 2)),
-    "26": (Q(19), Q(23), Q(24), Q(25)),
-    "27": (Q(15), Q(14), Q(14), Q(13), Q(10), Q(8), Q(7), Q(13, 2)),
-    "28": (Q(10),),
-    "29": (Q(4), Q(3), Q(2), Q(3, 2)),
-    "30": (Q(0), Q(1)),
+EXCEPTIONAL_SUBGROUP_VALUES: dict[str, tuple[int | Q, ...]] = {
+    "18": (13, 20),
+    "19": (24, 24),
+    "20": (4, 5, 6, 7),
+    "21": (Q(13, 2), 5, 5, 4, 5, Q(13, 2)),
+    "22": (31, 22, 23),
+    "23": (14, 23, 25),
+    "24": (13, 12, 11, 9),
+    "25": (10, 9, 9, 8, 6, 6, Q(13, 2)),
+    "26": (19, 23, 24, 25),
+    "27": (15, 14, 14, 13, 10, 8, 7, Q(13, 2)),
+    "28": (10,),
+    "29": (4, 3, 2, Q(3, 2)),
+    "30": (0, 1),
 }
 
 
-def expected_value(spec: FamilySpec, k: int) -> Q:
+def expected_value(spec: FamilySpec, k: int) -> int | Q:
     if spec.family == "2":
         return group_embedding_value(spec.series.letter, spec.series.rank, k)
     if spec.family in FIXED_FAMILIES:
@@ -515,40 +513,40 @@ def all_specs(max_rank: int = 8) -> Iterator[FamilySpec]:
 # ---------------------------------------------------------------------------
 # Equality cases (the upper bound is attained) with their printed vertices.
 
-def _theta_mirror(values: Sequence[Q], mirror: bool) -> tuple[Q, ...]:
+def _theta_mirror(values: Sequence[int | Q], mirror: bool) -> tuple[int | Q, ...]:
     return tuple(reversed(values)) if mirror else tuple(values)
 
 
-def equality_entries(spec: FamilySpec) -> dict[int, tuple[Q, ...]]:
+def equality_entries(spec: FamilySpec) -> dict[int, tuple[int | Q, ...]]:
     """Marking index -> optimal vertex theta, for the attained-bound cases."""
     fam = spec.family
-    out: dict[int, tuple[Q, ...]] = {}
+    out: dict[int, tuple[int | Q, ...]] = {}
     if fam == "2" and spec.series.letter == "A":
         n = spec.series.rank
-        squares = [Q((j + 1) ** 2) for j in range(n)]
+        squares = [(j + 1) ** 2 for j in range(n)]
         out[1] = tuple(squares)
         out[n] = _theta_mirror(squares, True)
     elif fam == "3" and spec.m == 0 and (spec.l or 0) >= 1:
-        out[1] = (Q(1),)
+        out[1] = (1,)
     elif fam == "4" and spec.m == 0:
-        out[1] = (Q(1),)
+        out[1] = (1,)
     elif fam == "5":
         m = spec.m
-        vals = [Q((j + 1) ** 2 + (j + 1), 2) for j in range(m)]
+        vals = [(j + 1) * (j + 2) // 2 for j in range(m)]  # triangular numbers
         out[1] = tuple(vals)
         out[m] = _theta_mirror(vals, True)
     elif fam == "6":
         m = spec.m
-        vals = [Q(2 * (j + 1) ** 2 - (j + 1)) for j in range(m)]
+        vals = [2 * (j + 1) ** 2 - (j + 1) for j in range(m)]
         out[1] = tuple(vals)
         out[m] = _theta_mirror(vals, True)
     elif fam == "9" and spec.m == 0 and (spec.l or 0) >= 2:
-        out[1] = (Q(1),)
+        out[1] = (1,)
     elif fam == "15" and spec.m == 0 and (spec.l or 0) >= 3:
-        out[1] = (Q(1),)
+        out[1] = (1,)
     elif fam == "19":
-        out[1] = (Q(1), Q(10))
-        out[2] = (Q(10), Q(1))
+        out[1] = (1, 10)
+        out[2] = (10, 1)
     return out
 
 
@@ -560,7 +558,7 @@ class TableRow:
     family: str
     params: str
     marking: int
-    expected: Q
+    expected: int | Q
     actual: Q | None
     bound: int
     match: bool

@@ -18,16 +18,20 @@ i.e. vertices of the feasible region.
 The dual vector ``y`` has one entry per row, the inequality rows first and
 then the equality rows, such that ``A^T y_le + A_eq^T y_eq >= c`` and
 ``b.y_le + b_eq.y_eq = c.x``.  Inequality duals are nonnegative; equality
-duals are free in sign.
+duals are free in sign.  ``check_certificate`` verifies such a result from
+the problem data alone, in integer arithmetic: each vector, row and column
+is read as integer numerators over one common denominator, and every
+comparison is an integer cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 from typing import Sequence
 
-from .linalg import Mat, Vec, dot, gcd_fold, lcm_fold, pivot, primitive
+from .linalg import Mat, Vec, gcd_fold, lcm_fold, pivot, primitive
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -70,6 +74,14 @@ class LpResult:
     value: Q | None = None
     x: Vec | None = None
     y: Vec | None = None
+
+
+def _numerators(values: Sequence[int | Q]) -> tuple[list[int], int]:
+    """(z, d) with values == z / d: d the lcm of the denominators, d > 0."""
+    d = lcm_fold(v.denominator for v in values)
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _lowest_terms(z: list[int], d: int) -> tuple[list[int], int]:
@@ -183,8 +195,7 @@ def solve(problem: LpProblem) -> LpResult:
         # artificials may enter again.
         tab = [primitive(row[: n + r] + row[-1:]) for row in tab]
 
-    scale = lcm_fold(v.denominator for v in problem.c)
-    cost = [v.numerator * (scale // v.denominator) for v in problem.c]
+    cost, scale = _numerators(problem.c)
     cost += [0] * (r + 1)
     status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale), n + m)
     if status == UNBOUNDED:
@@ -209,30 +220,44 @@ def check_certificate(problem: LpProblem, result: LpResult) -> bool:
     """Exact strong-duality check of a claimed optimal result.
 
     Verifies primal feasibility (A x <= b, A_eq x = b_eq, x >= 0), dual
-    feasibility (A^T y_le + A_eq^T y_eq >= c, y_le >= 0, y_eq free), and the
-    zero duality gap c.x == b.y_le + b_eq.y_eq.
+    feasibility (A^T y_le + A_eq^T y_eq >= c, y_le >= 0, y_eq free), the
+    zero duality gap c.x == b.y_le + b_eq.y_eq, and value == c.x.  Every
+    comparison is between integers: x and y are each read over one common
+    denominator, each constraint row with its rhs, each column of
+    [A; A_eq] with its c entry, c and b each over their own, and both
+    sides of a test are cross-multiplied by the positive denominators.
+    The check reads only the problem and the result, never the tableau.
     """
     if result.status != OPTIMAL or result.x is None or result.y is None:
         return False
-    x, y = result.x, result.y
     m = len(problem.b)
     a = problem.a + problem.a_eq
     b = problem.b + problem.b_eq
-    if len(x) != len(problem.c) or len(y) != len(b):
+    if len(result.x) != len(problem.c) or len(result.y) != len(b):
         return False
+    x, dx = _numerators(result.x)
+    y, dy = _numerators(result.y)
     if any(v < 0 for v in x) or any(v < 0 for v in y[:m]):
         return False
+    # Row i over d_i: row.x <= b_i  iff  r.x <= r_b * dx.
     for i, (row, bi) in enumerate(zip(a, b)):
-        ax = dot(row, x)
-        if ax > bi or (i >= m and ax != bi):
+        r, _ = _numerators((*row, bi))
+        ax, rhs = sum(map(mul, r, x)), r[-1] * dx
+        if ax > rhs or (i >= m and ax != rhs):
             return False
-    for j in range(len(problem.c)):
-        col = sum(a[i][j] * y[i] for i in range(len(y)))
-        if col < problem.c[j]:
+    # Column j with c_j over e_j: col.y >= c_j  iff  k.y >= k_c * dy.  With
+    # no rows, zip(c) yields the columns (c_j,).
+    for col in zip(*a, problem.c):
+        k, _ = _numerators(col)
+        if sum(map(mul, k, y)) < k[-1] * dy:
             return False
-    if dot(problem.c, x) != dot(b, y):
+    c, dc = _numerators(problem.c)
+    bz, db = _numerators(b)
+    cx = sum(map(mul, c, x))  # c.x == cx / (dc * dx)
+    if cx * db * dy != sum(map(mul, bz, y)) * dc * dx:
         return False
-    if result.value is not None and result.value != dot(problem.c, x):
+    value = result.value
+    if value is not None and value.numerator * dc * dx != cx * value.denominator:
         return False
     return True
 

@@ -43,17 +43,19 @@ def parse_rational(text: str) -> Q | None:
 # documents.  additionalProperties is false (reject unknown fields) or a
 # schema that every field not in properties must satisfy.
 
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+}
+
+
 def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
     out: list[str] = []
     expected = schema.get("type")
     if expected:
-        ok = {
-            "object": lambda v: isinstance(v, dict),
-            "array": lambda v: isinstance(v, list),
-            "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "string": lambda v: isinstance(v, str),
-        }[expected](doc)
-        if not ok:
+        if not _TYPE_CHECKS[expected](doc):
             return [f"{path}: expected {expected}"]
     if "enum" in schema and doc not in schema["enum"]:
         out.append(f"{path}: {doc!r} not one of {schema['enum']}")

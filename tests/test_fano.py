@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as Q
 
 import pytest
 
 from conftest import load_fixture
-from sphskel import fano
+from sphskel import cli, fano
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
-from sphskel.serialize import augmented_from_doc
+from sphskel.serialize import augmented_from_doc, augmented_to_doc
 from sphskel.skeleton import make_skeleton
 
 
@@ -306,3 +307,25 @@ def test_unchecked_build_still_needs_interior_origin():
         fano.build_fano(shifted)
     with pytest.raises(fano.OriginNotInterior):
         fano.build_fano(shifted, check=False)
+
+
+def _cross_check_documents():
+    docs = {name: load_fixture(f"{name}_fano.json") for name in ("ex32", "ex61")}
+    rays = {f"P{n}": projective_rays(n) for n in range(2, 8)}
+    rays.update({f"P1^{n}": product_rays(*[projective_rays(1)] * n) for n in range(2, 7)})
+    rays.update({f"P2^{k}": product_rays(*[projective_rays(2)] * k) for k in (2, 3)})
+    docs.update({name: augmented_to_doc(toric(r)) for name, r in rays.items()})
+    return docs
+
+
+_CROSS_CHECK_DOCUMENTS = _cross_check_documents()
+
+
+@pytest.mark.parametrize("name", list(_CROSS_CHECK_DOCUMENTS))
+def test_fano_json_p_cross_check(name, tmp_path, capsys):
+    # The skeleton invariant equals the polytope route on every document
+    # that reaches the Mukai report, through the command line.
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_CROSS_CHECK_DOCUMENTS[name]), encoding="utf-8")
+    assert cli.main(["fano", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_cross_check"] is True

@@ -176,6 +176,34 @@ def _fraction_solve(problem, stats=None):
     return lp.LpResult(lp.OPTIMAL, dot(problem.c, x), tuple(x), y)
 
 
+def _fraction_check_certificate(problem, result):
+    # The Fraction checker that ``lp.check_certificate`` replaced, kept as
+    # its oracle: the same tests, with Fraction sums and comparisons.
+    if result.status != lp.OPTIMAL or result.x is None or result.y is None:
+        return False
+    x, y = result.x, result.y
+    m = len(problem.b)
+    a = problem.a + problem.a_eq
+    b = problem.b + problem.b_eq
+    if len(x) != len(problem.c) or len(y) != len(b):
+        return False
+    if any(v < 0 for v in x) or any(v < 0 for v in y[:m]):
+        return False
+    for i, (row, bi) in enumerate(zip(a, b)):
+        ax = dot(row, x)
+        if ax > bi or (i >= m and ax != bi):
+            return False
+    for j in range(len(problem.c)):
+        col = sum(a[i][j] * y[i] for i in range(len(y)))
+        if col < problem.c[j]:
+            return False
+    if dot(problem.c, x) != dot(b, y):
+        return False
+    if result.value is not None and result.value != dot(problem.c, x):
+        return False
+    return True
+
+
 def test_one_dimensional():
     res = lp.solve(lp.LpProblem.build([1], [[1]], [1]))
     assert res.status == lp.OPTIMAL
@@ -421,6 +449,63 @@ def test_certificate_checks_equality_rows():
     assert lp.check_certificate(problem, good)
     bad = lp.LpResult(lp.OPTIMAL, Q(0), (Q(1), Q(0)), (Q(0),))
     assert not lp.check_certificate(problem, bad)
+
+
+def _mixed_number_problem(rng):
+    # ints and Fractions side by side in c, A, b, A_eq and b_eq; some
+    # equality rows duplicated, exactly or scaled, so phase 1 drops rows.
+    def entry(lo, hi):
+        v = rng.randrange(lo, hi)
+        return v if rng.random() < 0.5 else Q(v, rng.choice((1, 2, 3, 4, 6)))
+
+    n, m, k = rng.randrange(1, 5), rng.randrange(0, 5), rng.randrange(0, 3)
+    point = [Q(rng.randrange(0, 4), rng.choice((1, 2))) for _ in range(n)]
+    a = [[entry(-4, 5) for _ in range(n)] for _ in range(m)]
+    b = [entry(-2, 6) for _ in range(m)]
+    a_eq = [[entry(-3, 4) for _ in range(n)] for _ in range(k)]
+    b_eq = [dot(row, point) + rng.choice((0, 0, 0, 1, Q(-1, 2))) for row in a_eq]
+    if a_eq and rng.random() < 0.4:
+        i, s = rng.randrange(len(a_eq)), rng.choice((1, 1, 2, Q(-1, 3)))
+        a_eq.append([s * v for v in a_eq[i]])
+        b_eq.append(s * b_eq[i])
+    c = [entry(-4, 5) for _ in range(n)]
+    return lp.LpProblem.build(c, a, b, a_eq, b_eq)
+
+
+def _claimed_results(rng, res):
+    """The optimal result, then variants of it: x, y or value moved by a
+    small rational, a truncated x, and no value."""
+
+    def moved(v):
+        v = list(v)
+        v[rng.randrange(len(v))] += rng.choice((1, -1, Q(1, 2), Q(-1, 3)))
+        return tuple(v)
+
+    yield res
+    delta = rng.choice((1, Q(-1, 2), Q(1, 6)))
+    yield lp.LpResult(lp.OPTIMAL, res.value + delta, res.x, res.y)
+    yield lp.LpResult(lp.OPTIMAL, None, res.x, res.y)
+    if res.x:
+        yield lp.LpResult(lp.OPTIMAL, res.value, moved(res.x), res.y)
+        yield lp.LpResult(lp.OPTIMAL, None, moved(res.x), res.y)
+        yield lp.LpResult(lp.OPTIMAL, res.value, res.x[:-1], res.y)
+    if res.y:
+        yield lp.LpResult(lp.OPTIMAL, res.value, res.x, moved(res.y))
+
+
+def test_integer_checker_matches_fraction_oracle():
+    rng = random.Random("lp-certificate-oracle")
+    cases = accepted = 0
+    for _ in range(3000):
+        problem = _mixed_number_problem(rng)
+        res = lp.solve(problem)
+        claims = _claimed_results(rng, res) if res.status == lp.OPTIMAL else [res]
+        for claim in claims:
+            verdict = lp.check_certificate(problem, claim)
+            assert verdict == _fraction_check_certificate(problem, claim), (problem, claim)
+            cases += 1
+            accepted += verdict
+    assert accepted >= 1000 and cases - accepted >= 1000
 
 
 @pytest.mark.parametrize(
