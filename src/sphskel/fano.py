@@ -9,6 +9,7 @@ combinatorial bound epsilon, and the generalized Mukai inequality report.
 Q, Q* and the divisor points on each facet of Q (a bit mask per vertex of
 Q*) come from one double description run per document (polar_pair); the
 edges of Q*, the rank criterion and the curve families read those masks.
+Points rho'(D)/m_D and vertices of Q* are ints where integral (quotient).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import (
     polar,
     polar_pair,
 )
-from .linalg import Vec, dot, format_rational, gcd_fold, primitive
+from .linalg import Vec, dot, format_rational, gcd_fold, primitive, quotient
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, root_locator
 from .pinv import PInvariantReport, compute_p
@@ -61,7 +62,7 @@ class AugmentedData:
 
     def u_map(self) -> dict[str, Vec]:
         return {
-            d.id: tuple(Q(x, self.m[d.id]) for x in self.rho_prime[d.id])
+            d.id: tuple(quotient(x, self.m[d.id]) for x in self.rho_prime[d.id])
             for d in self.skeleton.divisors
         }
 
@@ -253,16 +254,26 @@ def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
     Each divisor point p gives a row <p, x> >= -1 of Q*, so the smallest
     face holding two vertices is cut out by the rows tight at both, the
     bits their masks share.  It is an edge iff no third vertex is tight on
-    all of them; an edge is tight on at least d - 1 rows.
+    all of them; an edge is tight on at least d - 1 rows.  on[b], the
+    transposed incidence, has bit k set iff vertex k is tight on row b, so
+    the vertices tight on all of them are the AND of on[b] over those rows.
     """
     masks = fp.incidence
     d = fp.qstar.ambient_dim
+    rows = range(max(masks, default=0).bit_length())
+    on = [sum(1 << k for k, z in enumerate(masks) if z >> b & 1) for b in rows]
+    everyone = (1 << len(masks)) - 1
     edges = []
     for i, j in combinations(range(len(masks)), 2):
         common = masks[i] & masks[j]
         if common.bit_count() < d - 1:
             continue
-        if sum(z & common == common for z in masks) > 2:
+        tight = everyone
+        while common:
+            low = common & -common
+            tight &= on[low.bit_length() - 1]
+            common ^= low
+        if tight.bit_count() > 2:
             continue
         edges.append((i, j))
     return edges
@@ -273,7 +284,7 @@ class CurveDegreeReport:
     dv_curves: tuple[tuple[str, Vec, int], ...]
     edge_curves: tuple[tuple[Vec, Vec, Vec, int], ...]  # (v, w, chi, degree)
     iota: int
-    epsilon: Q
+    epsilon: int | Q
     picard: int
     dim: int
     mukai_lhs: int
@@ -338,7 +349,7 @@ def check_q_factorial(fp: FanoPolytope) -> bool:
 class MukaiReport:
     picard: int
     iota: int
-    epsilon: Q
+    epsilon: int | Q
     dim: int
     mukai_lhs: int
     holds: bool

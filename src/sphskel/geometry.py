@@ -6,7 +6,8 @@ integer arithmetic on the homogenised cone, so its cost follows the number
 of vertices rather than the number of constraint subsets.  Its start cone
 comes from one fraction-free elimination (``linalg.eliminate``).  One such
 run on a point set gives its hull Q, the dual Q* and their incidence
-(polar_pair).
+(polar_pair).  A vertex coordinate is an int when it is integral and a
+Fraction otherwise (``linalg.quotient``).
 Hull and cone membership and interiority are exact LPs with equality rows;
 boundedness, when the cone shows the polytope is not a bounded non-empty
 one, is decided by exact LPs over free variables.
@@ -19,7 +20,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from . import lp
-from .linalg import Vec, dot, eliminate, integral, primitive, rank
+from .linalg import Vec, dot, eliminate, integral, primitive, quotient, rank
 
 MAX_DIM = 8
 
@@ -121,7 +122,7 @@ def vertex_enumerate(p: HPolytope) -> VPolytope:
     if hull is None or any(ray[0] == 0 for ray in hull[0]):
         _raise_if_unbounded(p)
         return VPolytope((), d)
-    found = [tuple(Q(x, ray[0]) for x in ray[1:]) for ray in hull[0]]
+    found = [tuple(quotient(x, ray[0]) for x in ray[1:]) for ray in hull[0]]
     return VPolytope(tuple(sorted(found)), d)
 
 
@@ -235,7 +236,7 @@ def polar_pair(
         p for p, f in zip(pts, facets)
         if not any(o != p and g & f == f for o, g in zip(pts, facets))
     }
-    dual = sorted((tuple(Q(x, r[0]) for x in r[1:]), z) for r, z in zip(rays, masks))
+    dual = sorted((tuple(quotient(x, r[0]) for x in r[1:]), z) for r, z in zip(rays, masks))
     qstar = VPolytope(tuple(v for v, _ in dual), dim)
     return VPolytope(tuple(sorted(vertices)), dim), qstar, tuple(z for _, z in dual)
 

@@ -1,11 +1,13 @@
 """Exact rational vectors and fraction-free Gaussian elimination.
 
 An exact number is an ``int`` unless it came from a division, and then a
-Fraction; both are read through ``numerator`` and ``denominator``, and
-nothing in this package touches a float.  Elimination runs on primitive
-integer rows only: ``pivot``, the one integer-preserving Gauss-Jordan step
-(Edmonds 1967; Bareiss 1968), serves ``rank``, ``solve_linear``, the
-simplex in ``lp`` and the double description in ``geometry``.
+Fraction; ``quotient`` keeps an exact division an ``int``, while LP
+results and ``solve_linear`` stay Fractions.  Both types are read through
+``numerator`` and ``denominator``; nothing here touches a float.
+Elimination runs on primitive integer rows only: ``pivot``, the one
+integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968), serves
+``rank``, ``solve_linear``, the simplex in ``lp`` and the double
+description in ``geometry``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ def dot(x: Sequence[int | Q], y: Sequence[int | Q]) -> int | Q:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return sum(a * b for a, b in zip(x, y))
+
+
+def quotient(x: int, d: int) -> int | Q:
+    """x / d exactly: an int when d divides x, else a Fraction."""
+    q, r = divmod(x, d)
+    return Q(x, d) if r else q
 
 
 def format_rational(value: int | Q | None) -> str:

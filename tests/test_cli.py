@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
+from itertools import product
 
 import pytest
 
@@ -418,3 +420,55 @@ def test_fano_violation_text_renders_rationals(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": "invalid data", "violations": [violation]}
     assert captured.err == f"violation: {violation}\n"
+
+
+_SCALED_FANO_RAYS = {
+    "(P^1)^7": lambda: product_rays(*[projective_rays(1)] * 7),
+    "(P^1)^8": lambda: product_rays(*[projective_rays(1)] * 8),
+    "(P^2)^4": lambda: product_rays(*[projective_rays(2)] * 4),
+    "P^8": lambda: projective_rays(8),
+    "5-cube": lambda: list(product((-1, 1), repeat=5)),
+}
+
+# (exit code, sha256 of stdout, sha256 of stderr) of `fano` and then
+# `fano --json`, recorded at commit 8014ea9.  The 5-cube stops at the rank
+# criterion: exit 2, one violation line, and an empty --json stdout.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_SCALED_FANO_DIGESTS = {
+    "(P^1)^7": (
+        (0, "1ba0ecddc4cd52012233b9b0845bec6a6700443a737d0119b232722b7314fd47", _EMPTY),
+        (0, "8ab989c86bcda69cf803c5dfd4fbbc94ff9944c0540e74d96b6094417b3982eb", _EMPTY),
+    ),
+    "(P^1)^8": (
+        (0, "8e9f0ce4ffa6072c8e3b90876acd4eddddfaf0827ba72b6b432f842ffbd76c61", _EMPTY),
+        (0, "ae12d69c437939ff28ec057c510bad53d18b6e28f710130f136bcf4c38c34c02", _EMPTY),
+    ),
+    "(P^2)^4": (
+        (0, "702d83ee287100933adf8f617ae32c6e9c8a5644fb05130089ea9074042e1019", _EMPTY),
+        (0, "e76eb7411369a1a651948ff4159c8882ecd8122d4de10c7b38d3a98f901a7af8", _EMPTY),
+    ),
+    "P^8": (
+        (0, "6d5957a0c32f62e11e8c9b334350ddc664a9ea6af3f3ba4800829653c4f374e9", _EMPTY),
+        (0, "c0718949cefebf6279a4e6e436777e2fe9aae86f632d2263cacb19be87ac4c75", _EMPTY),
+    ),
+    "5-cube": (
+        (2, _EMPTY, "6b45d4018f33f0d3ddaa5a16b61dd7b7c8b0f2afbdb13f0c3e2949fe10c17daa"),
+        (2, _EMPTY, "6b45d4018f33f0d3ddaa5a16b61dd7b7c8b0f2afbdb13f0c3e2949fe10c17daa"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALED_FANO_RAYS))
+def test_fano_scaled_outputs_are_byte_identical(name, tmp_path, capsys):
+    # The scaled toric cases no benchmark workload runs.
+    path = _write_toric(tmp_path / "in.json", _SCALED_FANO_RAYS[name]())
+    got = []
+    for argv in (["fano", path], ["fano", path, "--json"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        got.append((code, _sha256(captured.out), _sha256(captured.err)))
+    assert tuple(got) == _SCALED_FANO_DIGESTS[name]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()

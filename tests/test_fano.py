@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from conftest import load_fixture
 from sphskel import cli, fano
+from sphskel.geometry import polar_pair
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
 from sphskel.serialize import augmented_from_doc, augmented_to_doc
 from sphskel.skeleton import make_skeleton
+from test_geometry import _random_point_set
 
 
 def ex32():
@@ -61,6 +65,19 @@ def test_ex32_augmentation_and_reflexivity():
     violations, warnings = fano.validate_augmentation(aug)
     assert violations == [] and warnings == []
     assert fano.validate_reflexive(aug) == []
+
+
+def test_u_map_is_int_where_m_divides():
+    # ex32 has m = 1 throughout, so every point is integral; with m raised
+    # to 2 on D1 and D3 only the coordinates 0 stay integral.
+    aug = ex32()
+    for m in (aug.m, {**aug.m, "D1": 2, "D3": 2}):
+        u = replace(aug, m=m).u_map()
+        for did, rho in aug.rho_prime.items():
+            assert u[did] == tuple(Q(x, m[did]) for x in rho)
+            kinds = [type(x) is int for x in u[did]]
+            assert kinds == [x % m[did] == 0 for x in rho], did
+    assert replace(aug, m={**aug.m, "D1": 2}).u_map()["D1"] == (Q(1, 2), 0)
 
 
 def test_ex32_supported_vertices():
@@ -280,6 +297,33 @@ def test_qstar_edges_match_rank_oracle(name):
     d = fp.qstar.ambient_dim
     for k in range(len(fp.qstar.vertices)):
         assert sum(k in e for e in edges) >= d
+
+
+def _qstar_edges_by_scan(masks, d):
+    """Oracle: the vertex-by-vertex scan the transposed incidence replaced."""
+    edges = []
+    for i, j in combinations(range(len(masks)), 2):
+        common = masks[i] & masks[j]
+        if common.bit_count() < d - 1:
+            continue
+        if sum(z & common == common for z in masks) > 2:
+            continue
+        edges.append((i, j))
+    return edges
+
+
+def test_qstar_edges_match_scan_on_random_polar_pairs(rng):
+    checked = 0
+    for t in range(300):
+        d = 1 + t % 4
+        pair = polar_pair(_random_point_set(rng, d), d)
+        if pair is None:
+            continue
+        q, qstar, masks = pair
+        fp = fano.FanoPolytope(None, q, qstar, masks, (), ())
+        assert fano._qstar_edges(fp) == _qstar_edges_by_scan(masks, d)
+        checked += 1
+    assert checked > 100
 
 
 def test_one_pass_matches_separate_steps():

@@ -101,6 +101,7 @@ def test_square_vertices():
     assert set(got) == {
         (Q(1), Q(1)), (Q(1), Q(-1)), (Q(-1), Q(1)), (Q(-1), Q(-1))
     }
+    assert all(type(x) is int for v in got for x in v)
 
 
 def test_worked_dual_polytope():
@@ -362,6 +363,8 @@ def test_rational_rows_and_vertices():
     rows = [((1, 0), 0), ((0, 1), 0), ((-2, -3), Q(-1))]
     got = vertex_enumerate(HPolytope.build(rows, 2)).vertices
     assert got == ((Q(0), Q(0)), (Q(0), Q(1, 3)), (Q(1, 2), Q(0)))
+    # Integral coordinates are ints, the others Fractions.
+    assert [[type(x) for x in v] for v in got] == [[int, int], [int, Q], [Q, int]]
 
 
 def _random_point_set(rng, d):
@@ -409,6 +412,28 @@ def test_polar_pair_against_lp_and_separate_steps(rng):
             for v in qstar.vertices
         )
     assert 100 < interior < 250
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_polar_pair_of_reflexive_sets_has_int_coordinates(d):
+    # P^d and (P^1)^d: every vertex of Q and Q* is a lattice point, and
+    # each coordinate is an int, not an integral Fraction.
+    simplex = [tuple(int(j == i) for j in range(d)) for i in range(d)] + [(-1,) * d]
+    cross = [tuple(s * int(j == i) for j in range(d)) for i in range(d) for s in (1, -1)]
+    for pts in (simplex, cross):
+        q, qstar, _ = polar_pair(pts, d)
+        assert all(type(x) is int for v in q.vertices + qstar.vertices for x in v)
+
+
+def test_polar_pair_keeps_fractional_coordinates():
+    # The triangle of the toric surface with rays (1, 0), (0, 1), (-1, -3):
+    # Q* has the vertex (-1, 2/3), whose second coordinate alone is a
+    # Fraction.
+    _, qstar, _ = polar_pair([(1, 0), (0, 1), (-1, -3)], 2)
+    assert qstar.vertices == ((-1, -1), (-1, Q(2, 3)), (4, -1))
+    assert [[type(x) for x in v] for v in qstar.vertices] == [
+        [int, int], [int, Q], [int, int]
+    ]
 
 
 def test_polar_pair_degenerate_inputs():

@@ -3,13 +3,23 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from sphskel.geometry import _start_cone
-from sphskel.linalg import dot, eliminate, integral, rank, solve_linear
+from sphskel.linalg import dot, eliminate, integral, quotient, rank, solve_linear
 from test_geometry import _random_point_set
 
 
 def test_dot_exact():
     assert dot((1, 2), (Q(1, 2), Q(1, 3))) == Q(7, 6)
     assert dot((1, 2), (3, 4)) == 11 and type(dot((1, 2), (3, 4))) is int
+
+
+def test_quotient_is_an_int_exactly_when_exact():
+    for x, d, want in [
+        (6, 3, 2), (-6, 3, -2), (6, -3, -2), (-6, -3, 2), (0, 5, 0), (0, -5, 0),
+        (7, 2, Q(7, 2)), (-7, 2, Q(-7, 2)), (7, -2, Q(-7, 2)), (-7, -2, Q(7, 2)),
+        (2, 3, Q(2, 3)), (-2, 3, Q(-2, 3)), (2, -3, Q(-2, 3)), (-2, -3, Q(2, 3)),
+    ]:
+        got = quotient(x, d)
+        assert got == want and type(got) is type(want), (x, d)
 
 
 def test_solve_linear_unique():
