@@ -12,8 +12,10 @@ error (one ``internal error: ...`` line on stderr).
 
 The argument parser is built once per process; ``main`` can be called any
 number of times in one process, and each call parses and dispatches anew.
-Output is deterministic byte for byte.  ``verify`` runs one serial sweep
-over the catalog; it still accepts ``--jobs N``, and ignores it.
+Output is deterministic byte for byte: JSON goes out through
+``serialize.dumps`` (stdout) and ``serialize.dump`` (``verify --json``).
+``verify`` runs one serial sweep over the catalog; it still accepts
+``--jobs N``, and ignores it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(serialize.dumps(doc))
 
 
 def _invalid_input(exc: ValueError, args: argparse.Namespace) -> int:
@@ -160,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc["equality"] = serialize.equality_rows_to_json(rows)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
+            serialize.dump(doc, handle)
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
@@ -192,22 +194,25 @@ def cmd_fano(args: argparse.Namespace) -> int:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
     fmt = serialize.format_rational
+    texts: dict[tuple, list[str]] = {}
+
+    def vec(v: tuple) -> list[str]:  # one shared list of texts per distinct vector
+        out = texts.get(v)
+        if out is None:
+            out = texts[v] = [fmt(x) for x in v]
+        return out
+
     doc = {
         "reflexive": True,
-        "vertices_Q": [[fmt(x) for x in v] for v in fp.q.vertices],
-        "vertices_Qstar": [[fmt(x) for x in v] for v in fp.qstar.vertices],
-        "supported": [[fmt(x) for x in fp.qstar.vertices[i]] for i in fp.supported],
+        "vertices_Q": [vec(v) for v in fp.q.vertices],
+        "vertices_Qstar": [vec(v) for v in fp.qstar.vertices],
+        "supported": [vec(fp.qstar.vertices[i]) for i in fp.supported],
         "dv_curves": [
-            {"divisor": d, "vertex": [fmt(x) for x in v], "degree": deg}
+            {"divisor": d, "vertex": vec(v), "degree": deg}
             for d, v, deg in curves.dv_curves
         ],
         "edge_curves": [
-            {
-                "v": [fmt(x) for x in v],
-                "w": [fmt(x) for x in w],
-                "chi": [fmt(x) for x in chi],
-                "degree": deg,
-            }
+            {"v": vec(v), "w": vec(w), "chi": vec(chi), "degree": deg}
             for v, w, chi, deg in curves.edge_curves
         ],
         "iota": curves.iota,

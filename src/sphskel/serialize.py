@@ -4,7 +4,10 @@ Integers read from a document stay ints; only quotients, such as an
 optimum, are Fractions.  ``linalg.format_rational`` renders both as exact
 "p/q" strings (plain "p" for integers); floats never appear.  Skeleton
 documents are validated against the packaged structural schema (parsed
-once per process) and reject unknown fields.
+once per process) and reject unknown fields.  ``dumps`` and ``dump`` write
+reports (str, int, bool, None, lists, tuples and str-keyed dicts; anything
+else raises TypeError) as the exact text of ``json.dumps(doc, indent=2,
+sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -78,8 +81,15 @@ def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
             if key in doc:
                 out.extend(_schema_check(doc[key], sub, f"{path}.{key}"))
     if expected == "array" and "items" in schema:
-        for i, item in enumerate(doc):
-            out.extend(_schema_check(item, schema["items"], f"{path}[{i}]"))
+        items = schema["items"]
+        if items.keys() == {"type"}:  # a leaf item schema: one type test per item
+            leaf, check = items["type"], _TYPE_CHECKS[items["type"]]
+            out += [
+                f"{path}[{i}]: expected {leaf}" for i, x in enumerate(doc) if not check(x)
+            ]
+        else:
+            for i, item in enumerate(doc):
+                out.extend(_schema_check(item, items, f"{path}[{i}]"))
     return out
 
 
@@ -276,3 +286,68 @@ def equality_rows_to_json(rows: Sequence) -> list[dict]:
         }
         for r in rows
     ]
+
+
+# ---------------------------------------------------------------------------
+# Report writer, without the pure-Python encoder that json's indent selects.
+
+_quote = json.encoder.encode_basestring_ascii  # the ensure_ascii escaping
+
+
+def _encode(o: Any, level: int, memo: dict) -> str:
+    """The text of ``o`` nested ``level`` deep.  A list of strings (a vector)
+    is joined once per depth and kept in ``memo`` under ``(id(o), level)``;
+    the document keeps every such list alive while ``memo`` lives."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        key = (id(o), level)
+        if key not in memo:
+            try:
+                memo[key] = "[" + inner + sep.join(map(_quote, o)) + inner[:-2] + "]"
+            except TypeError:  # not all strings: nothing to share
+                items = [_encode(x, level + 1, memo) for x in o]
+                return "[" + inner + sep.join(items) + inner[:-2] + "]"
+        return memo[key]
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_quote(k) + ": " + _encode(o[k], level + 1, memo) for k in sorted(o)]
+        return "{" + inner + sep.join(items) + inner[:-2] + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, for report values."""
+    return _encode(doc, 0, {})
+
+
+def dump(doc: Any, handle: Any) -> None:
+    """Write the text of ``json.dump(doc, handle, indent=2, sort_keys=True)``.
+    The document and its top-level lists go out one entry at a time, so a
+    large report is never held as one string."""
+    _stream(doc, 0, handle.write)
+
+
+def _stream(o: Any, level: int, write: Any) -> None:
+    if level == 2 or not (o and isinstance(o, (dict, list, tuple))):
+        write(_encode(o, level, {}))
+        return
+    inner = "\n" + "  " * (level + 1)
+    keys = sorted(o) if isinstance(o, dict) else None
+    write("{" if keys else "[")
+    for i, item in enumerate(o if keys is None else keys):
+        write(("," if i else "") + inner)
+        if keys:
+            write(_quote(item) + ": ")
+            item = o[item]
+        _stream(item, level + 1, write)
+    write(inner[:-2] + ("}" if keys else "]"))

@@ -384,6 +384,57 @@ def test_internal_error_deep_in_a_command(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: solver state\n"
 
 
+def _redumped(text: str) -> str:
+    """The stdlib's own rendering of a report: reports hold only str, int,
+    bool, None, lists and dicts, so loading and dumping again is exact."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def _bad_skeleton(tmp_path):
+    doc = json.loads((DATA / "ex35.json").read_text())
+    doc["sp"], doc["x_\u00e9"] = "1", 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fano", EX32, "--json"],
+        ["fano", EX61, "--json"],
+        ["smoothness", EX35, "--divisors", "D1,D2,D4", "--json"],
+        ["compute-p", "BAD", "--json"],
+    ],
+    ids=["fano-ex32", "fano-ex61", "smoothness", "error-document"],
+)
+def test_stdout_report_is_the_stdlib_text(tmp_path, capsys, argv):
+    argv = [_bad_skeleton(tmp_path) if a == "BAD" else a for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == (2 if argv[0] == "compute-p" else 0)
+    assert out == _redumped(out) + "\n"
+
+
+def test_verify_report_file_is_the_stdlib_text(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "all", "--max-rank", "8", "--json", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    assert text == _redumped(text)
+    assert len(json.loads(text)["tables"]) == 867
+
+
+def test_a_non_report_value_is_an_internal_error_and_prints_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_report_doc", lambda report: {"p": report.p_value})
+    assert main(["compute-p", "--family", "29:F4", "--mark", "4", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: TypeError: Object of type Fraction is not JSON serializable\n"
+    )
+
+
 def _write_toric(path, rays):
     path.write_text(json.dumps(serialize.augmented_to_doc(toric(rays))))
     return str(path)
