@@ -562,8 +562,8 @@ class TableRow:
     actual: Q | None
     bound: int
     match: bool
-    theta: tuple[Q, ...] | None = None
-    dual: tuple[Q, ...] | None = None
+    theta: tuple[Q, ...] | None  # the optimal vertex and dual, None when p = +inf
+    dual: tuple[Q, ...] | None
 
 
 def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
@@ -590,9 +590,7 @@ class EqualityRow:
         return self.listed == self.is_equality and (not self.listed or self.theta_ok)
 
 
-def _evaluate(
-    spec: FamilySpec, k: int, with_certificates: bool
-) -> tuple[TableRow, EqualityRow]:
+def _evaluate(spec: FamilySpec, k: int) -> tuple[TableRow, EqualityRow]:
     """Solve one marking once and report it for both tables.
 
     For listed markings the printed optimal vertex must be feasible and
@@ -618,8 +616,8 @@ def _evaluate(
         report.p_value,
         report.bound,
         report.p_value == expected,
-        theta=report.theta if with_certificates else None,
-        dual=report.dual if with_certificates else None,
+        report.theta,
+        report.dual,
     )
     equality = EqualityRow(
         fam,
@@ -634,13 +632,11 @@ def _evaluate(
     return table, equality
 
 
-def verify_catalog(
-    max_rank: int = 8, with_certificates: bool = False
-) -> tuple[list[TableRow], list[EqualityRow]]:
+def verify_catalog(max_rank: int = 8) -> tuple[list[TableRow], list[EqualityRow]]:
     """One sweep over every (family, params, marking): table and equality rows.
 
     The table rows recompute every table value; the equality rows check that
     the bound is attained exactly on the listed markings.
     """
-    pairs = [_evaluate(spec, k, with_certificates) for spec, k in table_tasks(max_rank)]
+    pairs = [_evaluate(spec, k) for spec, k in table_tasks(max_rank)]
     return [t for t, _ in pairs], [e for _, e in pairs]

@@ -26,7 +26,7 @@ import sys
 from functools import cache
 
 from . import catalog, fano, lp, pinv, serialize
-from .skeleton import InvalidSkeleton, localize, validate
+from .skeleton import InvalidSkeleton
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -121,9 +121,7 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc: dict = {}
     failures = 0
-    tables, equality = catalog.verify_catalog(
-        max_rank=args.max_rank, with_certificates=bool(args.json)
-    )
+    tables, equality = catalog.verify_catalog(max_rank=args.max_rank)
     if not tables:
         print(
             f"violation: --max-rank {args.max_rank} selects no catalog marking",
@@ -254,14 +252,8 @@ def cmd_fano(args: argparse.Namespace) -> int:
 def cmd_smoothness(args: argparse.Namespace) -> int:
     try:
         sk = serialize.skeleton_from_doc(_load_json(args.path))
-        # localize reads the pairing rows and color data as they are given,
-        # so the whole skeleton must be valid first.
-        violations = validate(sk)
-        if violations:
-            raise InvalidSkeleton(violations)
         ids = [part for part in args.divisors.split(",") if part] if args.divisors else []
-        local = localize(sk, ids)
-        report = pinv.compute_p(local)
+        local, report = pinv.smoothness(sk, ids)
     except ValueError as exc:
         return _invalid_input(exc, args)
     smooth = report.is_equality

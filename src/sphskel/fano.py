@@ -8,7 +8,8 @@ combinatorial bound epsilon, and the generalized Mukai inequality report.
 
 Q, Q* and the divisor points on each facet of Q (a bit mask per vertex of
 Q*) come from one double description run per document (polar_pair); the
-edges of Q*, the rank criterion and the curve families read those masks.
+edges of Q* (geometry.adjacent), the rank criterion and the curve families
+read those masks.
 Points rho'(D)/m_D and vertices of Q* are ints where integral (quotient).
 """
 
@@ -23,6 +24,7 @@ from . import lp
 from .geometry import (
     OriginNotInterior,
     VPolytope,
+    adjacent,
     cone_contains,
     polar,
     polar_pair,
@@ -88,6 +90,10 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
             out.append(f"{d.id}: rho' vector has wrong length")
         if aug.m.get(d.id) != d.m:
             out.append(f"{d.id}: coefficient {aug.m.get(d.id)} differs from {d.m}")
+    known = set(aug.divisor_ids())
+    for key, table in (("rho_prime", aug.rho_prime), ("m", aug.m)):
+        extra = [did for did in table if did not in known]
+        out += [f"{key}: {did} is not a divisor of the skeleton" for did in extra]
     if out:
         return (out, warnings)
 
@@ -113,6 +119,8 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
         return (out, warnings)
 
     for alpha, row in aug.coroot_on_m.items():
+        if alpha >= n:
+            out.append(f"coroot_on_M: simple root {alpha + 1} exceeds the rank {n}")
         if len(row) != aug.lattice_rank:
             out.append(f"coroot_on_M[{alpha}] has wrong length")
     # (a2) pair colors sum to the coroot on M.
@@ -248,37 +256,6 @@ def _lattice_multiple(v: Sequence[Q]) -> tuple[Vec, int]:
     return tuple(primitive(ints)), t
 
 
-def _qstar_edges(fp: FanoPolytope) -> list[tuple[int, int]]:
-    """Vertex pairs of Q* that span an edge.
-
-    Each divisor point p gives a row <p, x> >= -1 of Q*, so the smallest
-    face holding two vertices is cut out by the rows tight at both, the
-    bits their masks share.  It is an edge iff no third vertex is tight on
-    all of them; an edge is tight on at least d - 1 rows.  on[b], the
-    transposed incidence, has bit k set iff vertex k is tight on row b, so
-    the vertices tight on all of them are the AND of on[b] over those rows.
-    """
-    masks = fp.incidence
-    d = fp.qstar.ambient_dim
-    rows = range(max(masks, default=0).bit_length())
-    on = [sum(1 << k for k, z in enumerate(masks) if z >> b & 1) for b in rows]
-    everyone = (1 << len(masks)) - 1
-    edges = []
-    for i, j in combinations(range(len(masks)), 2):
-        common = masks[i] & masks[j]
-        if common.bit_count() < d - 1:
-            continue
-        tight = everyone
-        while common:
-            low = common & -common
-            tight &= on[low.bit_length() - 1]
-            common ^= low
-        if tight.bit_count() > 2:
-            continue
-        edges.append((i, j))
-    return edges
-
-
 @dataclass(frozen=True)
 class CurveDegreeReport:
     dv_curves: tuple[tuple[str, Vec, int], ...]
@@ -314,12 +291,11 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
                 )
             dv.append((did, v, int(degree)))
     edge = []
-    supported_set = set(fp.supported)
-    for i, j in _qstar_edges(fp):
-        if i in supported_set and j in supported_set:
-            v, w = fp.qstar.vertices[i], fp.qstar.vertices[j]
-            chi, t = _lattice_multiple(tuple(a - b for a, b in zip(v, w)))
-            edge.append((v, w, chi, t))
+    pairs = combinations(fp.supported, 2)
+    for i, j in adjacent(fp.incidence, pairs, aug.lattice_rank + 1, len(sk.divisors)):
+        v, w = fp.qstar.vertices[i], fp.qstar.vertices[j]
+        chi, t = _lattice_multiple(tuple(a - b for a, b in zip(v, w)))
+        edge.append((v, w, chi, t))
     degrees = [d for _, _, d in dv] + [t for _, _, _, t in edge]
     if not degrees:
         raise NoSupportedVertices("no generating curves found")

@@ -6,8 +6,10 @@ integer arithmetic on the homogenised cone, so its cost follows the number
 of vertices rather than the number of constraint subsets.  Its start cone
 comes from one fraction-free elimination (``linalg.eliminate``).  One such
 run on a point set gives its hull Q, the dual Q* and their incidence
-(polar_pair).  A vertex coordinate is an int when it is integral and a
-Fraction otherwise (``linalg.quotient``).
+(polar_pair).  One combinatorial test on the transposed incidence decides
+whether two extreme rays are adjacent (adjacent): for the double
+description and for the edges of Q*.  A vertex coordinate is an int when
+it is integral and a Fraction otherwise (``linalg.quotient``).
 Hull and cone membership and interiority are exact LPs with equality rows;
 boundedness, when the cone shows the polytope is not a bounded non-empty
 one, is decided by exact LPs over free variables.
@@ -160,6 +162,42 @@ def _start_cone(rows: list[Sequence[int]], n: int) -> tuple[list, list] | None:
     return [c for c, _ in start], [primitive(row[m:]) for _, row in start]
 
 
+def transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The transposed incidence: bit k of out[b] is bit b of masks[k]."""
+    out = [0] * width
+    for k, z in enumerate(masks):
+        while z:
+            low = z & -z
+            out[low.bit_length() - 1] |= 1 << k
+            z ^= low
+    return out
+
+
+def adjacent(
+    masks: Sequence[int], pairs: Iterable[tuple[int, int]], n: int, width: int
+) -> list[tuple[int, int]]:
+    """The given pairs (i, j) of extreme rays of a pointed cone in Q^n, with
+    zero sets masks over width rows, that are adjacent: they share at least
+    n - 2 zeros and no third ray vanishes on all of those (Fukuda & Prodon
+    1996), so the AND of the transposed incidence over them holds i, j only.
+    """
+    on = transpose(masks, width)
+    everyone = (1 << len(masks)) - 1
+    out = []
+    for i, j in pairs:
+        common = masks[i] & masks[j]
+        if common.bit_count() < n - 2:
+            continue
+        tight = everyone
+        while common:
+            low = common & -common
+            tight &= on[low.bit_length() - 1]
+            common ^= low
+        if tight.bit_count() == 2:
+            out.append((i, j))
+    return out
+
+
 def _extreme_rays(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]] | None:
     """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n
     with their zero sets, or None when the rows have rank below n (the cone
@@ -169,8 +207,7 @@ def _extreme_rays(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]] |
     linearly independent rows, then add the other rows one at a time.  Each
     ray is a primitive integer vector with its zero set, a bit mask over the
     rows added so far.  Adding a row keeps the rays on its side and joins
-    each adjacent pair across it; two rays are adjacent iff they share at
-    least n - 2 zeros and no third ray vanishes on all of those.
+    each adjacent pair across it (adjacent).
     """
     start = _start_cone(rows, n)
     if start is None:
@@ -186,18 +223,13 @@ def _extreme_rays(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]] |
         minus = [k for k, s in enumerate(side) if s < 0]
         new_rays = [ray for ray, s in zip(rays, side) if s >= 0]
         new_masks = [z | bit if s == 0 else z for z, s in zip(masks, side) if s >= 0]
-        for kp in plus:
-            for km in minus:
-                common = masks[kp] & masks[km]
-                if common.bit_count() < n - 2:
-                    continue
-                if sum(z & common == common for z in masks) > 2:
-                    continue
-                sp, sm = side[kp], side[km]
-                new_rays.append(
-                    primitive([sp * x - sm * y for x, y in zip(rays[km], rays[kp])])
-                )
-                new_masks.append(common | bit)
+        pairs = [(kp, km) for kp in plus for km in minus]
+        for kp, km in adjacent(masks, pairs, n, len(rows)):
+            sp, sm = side[kp], side[km]
+            new_rays.append(
+                primitive([sp * x - sm * y for x, y in zip(rays[km], rays[kp])])
+            )
+            new_masks.append(masks[kp] & masks[km] | bit)
         rays, masks = new_rays, new_masks
     return rays, masks
 
@@ -213,9 +245,8 @@ def polar_pair(
     0 is interior iff the rows (1, p) have rank dim + 1 and every ray has
     a0 > 0.  Then the rays scaled to a0 = 1 are the vertices of Q*, and
     masks[k], the zero set of the k-th, has bit i set iff points[i] lies on
-    its facet.  A point is a vertex of Q iff no other distinct point lies on
-    every facet it lies on.  Above MAX_DIM (exponentially many facets) the
-    run is refused once origin_interior has decided None.
+    its facet.  Above MAX_DIM (exponentially many facets) the run is
+    refused once origin_interior has decided None.
     """
     pts = [tuple(p) for p in points]
     if any(len(p) != dim for p in pts):
@@ -228,14 +259,16 @@ def polar_pair(
     if hull is None or any(ray[0] <= 0 for ray in hull[0]):
         return None
     rays, masks = hull
-    # facets[i]: bit k set iff point i lies on the facet of ray k.
-    facets = [
-        sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(pts))
-    ]
-    vertices = {
-        p for p, f in zip(pts, facets)
-        if not any(o != p and g & f == f for o, g in zip(pts, facets))
-    }
+    # A point is a vertex iff only its copies lie on all of its facets.
+    vertices = set()
+    for p, f in zip(pts, transpose(masks, len(pts))):
+        on_all = (1 << len(pts)) - 1
+        while f:
+            low = f & -f
+            on_all &= masks[low.bit_length() - 1]
+            f ^= low
+        if on_all.bit_count() == pts.count(p):
+            vertices.add(p)
     dual = sorted((tuple(quotient(x, r[0]) for x in r[1:]), z) for r, z in zip(rays, masks))
     qstar = VPolytope(tuple(v for v, _ in dual), dim)
     return VPolytope(tuple(sorted(vertices)), dim), qstar, tuple(z for _, z in dual)

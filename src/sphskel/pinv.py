@@ -2,7 +2,8 @@
 
 p(R) = sum_D (m_D - 1) + max{ c.x : A x <= b, x >= 0 } with
 c_g = sum_D <rho(D), g>, A rows -<rho(D), .>, b_D = m_D.  An unbounded LP
-means p = +infinity (the skeleton is then not complete).
+means p = +infinity (the skeleton is then not complete).  smoothness
+validates a skeleton, localizes it at a divisor subset and computes p there.
 """
 
 from __future__ import annotations
@@ -77,29 +78,17 @@ def theta_feasible(sk: SphericalSkeleton, theta: Sequence[int | Q]) -> bool:
     return all(t >= 0 for t in theta) and all(dot(row, theta) >= -m for row, m in rows)
 
 
-def smoothness_test(sk: SphericalSkeleton, ids: Iterable[str]) -> bool:
-    """Localized equality test p(R_I) = |R_I+ \\ R+_{S^p_I}|."""
-    return compute_p(localize(sk, ids)).is_equality
+def smoothness(
+    sk: SphericalSkeleton, ids: Iterable[str]
+) -> tuple[SphericalSkeleton, PInvariantReport]:
+    """R_I, the skeleton localized at the divisors ids, and its invariant:
+    R_I is smooth iff p(R_I) = |R_I+ \\ R+_{S^p_I}| (report.is_equality).
 
-
-def mukai_gap_table(
-    skeletons: Sequence[tuple[str, SphericalSkeleton]]
-) -> list[dict]:
-    """Reporting sweep: one row per skeleton with p, bound, gap, equality."""
-    rows: list[dict] = []
-    for name, sk in skeletons:
-        try:
-            rep = compute_p(sk)
-        except ValueError as exc:
-            rows.append({"id": name, "error": str(exc)})
-            continue
-        rows.append(
-            {
-                "id": name,
-                "p": rep.p_value,
-                "bound": rep.bound,
-                "gap": rep.gap,
-                "equality": rep.is_equality,
-            }
-        )
-    return rows
+    localize reads the pairing rows and color data as they are given, so
+    the whole skeleton is validated first.
+    """
+    violations = validate(sk)
+    if violations:
+        raise InvalidSkeleton(violations)
+    local = localize(sk, ids)
+    return local, compute_p(local)

@@ -263,9 +263,9 @@ def table_rows_to_json(rows: Sequence) -> list[dict]:
             "bound": r.bound,
             "match": r.match,
         }
-        if getattr(r, "theta", None) is not None:
+        if r.theta is not None:
             entry["theta"] = [format_rational(t) for t in r.theta]
-        if getattr(r, "dual", None) is not None:
+        if r.dual is not None:
             entry["dual"] = [format_rational(t) for t in r.dual]
         out.append(entry)
     return out

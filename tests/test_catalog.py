@@ -208,7 +208,7 @@ SWEEP_DIGEST_RANK_4 = "56e6aa5608bc062b6ca144782bf3837736ff4f776a5ffa5574c359d83
 
 
 def test_verify_sweep_rows_unchanged():
-    tables, equality = verify_catalog(max_rank=4, with_certificates=True)
+    tables, equality = verify_catalog(max_rank=4)
     doc = {
         "tables": table_rows_to_json(tables),
         "equality": equality_rows_to_json(equality),

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import load_fixture
 from sphskel import cli, fano
-from sphskel.geometry import polar_pair
+from sphskel.geometry import adjacent, polar_pair
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
 from sphskel.serialize import augmented_from_doc, augmented_to_doc
@@ -291,12 +291,18 @@ def test_qstar_edges_match_rank_oracle(name):
         "P2xP2": lambda: toric(product_rays(projective_rays(2), projective_rays(2))),
     }
     fp = fano.build_fano(cases[name]())
-    edges = fano._qstar_edges(fp)
+    edges = _all_edges(fp.incidence, fp.qstar.ambient_dim, len(fp.aug.divisor_ids()))
     assert edges == _rank_edges(fp)
     # Each vertex of a d-polytope lies on at least d edges.
     d = fp.qstar.ambient_dim
     for k in range(len(fp.qstar.vertices)):
         assert sum(k in e for e in edges) >= d
+
+
+def _all_edges(masks, d, width):
+    """Edges of a d-polytope Q* from its vertex-facet masks: every vertex
+    pair through geometry.adjacent, on the cone over Q* in Q^(d+1)."""
+    return adjacent(masks, combinations(range(len(masks)), 2), d + 1, width)
 
 
 def _qstar_edges_by_scan(masks, d):
@@ -313,15 +319,19 @@ def _qstar_edges_by_scan(masks, d):
 
 
 def test_qstar_edges_match_scan_on_random_polar_pairs(rng):
+    # Duplicates, midpoints, flattened and shifted sets: degenerate and
+    # non-simple polytopes, checked against the scan and the rank oracle.
     checked = 0
     for t in range(300):
         d = 1 + t % 4
-        pair = polar_pair(_random_point_set(rng, d), d)
+        pts = _random_point_set(rng, d)
+        pair = polar_pair(pts, d)
         if pair is None:
             continue
         q, qstar, masks = pair
         fp = fano.FanoPolytope(None, q, qstar, masks, (), ())
-        assert fano._qstar_edges(fp) == _qstar_edges_by_scan(masks, d)
+        edges = _all_edges(masks, d, len(pts))
+        assert edges == _qstar_edges_by_scan(masks, d) == _rank_edges(fp)
         checked += 1
     assert checked > 100
 

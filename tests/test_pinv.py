@@ -11,9 +11,8 @@ from sphskel.catalog import FamilySpec, mark, table_tasks
 from sphskel.pinv import (
     compute_p,
     evaluate_objective,
-    mukai_gap_table,
     skeleton_lp,
-    smoothness_test,
+    smoothness,
     theta_feasible,
 )
 from sphskel.roots import RootSystem, SimpleType
@@ -133,34 +132,37 @@ def test_theta_is_vertex_of_feasible_region(rng):
 
 def test_smoothness_worked_example():
     sk = worked_example()
-    assert smoothness_test(sk, ["D1", "D2", "D4"])
-    assert smoothness_test(sk, [])
+    local, report = smoothness(sk, ["D1", "D2", "D4"])
+    assert report.is_equality
+    assert report == compute_p(local)
+    assert smoothness(sk, [])[1].is_equality
 
 
 def test_smoothness_fails_at_strict_gap():
     sk = mark(FamilySpec("2", series=SimpleType("G", 2)), 1)
-    assert not smoothness_test(sk, [d.id for d in sk.divisors])
+    assert not smoothness(sk, [d.id for d in sk.divisors])[1].is_equality
 
 
-def test_mukai_gap_table_rows():
-    rows = mukai_gap_table(
-        [
-            ("g2-1", mark(FamilySpec("2", series=SimpleType("G", 2)), 1)),
-            ("g2-2", mark(FamilySpec("2", series=SimpleType("G", 2)), 2)),
-            ("no30-1", mark(FamilySpec("30"), 1)),
-            ("no29-4", mark(FamilySpec("29"), 4)),
-        ]
-    )
-    assert [(r["p"], r["bound"]) for r in rows] == [
+def test_smoothness_validates_before_localizing():
+    # localize would read the short row by index; validate rejects it first.
+    sk = mark(FamilySpec("2", series=SimpleType("G", 2)), 1)
+    short = replace(sk.colors[0], pairings=sk.colors[0].pairings[:-1])
+    cut = replace(sk, colors=(short, *sk.colors[1:]))
+    with pytest.raises(InvalidSkeleton):
+        smoothness(cut, [d.id for d in sk.divisors])
+
+
+def test_compute_p_gap_cases():
+    cases = [
+        (FamilySpec("2", series=SimpleType("G", 2)), 1),
+        (FamilySpec("2", series=SimpleType("G", 2)), 2),
+        (FamilySpec("30"), 1),
+        (FamilySpec("29"), 4),
+    ]
+    reports = [compute_p(mark(spec, k)) for spec, k in cases]
+    assert [(r.p_value, r.bound) for r in reports] == [
         (Q(2), 12), (Q(4), 12), (Q(0), 6), (Q(3, 2), 24)
     ]
-
-
-def test_mukai_gap_table_reports_errors():
-    sk = worked_example()
-    bad = replace(sk, gamma=(GammaDivisor("D3", (1,)),))
-    rows = mukai_gap_table([("bad", bad)])
-    assert "error" in rows[0]
 
 
 def test_certificates_on_catalog_samples():
