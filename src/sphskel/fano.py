@@ -122,7 +122,7 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
         if alpha >= n:
             out.append(f"coroot_on_M: simple root {alpha + 1} exceeds the rank {n}")
         if len(row) != aug.lattice_rank:
-            out.append(f"coroot_on_M[{alpha}] has wrong length")
+            out.append(f"coroot_on_M[{alpha + 1}] has wrong length")
     # (a2) pair colors sum to the coroot on M.
     for alpha in range(n):
         if root_at(alpha, 1) is None or alpha not in aug.coroot_on_m:
@@ -137,22 +137,22 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
                 for a, b in zip(aug.rho_prime[pair[0].id], aug.rho_prime[pair[1].id])
             )
             if total != tuple(aug.coroot_on_m[alpha]):
-                out.append(f"axiom a2: pair colors at {alpha} do not sum to alpha^vee")
+                out.append(f"axiom a2: pair colors at {alpha + 1} do not sum to alpha^vee")
     # (sigma1 parity), (sigma2), (s); alpha not in M itself is not encoded.
     for alpha in range(n):
         row = aug.coroot_on_m.get(alpha)
         if row is None:
             continue
         if root_at(alpha, 2) is not None and any(x % 2 != 0 for x in row):
-            out.append(f"axiom sigma1: <alpha_{alpha}^vee, M> is not even")
+            out.append(f"axiom sigma1: <alpha_{alpha + 1}^vee, M> is not even")
         if alpha in sk.sp and any(x != 0 for x in row):
-            out.append(f"axiom s: <alpha_{alpha}^vee, M> != 0 for alpha in S^p")
+            out.append(f"axiom s: <alpha_{alpha + 1}^vee, M> != 0 for alpha in S^p")
     for g in sk.sigma:
         if g.kind == "alpha+alpha":
             a, b = g.embedding
             ra, rb = aug.coroot_on_m.get(a), aug.coroot_on_m.get(b)
             if ra is not None and rb is not None and tuple(ra) != tuple(rb):
-                out.append(f"axiom sigma2: alpha^vee differs across {a}+{b} on M")
+                out.append(f"axiom sigma2: alpha^vee differs across {a + 1}+{b + 1} on M")
     return (out, warnings)
 
 

@@ -6,8 +6,9 @@ results and ``solve_linear`` stay Fractions.  Both types are read through
 ``numerator`` and ``denominator``; nothing here touches a float.
 Elimination runs on primitive integer rows only: ``pivot``, the one
 integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968), serves
-``rank``, ``solve_linear``, the simplex in ``lp`` and the double
-description in ``geometry``.
+``eliminate``, and through it ``rank``, ``solve_linear`` and the double
+description in ``geometry``.  The simplex in ``lp`` pivots its own compact
+tableau over one common denominator.
 """
 
 from __future__ import annotations

@@ -1,15 +1,23 @@
 """Exact rational linear programming.
 
-Solves ``max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0`` with a dense
-two-phase tableau simplex using Bland's anti-cycling rule.  The tableau is
-integer-preserving: each constraint row is a primitive integer vector whose
-basic entry is positive, and it stands for the rational row obtained by
-dividing it by that entry.  Each pivot is ``linalg.pivot``, which replaces
-row i by ``p*row_i - f*row_r`` over the row gcd; that keeps every equation
-and every ratio ``rhs/a_ij``, so the pivots are exactly those of the
-rational tableau.
-The reduced costs are one integer row over a positive scale; Bland's rule
-reads only their signs.  Inputs are stored as given, ints or Fractions,
+Solves ``max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0`` with a two-phase
+simplex on the compact (Tucker) tableau using Bland's anti-cycling rule.
+The tableau holds only the nonbasic columns and the rhs, as integer
+numerators over one common denominator d > 0; two label lists name the
+basic and the nonbasic variables.  A pivot on (r, e) with p = T[r][e]
+maps every other row, the reduced-cost row included, to
+``(p*T[i][j] - T[i][e]*T[r][j]) // d``, a division that is exact because
+every entry is a minor of the integer data (Edmonds 1967; Azulay & Pique
+2001).  Column e becomes ``-T[i][e]``, T[r][e] the old d, and d becomes p.
+Bland's rule enters the lowest *label* with a positive reduced cost; the
+ratio test cross-multiplies and breaks ties by the lowest basic label, so
+the pivots are exactly those of the rational tableau.
+
+Each row is scaled to integers by its own denominator den_i, so its unit
+variable (slack, or artificial of an equality row) stands for den_i times
+the row's own, and its dual is den_i times the unit variable's.  Phase 1
+maximises minus the sum of the artificials, so the artificial of row i
+weighs -lcm(den) / den_i.  Inputs are stored as given, ints or Fractions,
 and read through numerator and denominator; the results are quotients and
 are built as Fractions at the end, so optimal values, primal vertices, and
 dual certificates are exact.  Returned primal points are basic solutions,
@@ -31,7 +39,7 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import Sequence
 
-from .linalg import Mat, Vec, gcd_fold, lcm_fold, pivot, primitive
+from .linalg import Mat, Vec, lcm_fold
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -77,66 +85,74 @@ class LpResult:
 
 
 def _numerators(values: Sequence[int | Q]) -> tuple[list[int], int]:
-    """(z, d) with values == z / d: d the lcm of the denominators, d > 0."""
-    d = lcm_fold(v.denominator for v in values)
-    if d == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (d // v.denominator) for v in values], d
+    """(z, d) with values == z / d: d the lcm of the denominators, d > 0.
+    Ints are their own numerators over 1, with no lcm fold."""
+    for v in values:
+        if type(v) is not int:
+            d = lcm_fold(v.denominator for v in values)
+            return [v.numerator * (d // v.denominator) for v in values], d
+    return list(values), 1
 
 
-def _lowest_terms(z: list[int], d: int) -> tuple[list[int], int]:
-    g = gcd_fold(z, d)
-    return ([v // g for v in z], d // g) if g > 1 else (z, d)
-
-
-def _objective(
-    tab: list[list[int]], basis: list[int], cost: list[int], scale: int
-) -> tuple[list[int], int]:
-    """Reduced costs of ``cost / scale`` at ``basis``, as (z, d) with z / d.
-
-    ``cost`` has one integer per tableau column, rhs included; the rhs entry
-    of the result is minus the objective value of the basic solution.
-    """
-    rows = [(cost[bi], tab[i], tab[i][bi]) for i, bi in enumerate(basis) if cost[bi]]
-    d = lcm_fold(s for _, _, s in rows)
-    z = [d * v for v in cost]
-    for cb, row, s in rows:
-        k = cb * (d // s)
-        z = [a - k * b for a, b in zip(z, row)]
-    return _lowest_terms(z, d * scale)
+def _pivot(
+    tab: list[list[int]], basic: list[int], nonbasic: list[int], d: int, r: int, e: int
+) -> int:
+    """Pivot ``tab / d`` on (r, e) as the module docstring says, swap the
+    two labels, and return the new d.  A negative pivot, which only phase
+    1's drive-out meets, negates row r first and flips the signs of column
+    e's new entries, so d stays positive."""
+    prow = tab[r]
+    p = prow[e]
+    sign = 1
+    if p < 0:
+        prow = tab[r] = [-v for v in prow]
+        p, sign = -p, -1
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[e]
+            if f:
+                row = tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[e] = -sign * f
+            elif p != d:
+                tab[i] = [p * a // d for a in row]
+    prow[e] = sign * d
+    basic[r], nonbasic[e] = nonbasic[e], basic[r]
+    return p
 
 
 def _simplex(
-    tab: list[list[int]], basis: list[int], z: list[int], d: int, last: int
-) -> tuple[str, list[int], int]:
-    """Run Bland-rule simplex to optimality or unboundedness.
+    tab: list[list[int]], basic: list[int], nonbasic: list[int], d: int, last: int
+) -> tuple[str, int]:
+    """Run Bland-rule simplex on ``tab / d`` to optimality or unboundedness.
 
-    ``z / d`` is the reduced-cost row, rhs column last; only the signs of
-    ``z`` pick the entering column among the columns before ``last``.  The
+    The first ``len(basic)`` rows are the constraints and ``tab[-1]`` is the
+    reduced-cost row, the rhs column last in each.  The entering variable
+    is the lowest label below ``last`` with a positive reduced cost.  The
     leaving row minimises ``rhs / a`` by cross-multiplication, ties going
-    to the lowest basic index.  Returns the status and the final (z, d).
+    to the lowest basic label.  Returns the status and the final d.
     """
     while True:
-        enter = next((j for j in range(last) if z[j] > 0), None)
+        z = tab[-1]
+        enter, label = None, last
+        for j, lab in enumerate(nonbasic):
+            if lab < label and z[j] > 0:
+                enter, label = j, lab
         if enter is None:
-            return OPTIMAL, z, d
+            return OPTIMAL, d
         leave = None
-        for i, row in enumerate(tab):
+        for i, bi in enumerate(basic):
+            row = tab[i]
             a = row[enter]
             if a > 0:
                 if leave is None:
                     leave, num, den = i, row[-1], a
                     continue
                 lhs, rhs = row[-1] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                if lhs < rhs or (lhs == rhs and bi < basic[leave]):
                     leave, num, den = i, row[-1], a
         if leave is None:
-            return UNBOUNDED, z, d
-        f = z[enter]
-        p = pivot(tab, basis, leave, enter)
-        z, d = _lowest_terms(
-            [p * a - f * b for a, b in zip(z, tab[leave])], d * p
-        )
+            return UNBOUNDED, d
+        d = _pivot(tab, basic, nonbasic, d, leave, enter)
 
 
 def solve(problem: LpProblem) -> LpResult:
@@ -149,71 +165,92 @@ def solve(problem: LpProblem) -> LpResult:
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, Q(0), (Q(0),) * n, ())
 
-    # Columns: n originals; one unit column per row, the slack of an
-    # inequality row or the artificial of an equality row; artificials for
-    # the inequality rows with negative rhs; the rhs.  A row with negative
-    # rhs is negated.  Each row is scaled to a primitive integer vector.
+    # Labels: n originals; one unit variable per row, the slack of an
+    # inequality row or the artificial of an equality row; an artificial
+    # for each inequality row with negative rhs.  Row i is scaled to
+    # integers by den[i] and negated if its rhs is negative; its unit
+    # variable then stands for den[i] times the row's own.  The originals
+    # and the slacks of negated inequality rows start nonbasic.
     r = len(rows)
-    negative = [i for i in range(m) if problem.b[i] < 0]
-    art_of_row = {i: n + r + k for k, i in enumerate(negative)}
-    ncols = n + r + len(art_of_row)
+    negative = [i for i, bi in enumerate(problem.b) if bi < 0]
+    basic = list(range(n, n + r))
+    nonbasic = list(range(n))
+    for k, i in enumerate(negative):
+        basic[i] = n + r + k
+        nonbasic.append(n + i)
     tab: list[list[int]] = []
-    basis: list[int] = []
+    den: list[int] = []
     for i, (ai, bi) in enumerate(rows):
-        den = lcm_fold((v.denominator for v in ai), bi.denominator)
-        row = [v.numerator * (den // v.denominator) for v in ai]
-        row += [0] * (ncols - n)
-        row.append(bi.numerator * (den // bi.denominator))
+        row, s = _numerators((*ai, bi))
         if row[-1] < 0:
             row = [-v for v in row]
-        if i in art_of_row:
-            row[n + i] = -den
-            row[art_of_row[i]] = den
-            basis.append(art_of_row[i])
-        else:
-            row[n + i] = den
-            basis.append(n + i)
-        tab.append(primitive(row))
+        if negative:
+            row[-1:-1] = [-1 if i == k else 0 for k in negative]
+        tab.append(row)
+        den.append(s)
+    cost, scale = _numerators(problem.c)
+    tab.append(cost + [0] * (len(negative) + 1))
 
-    if ncols > n + m:
-        cost1 = [0] * (n + m) + [-1] * (ncols - n - m) + [0]
-        _simplex(tab, basis, *_objective(tab, basis, cost1, 1), ncols)
+    d = 1
+    if r > m or negative:
+        # Phase 1 maximises minus the sum of the artificials.  Row i's
+        # stands for den[i] times the row's own, so it weighs -1 / den[i],
+        # scaled by lcm(den) to an integer.  The phase-2 row is carried
+        # along.
+        arts = negative + list(range(m, r))
+        w = lcm_fold(den[i] for i in arts)
+        z = [0] * len(tab[0])
+        for i in arts:
+            k = w // den[i]
+            z = [u + k * v for u, v in zip(z, tab[i])]
+        tab.append(z)
+        _, d = _simplex(tab, basic, nonbasic, d, n + r + len(negative))
+        tab.pop()
         # Basic values are nonnegative, so the artificials sum to zero iff
         # each of them is zero.
-        if any(tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m):
+        if any(tab[i][-1] for i, bi in enumerate(basic) if bi >= n + m):
             return LpResult(INFEASIBLE)
         # Drive remaining (zero-valued) artificials out; drop null rows.
-        for i in reversed(range(len(tab))):
-            if basis[i] >= n + m:
-                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
+        for i in reversed(range(len(basic))):
+            if basic[i] >= n + m:
+                row = tab[i]
+                col = min(
+                    ((lab, j) for j, lab in enumerate(nonbasic) if lab < n + m and row[j]),
+                    default=None,
+                )
                 if col is None:
-                    del tab[i]
-                    del basis[i]
+                    del tab[i], basic[i]
                 else:
-                    pivot(tab, basis, i, col)
-        # The equality rows' artificials stay for their duals; none of the
-        # artificials may enter again.
-        tab = [primitive(row[: n + r] + row[-1:]) for row in tab]
+                    d = _pivot(tab, basic, nonbasic, d, i, col[1])
+        # The inequality rows' artificials leave with their columns; the
+        # equality rows' stay for their duals and never enter again.
+        keep = [j for j, lab in enumerate(nonbasic) if lab < n + r]
+        if len(keep) < len(nonbasic):
+            nonbasic = [nonbasic[j] for j in keep]
+            keep.append(-1)
+            tab = [[row[j] for j in keep] for row in tab]
 
-    cost, scale = _numerators(problem.c)
-    cost += [0] * (r + 1)
-    status, z, d = _simplex(tab, basis, *_objective(tab, basis, cost, scale), n + m)
+    status, d = _simplex(tab, basic, nonbasic, d, n + m)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
     x = [Q(0)] * n
-    for row, bi in zip(tab, basis):
+    for row, bi in zip(tab, basic):
         if bi < n:
-            x[bi] = Q(row[-1], row[bi])
-    # Dual values are the negated reduced costs of the unit columns, negated
-    # again for an equality row that was negated.  Each final row combines
-    # original rows, so these price every row, those dropped as redundant in
-    # phase 1 included.
+            x[bi] = Q(row[-1], d)
+    # Dual values are the negated reduced costs of the unit variables,
+    # times den[i], and negated again for an equality row that was
+    # negated.  Each final row combines original rows, so these price
+    # every row, those dropped as redundant in phase 1 included; a basic
+    # unit variable, or one dropped with its row, prices its row at 0.
+    z = tab[-1]
+    d *= scale
+    price = dict(zip(nonbasic, z))
+    y = [Q(-s * price.get(n + i, 0), d) for i, s in enumerate(den)]
     for i in range(m, r):
         if rows[i][1] < 0:
-            z[n + i] = -z[n + i]
-    y = tuple(Q(-z[n + i], d) for i in range(r))
-    return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), y)
+            y[i] = -y[i]
+    return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), tuple(y))
 
 
 def check_certificate(problem: LpProblem, result: LpResult) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import neg
 from typing import Iterable, Sequence
 
 from . import lp
@@ -36,11 +37,11 @@ class PInvariantReport:
 
 def skeleton_lp(sk: SphericalSkeleton) -> lp.LpProblem:
     rows = sk.pairing_rows()
-    ms = sk.coefficients()
-    nsigma = len(sk.sigma)
-    c = [sum(row[j] for row in rows) for j in range(nsigma)]
-    a = [[-v for v in row] for row in rows]
-    return lp.LpProblem.build(c, a, ms)
+    # The zero row gives c its width when there is no divisor; strict
+    # rejects a pairing row of another width.
+    c = tuple(map(sum, zip(*rows, (0,) * len(sk.sigma), strict=True)))
+    a = tuple(tuple(map(neg, row)) for row in rows)
+    return lp.LpProblem(c, a, tuple(sk.coefficients()))
 
 
 def compute_p(sk: SphericalSkeleton, check: bool = True) -> PInvariantReport:

@@ -186,6 +186,7 @@ def _set(path, value):
         (_set(["rho_prime", "ZZ"], [1, 0]), "rho_prime: ZZ is not a divisor of the skeleton"),
         (_set(["m", "ZZ"], 1), "m: ZZ is not a divisor of the skeleton"),
         (_set(["coroot_on_M", "99"], [2, 0]), "coroot_on_M: simple root 99 exceeds the rank 1"),
+        (_set(["coroot_on_M", "1"], [2]), "coroot_on_M[1] has wrong length"),
     ],
 )
 def test_fano_mistyped_document_exit_code(tmp_path, capsys, edit, where):

@@ -14,6 +14,7 @@ from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
 from sphskel.serialize import augmented_from_doc, augmented_to_doc
 from sphskel.skeleton import make_skeleton
+from sphskel.sphroots import DOUBLE_ALPHA, SUM_OF_TWO, make_root
 from test_geometry import _random_point_set
 
 
@@ -160,6 +161,49 @@ def test_missing_coroot_table_warns():
     violations, warnings = fano.validate_augmentation(trimmed)
     assert violations == [] and warnings
 
+
+
+def _coroot_table(table):
+    return lambda aug: replace(aug, coroot_on_m=table)
+
+
+def _skeleton(**changes):
+    return lambda aug: replace(aug, skeleton=replace(aug.skeleton, **changes))
+
+
+def _sum_of_two(aug):
+    # A1xA1 with the spherical root alpha_1 + alpha_2 and its one color;
+    # the two coroots differ on M.
+    rs = RootSystem.parse("A1xA1")
+    sk = make_skeleton(rs, [make_root(SUM_OF_TWO, (0, 1), rs)], ())
+    return fano.AugmentedData(
+        skeleton=sk,
+        lattice_rank=1,
+        sigma_in_m=((1,),),
+        rho_prime={d.id: (d.pairings[0],) for d in sk.divisors},
+        m={d.id: d.m for d in sk.divisors},
+        coroot_on_m={0: (2,), 1: (0,)},
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_coroot_table({0: (2,)}), "coroot_on_M[1] has wrong length"),
+        (_coroot_table({0: (1, 2)}), "axiom a2: pair colors at 1 do not sum to alpha^vee"),
+        (
+            _skeleton(sigma=(make_root(DOUBLE_ALPHA, (0,), RootSystem.parse("A1")),)),
+            "axiom sigma1: <alpha_1^vee, M> is not even",
+        ),
+        (_skeleton(sp=frozenset({0})), "axiom s: <alpha_1^vee, M> != 0 for alpha in S^p"),
+        (_sum_of_two, "axiom sigma2: alpha^vee differs across 1+2 on M"),
+    ],
+    ids=["length", "a2", "sigma1", "s", "sigma2"],
+)
+def test_coroot_violations_name_simple_roots_from_one(edit, message):
+    # Document keys number the simple roots from 1, and so do the messages.
+    violations, _ = fano.validate_augmentation(edit(ex32()))
+    assert message in violations, violations
 
 def test_projective_line_equality_case():
     # P^1 and (P^1)^7: iota = 2 and picard = dim, so the bound is attained.

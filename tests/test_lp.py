@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
 
 from sphskel import lp
-from sphskel.linalg import dot, rank, solve_linear
+from sphskel.catalog import mark, table_tasks
+from sphskel.linalg import dot, gcd_fold, lcm_fold, pivot, primitive, rank, solve_linear
+from sphskel.pinv import skeleton_lp
 
 
 def brute_force_lp(c, a, b):
@@ -175,6 +178,119 @@ def _fraction_solve(problem, stats=None):
     )
     return lp.LpResult(lp.OPTIMAL, dot(problem.c, x), tuple(x), y)
 
+
+# The integer tableau kernel that the compact one replaced, kept as its
+# oracle: full columns (a unit column per row), each row a primitive integer
+# vector over its own basic entry, pivoted by ``linalg.pivot``, and the
+# reduced costs rebuilt from the basis after phase 1.  The compact kernel
+# must take the same Bland pivots, so every LpResult is equal field by
+# field.  ``stats`` counts phase-1 runs, drive-out pivots, null rows
+# dropped and rows with a fractional entry, so the tests show what they ran.
+
+
+def _lowest_terms(z, d):
+    g = gcd_fold(z, d)
+    return ([v // g for v in z], d // g) if g > 1 else (z, d)
+
+
+def _tableau_objective(tab, basis, cost, scale):
+    rows = [(cost[bi], tab[i], tab[i][bi]) for i, bi in enumerate(basis) if cost[bi]]
+    d = lcm_fold(s for _, _, s in rows)
+    z = [d * v for v in cost]
+    for cb, row, s in rows:
+        k = cb * (d // s)
+        z = [a - k * b for a, b in zip(z, row)]
+    return _lowest_terms(z, d * scale)
+
+
+def _tableau_simplex(tab, basis, z, d, last):
+    while True:
+        enter = next((j for j in range(last) if z[j] > 0), None)
+        if enter is None:
+            return lp.OPTIMAL, z, d
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, row[-1], a
+        if leave is None:
+            return lp.UNBOUNDED, z, d
+        f = z[enter]
+        p = pivot(tab, basis, leave, enter)
+        z, d = _lowest_terms([p * a - f * b for a, b in zip(z, tab[leave])], d * p)
+
+
+def _tableau_solve(problem, stats=None):
+    stats = stats if stats is not None else Counter()
+    n = len(problem.c)
+    m = len(problem.b)
+    rows = list(zip(problem.a, problem.b)) + list(zip(problem.a_eq, problem.b_eq))
+    if not rows:
+        if any(cj > 0 for cj in problem.c):
+            return lp.LpResult(lp.UNBOUNDED)
+        return lp.LpResult(lp.OPTIMAL, Q(0), (Q(0),) * n, ())
+    r = len(rows)
+    negative = [i for i in range(m) if problem.b[i] < 0]
+    art_of_row = {i: n + r + k for k, i in enumerate(negative)}
+    ncols = n + r + len(art_of_row)
+    tab = []
+    basis = []
+    for i, (ai, bi) in enumerate(rows):
+        den = lcm_fold((v.denominator for v in ai), bi.denominator)
+        stats["fractional"] += den > 1
+        row = [v.numerator * (den // v.denominator) for v in ai]
+        row += [0] * (ncols - n)
+        row.append(bi.numerator * (den // bi.denominator))
+        if row[-1] < 0:
+            row = [-v for v in row]
+        if i in art_of_row:
+            row[n + i] = -den
+            row[art_of_row[i]] = den
+            basis.append(art_of_row[i])
+        else:
+            row[n + i] = den
+            basis.append(n + i)
+        tab.append(primitive(row))
+
+    if ncols > n + m:
+        stats["phase1"] += 1
+        cost1 = [0] * (n + m) + [-1] * (ncols - n - m) + [0]
+        _tableau_simplex(tab, basis, *_tableau_objective(tab, basis, cost1, 1), ncols)
+        if any(tab[i][-1] for i in range(len(tab)) if basis[i] >= n + m):
+            return lp.LpResult(lp.INFEASIBLE)
+        for i in reversed(range(len(tab))):
+            if basis[i] >= n + m:
+                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
+                if col is None:
+                    stats["null_rows"] += 1
+                    del tab[i]
+                    del basis[i]
+                else:
+                    stats["drive_out"] += 1
+                    pivot(tab, basis, i, col)
+        tab = [primitive(row[: n + r] + row[-1:]) for row in tab]
+
+    scale = lcm_fold(v.denominator for v in problem.c)
+    cost = [v.numerator * (scale // v.denominator) for v in problem.c] + [0] * (r + 1)
+    status, z, d = _tableau_simplex(
+        tab, basis, *_tableau_objective(tab, basis, cost, scale), n + m
+    )
+    if status == lp.UNBOUNDED:
+        return lp.LpResult(lp.UNBOUNDED)
+    x = [Q(0)] * n
+    for row, bi in zip(tab, basis):
+        if bi < n:
+            x[bi] = Q(row[-1], row[bi])
+    for i in range(m, r):
+        if rows[i][1] < 0:
+            z[n + i] = -z[n + i]
+    y = tuple(Q(-z[n + i], d) for i in range(r))
+    return lp.LpResult(lp.OPTIMAL, Q(-z[-1], d), tuple(x), y)
 
 def _fraction_check_certificate(problem, result):
     # The Fraction checker that ``lp.check_certificate`` replaced, kept as
@@ -392,6 +508,52 @@ def test_integer_kernel_matches_fraction_oracle(make, expected):
     if make is _degenerate_problem:
         assert stats["ties"] > 0
 
+
+
+def _scaled_phase1_problem(rng):
+    # Rows through a point x0 >= 0, most of them with negative rhs, each
+    # scaled by its own 1/s, and a zero objective: x is where phase 1 ends,
+    # so it shows the phase-1 weight of every artificial.
+    n, m = rng.randrange(2, 6), rng.randrange(3, 7)
+    x0 = [rng.randrange(0, 3) for _ in range(n)]
+    rows, b = [], []
+    for _ in range(m):
+        s = Q(1, rng.choice((1, 2, 5, 11)))
+        row = [rng.randrange(-4, 3) for _ in range(n)]
+        rows.append([s * v for v in row])
+        b.append(s * (dot(row, x0) + rng.choice((0, 0, 1))))
+    return lp.LpProblem.build([0] * n, rows, b)
+
+
+def test_compact_kernel_matches_tableau_oracle_on_catalog():
+    # Every LP of the rank-8 appendix tables, built as verify builds it.
+    tasks = table_tasks(8)
+    for spec, k in tasks:
+        problem = skeleton_lp(mark(spec, k))
+        assert lp.solve(problem) == _tableau_solve(problem), (spec.label(), k)
+    assert len(tasks) == 867
+
+
+def test_compact_kernel_matches_tableau_oracle_on_seeded_lps():
+    rng = random.Random("lp-compact-oracle")
+    makers = (
+        _mixed_problem,
+        _degenerate_problem,
+        _hull_problem,
+        _rational_problem,
+        _equality_problem,
+        _mixed_number_problem,
+        _scaled_phase1_problem,
+    )
+    stats = Counter()
+    for t in range(400 * len(makers)):
+        problem = makers[t % len(makers)](rng)
+        res = lp.solve(problem)
+        assert res == _tableau_solve(problem, stats), problem
+        stats[res.status] += 1
+    assert min(stats[s] for s in (lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE)) > 200, stats
+    assert stats["phase1"] > 1500 and stats["fractional"] > 1000, stats
+    assert stats["drive_out"] > 50 and stats["null_rows"] > 20, stats
 
 def test_equality_rows_match_pair_encoding():
     # The native equality rows against the +/- row pairs they replaced, on
