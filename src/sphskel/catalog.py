@@ -10,10 +10,9 @@ sweeps; they are the external cross-check that the family data is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .pinv import compute_p, evaluate_objective, theta_feasible
 from .roots import RootSystem, SimpleType
@@ -42,8 +41,7 @@ class ParameterOutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     family: str
     series: SimpleType | None = None  # group embeddings only
     l: int | None = None
@@ -350,7 +348,7 @@ def mark(spec: FamilySpec, gamma_index: int) -> SphericalSkeleton:
     if not 1 <= gamma_index <= n:
         raise ParameterOutOfRange(f"marking index {gamma_index} not in 1..{n}")
     row = tuple(-1 if j == gamma_index - 1 else 0 for j in range(n))
-    return replace(sk, gamma=(GammaDivisor(f"mark{gamma_index}", row),))
+    return sk._replace(gamma=(GammaDivisor(f"mark{gamma_index}", row),))
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +551,7 @@ def equality_entries(spec: FamilySpec) -> dict[int, tuple[int | Q, ...]]:
 # ---------------------------------------------------------------------------
 # Verification sweeps.
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     family: str
     params: str
     marking: int
@@ -574,8 +571,7 @@ def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
     return tasks
 
 
-@dataclass(frozen=True)
-class EqualityRow:
+class EqualityRow(NamedTuple):
     family: str
     params: str
     marking: int

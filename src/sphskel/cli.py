@@ -16,6 +16,10 @@ Output is deterministic byte for byte: JSON goes out through
 ``serialize.dumps`` (stdout) and ``serialize.dump`` (``verify --json``).
 ``verify`` runs one serial sweep over the catalog; it still accepts
 ``--jobs N``, and ignores it.
+
+Each command is often one query per process, so importing this module is
+most of its cost.  The package's records are NamedTuples, whose classes
+are built without generating code, and no module loads ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ Points rho'(D)/m_D and vertices of Q* are ints where integral (quotient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import lp
 from .geometry import (
@@ -47,8 +46,7 @@ class NotQFactorial(FanoDataError):
     pass
 
 
-@dataclass(frozen=True)
-class AugmentedData:
+class AugmentedData(NamedTuple):
     skeleton: SphericalSkeleton
     lattice_rank: int
     sigma_in_m: tuple[Vec, ...]  # each spherical root in M coordinates
@@ -156,8 +154,7 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
     return (out, warnings)
 
 
-@dataclass(frozen=True)
-class FanoPolytope:
+class FanoPolytope(NamedTuple):
     aug: AugmentedData
     q: VPolytope
     qstar: VPolytope
@@ -256,8 +253,7 @@ def _lattice_multiple(v: Sequence[Q]) -> tuple[Vec, int]:
     return tuple(primitive(ints)), t
 
 
-@dataclass(frozen=True)
-class CurveDegreeReport:
+class CurveDegreeReport(NamedTuple):
     dv_curves: tuple[tuple[str, Vec, int], ...]
     edge_curves: tuple[tuple[Vec, Vec, Vec, int], ...]  # (v, w, chi, degree)
     iota: int
@@ -321,8 +317,7 @@ def check_q_factorial(fp: FanoPolytope) -> bool:
     return all(z.bit_count() == aug.lattice_rank and not z & shared for z in faces)
 
 
-@dataclass(frozen=True)
-class MukaiReport:
+class MukaiReport(NamedTuple):
     picard: int
     iota: int
     epsilon: int | Q

@@ -17,9 +17,8 @@ one, is decided by exact LPs over free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
 from .linalg import Vec, dot, eliminate, integral, primitive, quotient, rank
@@ -47,17 +46,26 @@ class NotAVertex(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class HPolytope:
-    """Intersection of half-spaces ``<normal, v> >= offset``."""
-
+class _HPolytopeFields(NamedTuple):
     rows: tuple[tuple[Vec, int | Q], ...]
     ambient_dim: int
 
-    def __post_init__(self) -> None:
-        for normal, _ in self.rows:
-            if len(normal) != self.ambient_dim:
+
+class HPolytope(_HPolytopeFields):
+    """Intersection of half-spaces ``<normal, v> >= offset``."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[Vec, int | Q], ...], ambient_dim: int) -> "HPolytope":
+        for normal, _ in rows:
+            if len(normal) != ambient_dim:
                 raise GeometryError("normal length differs from ambient dimension")
+        return super().__new__(cls, rows, ambient_dim)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "HPolytope":
+        """Build through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     @staticmethod
     def build(rows: Iterable[tuple[Sequence, int | Q]], dim: int) -> "HPolytope":
@@ -67,8 +75,7 @@ class HPolytope:
         return all(dot(n, point) >= o for n, o in self.rows)
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(NamedTuple):
     """Convex hull of an irredundant vertex list."""
 
     vertices: tuple[Vec, ...]

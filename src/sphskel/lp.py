@@ -34,10 +34,9 @@ comparison is an integer cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Mat, Vec, lcm_fold
 
@@ -45,23 +44,34 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
+_ZERO = Q(0)  # every zero entry of a result; Fractions are immutable
 
-@dataclass(frozen=True)
-class LpProblem:
-    """max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0 (A is |b| x |c|)."""
 
+class _LpProblemFields(NamedTuple):
     c: Vec
     a: Mat
     b: Vec
     a_eq: Mat = ()
     b_eq: Vec = ()
 
-    def __post_init__(self) -> None:
-        for row in self.a + self.a_eq:
-            if len(row) != len(self.c):
+
+class LpProblem(_LpProblemFields):
+    """max c.x  s.t.  A x <= b, A_eq x = b_eq, x >= 0 (A is |b| x |c|)."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: Vec, a: Mat, b: Vec, a_eq: Mat = (), b_eq: Vec = ()) -> "LpProblem":
+        for row in a + a_eq:
+            if len(row) != len(c):
                 raise ValueError("constraint row length differs from objective")
-        if len(self.a) != len(self.b) or len(self.a_eq) != len(self.b_eq):
+        if len(a) != len(b) or len(a_eq) != len(b_eq):
             raise ValueError("constraint count differs from rhs length")
+        return super().__new__(cls, c, a, b, a_eq, b_eq)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LpProblem":
+        """Build through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     @staticmethod
     def build(
@@ -76,8 +86,7 @@ class LpProblem:
         )
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     value: Q | None = None
     x: Vec | None = None
@@ -163,7 +172,7 @@ def solve(problem: LpProblem) -> LpResult:
     if not rows:
         if any(cj > 0 for cj in problem.c):
             return LpResult(UNBOUNDED)
-        return LpResult(OPTIMAL, Q(0), (Q(0),) * n, ())
+        return LpResult(OPTIMAL, _ZERO, (_ZERO,) * n, ())
 
     # Labels: n originals; one unit variable per row, the slack of an
     # inequality row or the artificial of an equality row; an artificial
@@ -234,9 +243,9 @@ def solve(problem: LpProblem) -> LpResult:
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    x = [Q(0)] * n
+    x = [_ZERO] * n
     for row, bi in zip(tab, basic):
-        if bi < n:
+        if bi < n and row[-1]:
             x[bi] = Q(row[-1], d)
     # Dual values are the negated reduced costs of the unit variables,
     # times den[i], and negated again for an equality row that was
@@ -246,9 +255,9 @@ def solve(problem: LpProblem) -> LpResult:
     z = tab[-1]
     d *= scale
     price = dict(zip(nonbasic, z))
-    y = [Q(-s * price.get(n + i, 0), d) for i, s in enumerate(den)]
+    y = [Q(-s * p, d) if (p := price.get(n + i)) else _ZERO for i, s in enumerate(den)]
     for i in range(m, r):
-        if rows[i][1] < 0:
+        if rows[i][1] < 0 and y[i]:
             y[i] = -y[i]
     return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), tuple(y))
 

@@ -8,10 +8,9 @@ validates a skeleton, localizes it at a divisor subset and computes p there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
 from .linalg import Vec, dot
@@ -19,8 +18,7 @@ from .roots import parabolic_count
 from .skeleton import InvalidSkeleton, SphericalSkeleton, localize, validate
 
 
-@dataclass(frozen=True)
-class PInvariantReport:
+class PInvariantReport(NamedTuple):
     p_value: Q | None  # None encodes +infinity
     bound: int
     gap: Q | None

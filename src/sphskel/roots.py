@@ -11,10 +11,9 @@ by value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 _RANK_RULES = {
     "A": lambda n: n >= 1,
@@ -27,16 +26,27 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class _SimpleTypeFields(NamedTuple):
     letter: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.letter not in _RANK_RULES:
-            raise ValueError(f"unknown simple type {self.letter!r}")
-        if not _RANK_RULES[self.letter](self.rank):
-            raise ValueError(f"invalid rank {self.rank} for type {self.letter}")
+
+class SimpleType(_SimpleTypeFields):
+    """A simple type such as ``B3``; construction checks the rank rule."""
+
+    __slots__ = ()
+
+    def __new__(cls, letter: str, rank: int) -> "SimpleType":
+        if letter not in _RANK_RULES:
+            raise ValueError(f"unknown simple type {letter!r}")
+        if not _RANK_RULES[letter](rank):
+            raise ValueError(f"invalid rank {rank} for type {letter}")
+        return super().__new__(cls, letter, rank)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SimpleType":
+        """Build through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -87,8 +97,7 @@ def _simple_coroot_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in m)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """Integer coefficient vector over the simple roots."""
 
     coeffs: tuple[int, ...]
@@ -97,8 +106,7 @@ class Root:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     factors: tuple[SimpleType, ...]
 
     @staticmethod

@@ -9,9 +9,8 @@ needs that data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import cone_contains
 from .linalg import rank
@@ -42,8 +41,7 @@ class InvalidSkeleton(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class Color:
+class Color(NamedTuple):
     id: str
     kind: str
     moved_by: tuple[int, ...]
@@ -51,8 +49,7 @@ class Color:
     m: int
 
 
-@dataclass(frozen=True)
-class GammaDivisor:
+class GammaDivisor(NamedTuple):
     id: str
     pairings: tuple[int, ...]
 
@@ -61,8 +58,7 @@ class GammaDivisor:
         return 1
 
 
-@dataclass(frozen=True)
-class SphericalSkeleton:
+class SphericalSkeleton(NamedTuple):
     root_system: RootSystem
     sigma: tuple[SphericalRoot, ...]
     sp: frozenset[int]
@@ -419,16 +415,11 @@ def product(a: SphericalSkeleton, b: SphericalSkeleton) -> SphericalSkeleton:
         return f"{side}{name}" if clash else name
 
     colors = [
-        replace(
-            c,
-            id=rename("1:", c.id),
-            pairings=c.pairings + (0,) * lb,
-        )
+        c._replace(id=rename("1:", c.id), pairings=c.pairings + (0,) * lb)
         for c in a.colors
     ]
     colors += [
-        replace(
-            c,
+        c._replace(
             id=rename("2:", c.id),
             moved_by=tuple(e + na for e in c.moved_by),
             pairings=(0,) * la + c.pairings,
@@ -447,7 +438,7 @@ def product(a: SphericalSkeleton, b: SphericalSkeleton) -> SphericalSkeleton:
 def normalize(sk: SphericalSkeleton) -> SphericalSkeleton:
     """Drop invariant divisors with identically zero image."""
     keep = tuple(d for d in sk.gamma if any(v != 0 for v in d.pairings))
-    return replace(sk, gamma=keep)
+    return sk._replace(gamma=keep)
 
 
 def _gamma_counts(sk: SphericalSkeleton) -> list[int]:
@@ -464,7 +455,7 @@ def elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
         for t in range(count):
             row = tuple(-1 if i == j else 0 for i in range(nsigma))
             gamma.append(GammaDivisor(f"g{j + 1}_{t + 1}", row))
-    return replace(sk, gamma=tuple(gamma))
+    return sk._replace(gamma=tuple(gamma))
 
 
 def reduced_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
@@ -475,7 +466,7 @@ def reduced_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
         if count > 0:
             row = tuple(-1 if i == j else 0 for i in range(nsigma))
             gamma.append(GammaDivisor(f"g{j + 1}", row))
-    return replace(sk, gamma=tuple(gamma))
+    return sk._replace(gamma=tuple(gamma))
 
 
 def marked_roots(sk: SphericalSkeleton) -> frozenset[int]:

@@ -10,8 +10,7 @@ bond multiplicities and short/long orientation must match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .roots import RootSystem, SimpleType, _simple_coroot_matrix, half_sum
 
@@ -54,8 +53,7 @@ class BadEmbedding(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One implied color circle: kind, local positions, pairing with the root."""
 
     kind: str  # 'pair' | 'half' | 'around'
@@ -63,8 +61,7 @@ class Slot:
     pairing: int
 
 
-@dataclass(frozen=True)
-class SphericalRootPattern:
+class SphericalRootPattern(NamedTuple):
     kind: str
     support_size: int
     template: tuple[tuple[int, ...], ...]  # coroot pairing matrix of the support
@@ -179,8 +176,7 @@ def _size(kind: str, size: int | None, minimum: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class SphericalRoot:
+class SphericalRoot(NamedTuple):
     """A table pattern embedded into an ambient root system."""
 
     kind: str

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -74,7 +73,7 @@ def random_skeleton(rng: random.Random) -> SphericalSkeleton:
     gamma = tuple(
         GammaDivisor(gid, row) for gid, row in random_gamma_rows(rng, len(sk.sigma))
     )
-    return replace(sk, gamma=gamma)
+    return sk._replace(gamma=gamma)
 
 
 def permuted_copy(sk: SphericalSkeleton, rng: random.Random) -> SphericalSkeleton:
@@ -87,7 +86,7 @@ def permuted_copy(sk: SphericalSkeleton, rng: random.Random) -> SphericalSkeleto
         for g in sk.sigma
     )
     colors = tuple(
-        replace(c, moved_by=tuple(sorted(phi[a] for a in c.moved_by)))
+        c._replace(moved_by=tuple(sorted(phi[a] for a in c.moved_by)))
         for c in sk.colors
     )
     sp = frozenset(phi[a] for a in sk.sp)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as Q
 
 from conftest import load_fixture, permuted_copy, random_skeleton
@@ -177,7 +176,7 @@ def test_criterion_7_property_suites():
                 )
                 for j in sorted(subset)
             )
-            return replace(base, gamma=gamma)
+            return base._replace(gamma=gamma)
 
         p_small = compute_p(marked(small), check=False).p_value
         p_big = compute_p(marked(big), check=False).p_value
@@ -214,8 +213,7 @@ def test_criterion_7_property_suites():
     for _ in range(100):
         sk = random_skeleton(rng)
         other = permuted_copy(sk, rng)
-        padded = replace(
-            other,
+        padded = other._replace(
             gamma=other.gamma
             + (GammaDivisor("zero", (0,) * len(sk.sigma)),),
         )

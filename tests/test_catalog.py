@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -184,7 +183,7 @@ def test_two_marking_strictness():
             GammaDivisor(f"mark{k}", tuple(-1 if j == k - 1 else 0 for j in range(n)))
             for k in (k1, k2)
         )
-        doubled = replace(sk, gamma=gamma)
+        doubled = sk._replace(gamma=gamma)
         rep = compute_p(doubled)
         assert rep.p_value < rep.bound, spec.label()
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -73,12 +72,12 @@ def test_u_map_is_int_where_m_divides():
     # to 2 on D1 and D3 only the coordinates 0 stay integral.
     aug = ex32()
     for m in (aug.m, {**aug.m, "D1": 2, "D3": 2}):
-        u = replace(aug, m=m).u_map()
+        u = aug._replace(m=m).u_map()
         for did, rho in aug.rho_prime.items():
             assert u[did] == tuple(Q(x, m[did]) for x in rho)
             kinds = [type(x) is int for x in u[did]]
             assert kinds == [x % m[did] == 0 for x in rho], did
-    assert replace(aug, m={**aug.m, "D1": 2}).u_map()["D1"] == (Q(1, 2), 0)
+    assert aug._replace(m={**aug.m, "D1": 2}).u_map()["D1"] == (Q(1, 2), 0)
 
 
 def test_ex32_supported_vertices():
@@ -164,11 +163,11 @@ def test_missing_coroot_table_warns():
 
 
 def _coroot_table(table):
-    return lambda aug: replace(aug, coroot_on_m=table)
+    return lambda aug: aug._replace(coroot_on_m=table)
 
 
 def _skeleton(**changes):
-    return lambda aug: replace(aug, skeleton=replace(aug.skeleton, **changes))
+    return lambda aug: aug._replace(skeleton=aug.skeleton._replace(**changes))
 
 
 def _sum_of_two(aug):

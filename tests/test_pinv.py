@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -53,7 +52,7 @@ def test_empty_sigma_sum_of_coefficients():
 
 def test_invalid_skeleton_raises():
     sk = worked_example()
-    bad = replace(sk, gamma=(GammaDivisor("D3", (1,)),))
+    bad = sk._replace(gamma=(GammaDivisor("D3", (1,)),))
     with pytest.raises(InvalidSkeleton):
         compute_p(bad)
 
@@ -64,7 +63,7 @@ def test_a3_group_embedding_equality():
 
 
 def test_unbounded_without_gamma():
-    sk = replace(worked_example(), gamma=())
+    sk = worked_example()._replace(gamma=())
     rep = compute_p(sk)
     assert rep.p_value is None and not rep.finite
     assert rep.theta is None and rep.gap is None
@@ -146,8 +145,8 @@ def test_smoothness_fails_at_strict_gap():
 def test_smoothness_validates_before_localizing():
     # localize would read the short row by index; validate rejects it first.
     sk = mark(FamilySpec("2", series=SimpleType("G", 2)), 1)
-    short = replace(sk.colors[0], pairings=sk.colors[0].pairings[:-1])
-    cut = replace(sk, colors=(short, *sk.colors[1:]))
+    short = sk.colors[0]._replace(pairings=sk.colors[0].pairings[:-1])
+    cut = sk._replace(colors=(short, *sk.colors[1:]))
     with pytest.raises(InvalidSkeleton):
         smoothness(cut, [d.id for d in sk.divisors])
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
@@ -38,19 +37,19 @@ def test_worked_example_validates():
 
 def test_a1_violation_detected():
     sk = worked_example()
-    bad = replace(sk, colors=(replace(sk.colors[0], pairings=(2,)),) + sk.colors[1:])
+    bad = sk._replace(colors=(sk.colors[0]._replace(pairings=(2,)),) + sk.colors[1:])
     assert any("A1" in v for v in validate(bad))
 
 
 def test_gamma_sign_violation_detected():
     sk = worked_example()
-    bad = replace(sk, gamma=(GammaDivisor("D3", (1,)),))
+    bad = sk._replace(gamma=(GammaDivisor("D3", (1,)),))
     assert any("positive pairing" in v for v in validate(bad))
 
 
 def test_a2_violation_detected():
     sk = worked_example()
-    bad = replace(sk, colors=sk.colors[:1])
+    bad = sk._replace(colors=sk.colors[:1])
     assert any("A2" in v for v in validate(bad))
 
 
@@ -63,10 +62,10 @@ def test_compatibility_violation_detected():
 def test_out_of_range_indices_reported_not_raised():
     sk = generate(FamilySpec.parse("2:A2"))
     assert "S^p contains an unknown simple root index" in validate(
-        replace(sk, sp=frozenset({9}))
+        sk._replace(sp=frozenset({9}))
     )
-    colors = (replace(sk.colors[0], moved_by=(9,)),) + sk.colors[1:]
-    problems = validate(replace(sk, colors=colors))
+    colors = (sk.colors[0]._replace(moved_by=(9,)),) + sk.colors[1:]
+    problems = validate(sk._replace(colors=colors))
     assert f"{sk.colors[0].id}: moved by an unknown simple root index" in problems
 
 
@@ -75,7 +74,7 @@ def test_is_complete_on_worked_example():
 
 
 def test_incomplete_without_negative_rows():
-    sk = replace(worked_example(), gamma=())
+    sk = worked_example()._replace(gamma=())
     assert not is_complete(sk)
 
 
@@ -111,7 +110,7 @@ def test_elementary_counts():
     sk = worked_example()
     two = product(sk, sk)
     gamma = (GammaDivisor("g", (-2, -1)),)
-    two = replace(two, gamma=gamma)
+    two = two._replace(gamma=gamma)
     el = elementary(two)
     assert [d.pairings for d in el.gamma] == [(-1, 0), (-1, 0), (0, -1)]
     vel = reduced_elementary(two)
@@ -170,14 +169,14 @@ def test_isomorphic_identity_and_flip():
     sk = generate(FamilySpec("2", series=SimpleType("A", 3)))
     assert isomorphic(sk, sk)
     n = 3
-    mark_first = replace(
-        sk, gamma=(GammaDivisor("g", tuple(-1 if j == 0 else 0 for j in range(n))),)
+    mark_first = sk._replace(
+        gamma=(GammaDivisor("g", tuple(-1 if j == 0 else 0 for j in range(n))),)
     )
-    mark_last = replace(
-        sk, gamma=(GammaDivisor("g", tuple(-1 if j == n - 1 else 0 for j in range(n))),)
+    mark_last = sk._replace(
+        gamma=(GammaDivisor("g", tuple(-1 if j == n - 1 else 0 for j in range(n))),)
     )
-    mark_mid = replace(
-        sk, gamma=(GammaDivisor("g", tuple(-1 if j == 1 else 0 for j in range(n))),)
+    mark_mid = sk._replace(
+        gamma=(GammaDivisor("g", tuple(-1 if j == 1 else 0 for j in range(n))),)
     )
     assert isomorphic(mark_first, mark_last)  # diagram flip
     assert not isomorphic(mark_first, mark_mid)
@@ -259,8 +258,8 @@ def _mutate(sk, rng):
             {"moved_by": rng.choice(((), (rng.randrange(-1, n + 2),)))},
         ]
         colors = list(sk.colors)
-        colors[i] = replace(c, **rng.choice(edits))
-        return replace(sk, colors=tuple(colors))
+        colors[i] = c._replace(**rng.choice(edits))
+        return sk._replace(colors=tuple(colors))
     if what == 1 and sk.colors:
         colors = list(sk.colors)
         i = rng.randrange(len(colors))
@@ -268,9 +267,9 @@ def _mutate(sk, rng):
             del colors[i]
         else:
             colors.insert(i, colors[i])
-        return replace(sk, colors=tuple(colors))
+        return sk._replace(colors=tuple(colors))
     if what == 2:
-        return replace(sk, sp=sk.sp ^ {rng.randrange(n + 2)})
+        return sk._replace(sp=sk.sp ^ {rng.randrange(n + 2)})
     if what == 3 and sk.sigma:
         sigma = list(sk.sigma)
         i = rng.randrange(len(sigma))
@@ -278,18 +277,18 @@ def _mutate(sk, rng):
             del sigma[i]
         else:
             sigma.insert(i, sigma[i])
-        return replace(sk, sigma=tuple(sigma))
+        return sk._replace(sigma=tuple(sigma))
     if what == 4 and sk.gamma and sk.colors:
         gamma = list(sk.gamma)
         i = rng.randrange(len(gamma))
-        gamma[i] = replace(gamma[i], id=rng.choice(sk.divisors).id)
-        return replace(sk, gamma=tuple(gamma))
+        gamma[i] = gamma[i]._replace(id=rng.choice(sk.divisors).id)
+        return sk._replace(gamma=tuple(gamma))
     if what == 5:
         nsigma = len(sk.sigma) + rng.choice((-1, 0, 0, 1))
         row = tuple(rng.choice((-2, -1, 0, 1)) for _ in range(max(nsigma, 0)))
-        return replace(sk, gamma=sk.gamma + (GammaDivisor(f"x{rng.randrange(9)}", row),))
+        return sk._replace(gamma=sk.gamma + (GammaDivisor(f"x{rng.randrange(9)}", row),))
     if what == 6 and sk.gamma:
-        return replace(sk, gamma=sk.gamma[1:])
+        return sk._replace(gamma=sk.gamma[1:])
     return sk
 
 
@@ -319,7 +318,7 @@ def test_validate_equals_uncached_checks(rng):
 def test_equal_skeletons_built_apart_get_equal_lists():
     spec = FamilySpec.parse("3:l=2,m=1")
     marked = mark(spec, 2)
-    bad = replace(marked, colors=(replace(marked.colors[0], m=3),) + marked.colors[1:])
+    bad = marked._replace(colors=(marked.colors[0]._replace(m=3),) + marked.colors[1:])
     for sk in (marked, bad):
         doc = skeleton_to_doc(sk)
         again = skeleton_from_doc(doc)
@@ -330,7 +329,7 @@ def test_equal_skeletons_built_apart_get_equal_lists():
 
 def test_validate_returns_a_new_list():
     sk = worked_example()
-    bad = replace(sk, colors=(replace(sk.colors[0], pairings=(2,)),) + sk.colors[1:])
+    bad = sk._replace(colors=(sk.colors[0]._replace(pairings=(2,)),) + sk.colors[1:])
     first = validate(bad)
     expected = list(first)
     first.append("edited by the caller")
@@ -343,10 +342,9 @@ def test_validate_returns_a_new_list():
 
 def test_violation_order_with_duplicate_ids_and_bad_color():
     sk = worked_example()
-    bad = replace(
-        sk,
+    bad = sk._replace(
         sp=frozenset({5}),
-        colors=(replace(sk.colors[0], pairings=(2,)),) + sk.colors[1:],
+        colors=(sk.colors[0]._replace(pairings=(2,)),) + sk.colors[1:],
         gamma=(GammaDivisor("D1", (1,)),) + sk.gamma[1:],
     )
     assert validate(bad) == [
