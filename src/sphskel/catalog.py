@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from .linalg import format_rational
 from .pinv import compute_p, evaluate_objective, theta_feasible
 from .roots import RootSystem, SimpleType
 from .skeleton import (
@@ -559,8 +560,8 @@ class TableRow(NamedTuple):
     actual: Q | None
     bound: int
     match: bool
-    theta: tuple[Q, ...] | None  # the optimal vertex and dual, None when p = +inf
-    dual: tuple[Q, ...] | None
+    theta: tuple[str, ...] | None  # optimal vertex and dual as "p/q", None at p = +inf
+    dual: tuple[str, ...] | None
 
 
 def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
@@ -612,8 +613,8 @@ def _evaluate(spec: FamilySpec, k: int) -> tuple[TableRow, EqualityRow]:
         report.p_value,
         report.bound,
         report.p_value == expected,
-        report.theta,
-        report.dual,
+        _texts(report.theta),
+        _texts(report.dual),
     )
     equality = EqualityRow(
         fam,
@@ -626,6 +627,10 @@ def _evaluate(spec: FamilySpec, k: int) -> tuple[TableRow, EqualityRow]:
         theta_ok,
     )
     return table, equality
+
+
+def _texts(values: Sequence[Q] | None) -> tuple[str, ...] | None:
+    return None if values is None else tuple(map(format_rational, values))
 
 
 def verify_catalog(max_rank: int = 8) -> tuple[list[TableRow], list[EqualityRow]]:

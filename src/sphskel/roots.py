@@ -4,9 +4,12 @@ Roots are stored as integer coefficient vectors over the simple roots in
 Bourbaki numbering; all pairings go through the coroot pairing matrix
 ``M[i][j] = <alpha_i^vee, alpha_j>``, so no euclidean realization is
 needed.  Simple-root indices are 0-based internally and numbered factor by
-factor.  Root systems are frozen values, so the data derived from them
-(coroot matrix, positive roots, half-sums) is pure and memoised per process
-by value.
+factor.  Root systems are frozen values, so the data derived from them is
+pure and memoised per process by value: the coroot matrix, and per
+(system, subset of simple roots) the positive roots and their sum 2 rho.
+One routine builds those roots, by root strings along the subset alone
+(Humphreys, *Introduction to Lie Algebras*, 10.4), so no caller lists the
+roots of a whole product system: |R+| is summed over the simple factors.
 """
 
 from __future__ import annotations
@@ -102,9 +105,6 @@ class Root(NamedTuple):
 
     coeffs: tuple[int, ...]
 
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
-
 
 class RootSystem(NamedTuple):
     factors: tuple[SimpleType, ...]
@@ -171,27 +171,32 @@ def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
 
 
+def positive_roots(rs: RootSystem) -> tuple[Root, ...]:
+    """All positive roots, built layer by layer through root strings."""
+    return _positive_roots(rs, frozenset(range(rs.total_rank)))
+
+
+def positive_roots_of_subset(rs: RootSystem, subset: Iterable[int]) -> tuple[Root, ...]:
+    """Positive roots of the standard sub-root-system generated by subset."""
+    return _positive_roots(rs, frozenset(subset))
+
+
 @cache
-def _positive_roots_cached(rs: RootSystem) -> tuple[Root, ...]:
+def _positive_roots(rs: RootSystem, s: frozenset[int]) -> tuple[Root, ...]:
+    """Root strings along s only, from the units of s; unknown indices are
+    dropped.  Ordered by (height, coefficients)."""
     n = rs.total_rank
     m = rs.coroot_matrix()
-    known: set[tuple[int, ...]] = set()
-    by_height: list[list[tuple[int, ...]]] = [[]]
-
-    def coeff_unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(n))
-
-    layer = [coeff_unit(i) for i in range(n)]
-    by_height.append(layer)
-    known.update(layer)
-    h = 1
-    while by_height[h]:
+    s_known = sorted(i for i in s if 0 <= i < n)
+    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in s_known]
+    known = set(layer)
+    while layer:
         nxt: list[tuple[int, ...]] = []
-        for beta in by_height[h]:
-            for i in range(n):
+        for beta in layer:
+            for i in s_known:
                 # Root string: beta + alpha_i is a root iff
-                # p - <beta, alpha_i^vee> > 0 with p the string depth.
-                pairing = sum(beta[j] * m[i][j] for j in range(n) if beta[j])
+                # p - <alpha_i^vee, beta> > 0 with p the string depth.
+                pairing = sum(beta[j] * m[i][j] for j in s_known if beta[j])
                 p = 0
                 cur = list(beta)
                 while True:
@@ -206,44 +211,29 @@ def _positive_roots_cached(rs: RootSystem) -> tuple[Root, ...]:
                     if t not in known:
                         known.add(t)
                         nxt.append(t)
-        by_height.append(nxt)
-        h += 1
-    ordered = sorted(known, key=lambda c: (sum(c), c))
-    return tuple(Root(c) for c in ordered)
-
-
-def positive_roots(rs: RootSystem) -> tuple[Root, ...]:
-    """All positive roots, built layer by layer through root strings."""
-    return _positive_roots_cached(rs)
-
-
-def positive_roots_of_subset(rs: RootSystem, subset: Iterable[int]) -> tuple[Root, ...]:
-    """Positive roots of the standard sub-root-system generated by subset."""
-    return _positive_roots_of_subset(rs, frozenset(subset))
-
-
-@cache
-def _positive_roots_of_subset(rs: RootSystem, s: frozenset[int]) -> tuple[Root, ...]:
-    return tuple(r for r in positive_roots(rs) if r.support() <= s)
+        layer = nxt
+    return tuple(Root(c) for c in sorted(known, key=lambda c: (sum(c), c)))
 
 
 def half_sum(rs: RootSystem, subset: Iterable[int]) -> tuple[Q, ...]:
     """Half-sum of the positive roots generated by the subset (rho_I)."""
-    return _half_sum(rs, frozenset(subset))
+    return tuple(Q(t, 2) for t in two_rho(rs, frozenset(subset)))
 
 
 @cache
-def _half_sum(rs: RootSystem, s: frozenset[int]) -> tuple[Q, ...]:
+def two_rho(rs: RootSystem, s: frozenset[int]) -> tuple[int, ...]:
+    """Sum of the positive roots generated by s (2 rho_s), in integers."""
     total = [0] * rs.total_rank
-    for r in _positive_roots_of_subset(rs, s):
+    for r in _positive_roots(rs, s):
         for j, c in enumerate(r.coeffs):
             total[j] += c
-    return tuple(Q(t, 2) for t in total)
+    return tuple(total)
 
 
 def parabolic_count(rs: RootSystem, sp: Iterable[int]) -> int:
-    """|R+| - |R+ generated by sp| (the dimension of G/P)."""
-    return len(positive_roots(rs)) - len(positive_roots_of_subset(rs, sp))
+    """|R+| - |R+ generated by sp| (the dimension of G/P); |R+| per factor."""
+    whole = sum(len(positive_roots(RootSystem((f,)))) for f in rs.factors)
+    return whole - len(positive_roots_of_subset(rs, sp))
 
 
 def matrix_isomorphisms(

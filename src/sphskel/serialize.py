@@ -264,9 +264,9 @@ def table_rows_to_json(rows: Sequence) -> list[dict]:
             "match": r.match,
         }
         if r.theta is not None:
-            entry["theta"] = [format_rational(t) for t in r.theta]
+            entry["theta"] = list(r.theta)
         if r.dual is not None:
-            entry["dual"] = [format_rational(t) for t in r.dual]
+            entry["dual"] = list(r.dual)
         out.append(entry)
     return out
 

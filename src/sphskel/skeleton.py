@@ -321,7 +321,7 @@ def _structure_violations(
             else:
                 expected = [divmod(v, 2) for v in coroot_row(rs, alpha, sigma)]
                 if any(odd for _, odd in expected):
-                    out.append(f"axiom Sigma1: <alpha^vee, Lambda> not even at {alpha}")
+                    out.append(f"axiom Sigma1: <alpha^vee, Lambda> not even at {alpha + 1}")
                 elif tuple(half for half, _ in expected) != c.pairings:
                     out.append(f"{c.id}: half color row differs from alpha^vee/2")
                 if c.m != 1:
@@ -329,21 +329,17 @@ def _structure_violations(
         else:  # around
             bad = set(c.moved_by) & (sigma_simple | sigma_half | set(sp))
             if bad:
-                out.append(f"{c.id}: around color moved by {sorted(bad)}")
+                out.append(f"{c.id}: around color moved by {[a + 1 for a in sorted(bad)]}")
                 continue
             for alpha in c.moved_by:
                 if coroot_row(rs, alpha, sigma) != c.pairings:
-                    out.append(f"{c.id}: around color row differs from alpha^vee at {alpha}")
-                    break
-            try:
-                expected_m = anticanonical_coefficient(rs, sp, c.moved_by[0], sigma)
-            except ValueError as exc:
-                out.append(f"{c.id}: {exc}")
-            else:
-                if c.m != expected_m:
                     out.append(
-                        f"{c.id}: m = {c.m}, anticanonical formula gives {expected_m}"
+                        f"{c.id}: around color row differs from alpha^vee at {alpha + 1}"
                     )
+                    break
+            expected_m = anticanonical_coefficient(rs, sp, c.moved_by[0], sigma)
+            if c.m != expected_m:
+                out.append(f"{c.id}: m = {c.m}, anticanonical formula gives {expected_m}")
 
     # Coverage: every simple root outside S^p moves the right number of colors.
     for alpha in range(n):
@@ -353,17 +349,17 @@ def _structure_violations(
         if alpha in sigma_simple:
             pair = [c for c in cs if c.kind in (PAIR_PLUS, PAIR_MINUS)]
             if len(pair) != 2:
-                out.append(f"axiom A2: {len(pair)} pair colors at simple root {alpha}")
+                out.append(f"axiom A2: {len(pair)} pair colors at simple root {alpha + 1}")
             else:
                 total = tuple(a + b for a, b in zip(pair[0].pairings, pair[1].pairings))
                 if total != coroot_row(rs, alpha, sigma):
-                    out.append(f"axiom A2: pair rows at {alpha} do not sum to alpha^vee")
+                    out.append(f"axiom A2: pair rows at {alpha + 1} do not sum to alpha^vee")
         elif alpha in sigma_half:
             if len([c for c in cs if c.kind == HALF]) != 1:
-                out.append(f"full colors: doubled root {alpha} needs one half color")
+                out.append(f"full colors: doubled root {alpha + 1} needs one half color")
         else:
             if len([c for c in cs if c.kind == AROUND]) != 1:
-                out.append(f"full colors: simple root {alpha} needs one around color")
+                out.append(f"full colors: simple root {alpha + 1} needs one around color")
 
     # Axiom A3 is structural here: pair colors are exactly the abstract set.
     for c in colors:
@@ -374,17 +370,17 @@ def _structure_violations(
         for j, g in enumerate(sigma):
             v = rs.coroot_pairing(alpha, g.coeffs)
             if v % 2 != 0:
-                out.append(f"axiom Sigma1: <alpha_{alpha}^vee, sigma[{j}]> = {v} is odd")
+                out.append(f"axiom Sigma1: <alpha_{alpha + 1}^vee, sigma[{j}]> = {v} is odd")
             if root_at(alpha, 2) != j and v > 0:
                 out.append(
-                    f"axiom Sigma1: <alpha_{alpha}^vee, sigma[{j}]> = {v} > 0"
+                    f"axiom Sigma1: <alpha_{alpha + 1}^vee, sigma[{j}]> = {v} > 0"
                 )
 
     for g in sigma:
         if g.kind == SUM_OF_TWO:
             a, b = g.embedding
             if coroot_row(rs, a, sigma) != coroot_row(rs, b, sigma):
-                out.append(f"axiom Sigma2: alpha^vee differs across {a}+{b}")
+                out.append(f"axiom Sigma2: alpha^vee differs across {a + 1}+{b + 1}")
     return head, tuple(out)
 
 

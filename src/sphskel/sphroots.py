@@ -6,13 +6,18 @@ dotted circle (excluded from S^p but contributing no color), and the
 implied color slots with their pairing values.  Embeddings into an ambient
 root system are checked against the support's coroot pairing template, so
 bond multiplicities and short/long orientation must match exactly.
+
+A color's anticanonical coefficient needs only the positive roots of S^p:
+<alpha^vee, rho> = 1 for every simple root alpha (Humphreys 10.2), so
+m_D = 2 - <alpha^vee, 2 rho_{S^p}>, an integer, and m_D >= 2 for alpha
+outside S^p because the coroot matrix is <= 0 off the diagonal.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .roots import RootSystem, SimpleType, _simple_coroot_matrix, half_sum
+from .roots import RootSystem, SimpleType, _simple_coroot_matrix, two_rho
 
 ALPHA = "alpha"
 DOUBLE_ALPHA = "2alpha"
@@ -268,9 +273,4 @@ def anticanonical_coefficient(
     doubled = tuple(2 if j == alpha else 0 for j in range(n))
     if any(root.coeffs in (simple, doubled) for root in sigma):
         return 1
-    rho_s = half_sum(rs, range(n))
-    rho_sp = half_sum(rs, spset)
-    value = rs.coroot_pairing(alpha, tuple(2 * (a - b) for a, b in zip(rho_s, rho_sp)))
-    if value.denominator != 1 or value <= 0:
-        raise ValueError(f"anticanonical coefficient at {alpha} is not a positive integer")
-    return int(value)
+    return 2 - rs.coroot_pairing(alpha, two_rho(rs, spset))

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
+from sphskel.catalog import all_specs, generate
 from sphskel.roots import (
     RootSystem,
     SimpleType,
@@ -15,6 +18,8 @@ from sphskel.roots import (
     positive_roots,
     positive_roots_of_subset,
 )
+from sphskel.skeleton import AROUND
+from sphskel.sphroots import anticanonical_coefficient
 
 CLASSICAL_COUNTS = {
     "A1": 1, "A2": 3, "A5": 15, "B2": 4, "B3": 9, "C4": 16, "D4": 12,
@@ -138,11 +143,151 @@ def test_subset_data_independent_of_subset_type(system):
     rs = RootSystem.parse(system)
     n = rs.total_rank
     for subset in ([], [0], list(range(0, n, 2)), list(range(1, n)), list(range(n))):
-        direct = [r for r in positive_roots(rs) if r.support() <= set(subset)]
-        expected = tuple(
-            Q(sum(r.coeffs[j] for r in direct), 2) for j in range(n)
-        )
+        direct = _filtered(_oracle_positive_roots(rs), subset)
+        expected = tuple(Q(sum(c[j] for c in direct), 2) for j in range(n))
         for form in (list(subset), set(subset), frozenset(subset), iter(subset)):
             assert half_sum(rs, form) == expected
         for form in (list(subset), set(subset), frozenset(subset)):
-            assert positive_roots_of_subset(rs, form) == tuple(direct)
+            assert tuple(r.coeffs for r in positive_roots_of_subset(rs, form)) == direct
+
+
+# ---------------------------------------------------------------------------
+# Oracle: root strings over the whole system, then filtered by support.
+
+def _oracle_positive_roots(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Every positive root of rs, by root strings along every simple root."""
+    n = rs.total_rank
+    m = rs.coroot_matrix()
+    layer = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    known = set(layer)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                pairing = sum(beta[j] * m[i][j] for j in range(n))
+                p, cur = 0, list(beta)
+                while True:
+                    cur[i] -= 1
+                    if cur[i] < 0 or tuple(cur) not in known:
+                        break
+                    p += 1
+                up = tuple(c + (j == i) for j, c in enumerate(beta))
+                if p - pairing > 0 and up not in known:
+                    known.add(up)
+                    nxt.append(up)
+        layer = nxt
+    return sorted(known, key=lambda c: (sum(c), c))
+
+
+def _filtered(whole, subset) -> tuple:
+    """The oracle's roots whose support lies in subset (unknown indices
+    match nothing)."""
+    s = set(subset)
+    return tuple(c for c in whole if {j for j, v in enumerate(c) if v} <= s)
+
+
+_SIMPLE_UP_TO_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+_CLOSED_FORM = {
+    "A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n, "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": lambda n: 24, "G": lambda n: 6,
+}
+
+
+def _seeded_products(seed: int, count: int) -> list[RootSystem]:
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        factors, total = [], 0
+        while True:
+            t = SimpleType.parse(rnd.choice(_SIMPLE_UP_TO_8))
+            if total + t.rank > 16:
+                break
+            factors.append(t)
+            total += t.rank
+            if rnd.random() < 0.3:
+                break
+        if factors:
+            out.append(RootSystem(tuple(factors)))
+    return out
+
+
+def _random_subsets(rnd: random.Random, n: int, count: int) -> list[list[int]]:
+    out = []
+    for _ in range(count):
+        s = [i for i in range(n) if rnd.random() < 0.6]
+        s += rnd.sample([-1, n, n + 3], rnd.randint(0, 2))
+        rnd.shuffle(s)
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("system", _SIMPLE_UP_TO_8)
+def test_subset_roots_match_whole_system_oracle(system):
+    rs = RootSystem.parse(system)
+    n = rs.total_rank
+    whole = _oracle_positive_roots(rs)
+    assert tuple(r.coeffs for r in positive_roots(rs)) == tuple(whole)
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            got = positive_roots_of_subset(rs, subset)
+            assert tuple(r.coeffs for r in got) == _filtered(whole, subset), subset
+
+
+def test_subset_roots_on_seeded_products_with_unknown_indices():
+    rnd = random.Random(1903)
+    for rs in _seeded_products(1903, 25):
+        n = rs.total_rank
+        whole = _oracle_positive_roots(rs)
+        for subset in _random_subsets(rnd, n, 8):
+            got = positive_roots_of_subset(rs, subset)
+            assert tuple(r.coeffs for r in got) == _filtered(whole, subset), (rs, subset)
+
+
+def test_parabolic_count_on_seeded_products_matches_closed_forms():
+    rnd = random.Random(1904)
+    for rs in _seeded_products(1904, 25):
+        whole = _oracle_positive_roots(rs)
+        assert len(whole) == sum(_CLOSED_FORM[f.letter](f.rank) for f in rs.factors)
+        for sp in _random_subsets(rnd, rs.total_rank, 8):
+            assert parabolic_count(rs, sp) == len(whole) - len(_filtered(whole, sp))
+
+
+def _old_anticanonical(rs: RootSystem, sp, alpha: int) -> Q:
+    """2 <alpha^vee, rho_S - rho_{S^p}>, with rho of the whole system."""
+    rho_s = half_sum(rs, range(rs.total_rank))
+    rho_sp = half_sum(rs, sp)
+    return rs.coroot_pairing(alpha, tuple(2 * (a - b) for a, b in zip(rho_s, rho_sp)))
+
+
+def test_anticanonical_matches_whole_system_rho_on_seeded_products():
+    rnd = random.Random(1905)
+    for rs in _seeded_products(1905, 25):
+        n = rs.total_rank
+        for sp in _random_subsets(rnd, n, 4):
+            known = {i for i in sp if 0 <= i < n}
+            for alpha in sorted(set(range(n)) - known):
+                got = anticanonical_coefficient(rs, sp, alpha, [])
+                assert type(got) is int and got >= 2
+                assert got == _old_anticanonical(rs, known, alpha), (rs, sp, alpha)
+
+
+def test_around_colors_of_catalog_have_coefficient_at_least_two():
+    seen = 0
+    for spec in all_specs(max_rank=8):
+        sk = generate(spec)
+        for c in sk.colors:
+            if c.kind != AROUND:
+                continue
+            for alpha in c.moved_by:
+                m = anticanonical_coefficient(sk.root_system, sk.sp, alpha, sk.sigma)
+                assert m == c.m >= 2, (spec.label(), c.id)
+                assert m == _old_anticanonical(sk.root_system, sk.sp, alpha)
+                seen += 1
+    assert seen == 639  # (around color, simple root) pairs over 287 families

@@ -24,7 +24,7 @@ from sphskel.skeleton import (
     reduced_elementary,
     validate,
 )
-from sphskel.sphroots import ALPHA, make_root
+from sphskel.sphroots import ALPHA, DOUBLE_ALPHA, SUM_OF_TWO, make_root
 
 
 def worked_example():
@@ -51,6 +51,33 @@ def test_a2_violation_detected():
     sk = worked_example()
     bad = sk._replace(colors=sk.colors[:1])
     assert any("A2" in v for v in validate(bad))
+
+
+def _bare(system: str, sigma, colors=()) -> skeleton.SphericalSkeleton:
+    """A skeleton with the given colors and no Gamma, built without checks."""
+    rs = RootSystem.parse(system)
+    roots = tuple(make_root(kind, emb, rs) for kind, emb in sigma)
+    return skeleton.SphericalSkeleton(rs, roots, frozenset(), tuple(colors), ())
+
+
+def test_violations_number_simple_roots_from_one():
+    # As the documents' sp and moved_by do; sigma[j] stays a list index.
+    around = skeleton.Color("D1", skeleton.AROUND, (0,), (2,), 1)
+    cases = [
+        (_bare("A1", []), "full colors: simple root 1 needs one around color"),
+        (_bare("A1", [(ALPHA, (0,))]), "axiom A2: 0 pair colors at simple root 1"),
+        (_bare("A1", [(ALPHA, (0,))], [around]), "D1: around color moved by [1]"),
+        (
+            _bare("A2", [(DOUBLE_ALPHA, (0,)), (ALPHA, (1,))]),
+            "axiom Sigma1: <alpha_1^vee, sigma[1]> = -1 is odd",
+        ),
+        (
+            _bare("A4", [(SUM_OF_TWO, (0, 2)), (ALPHA, (3,))]),
+            "axiom Sigma2: alpha^vee differs across 1+3",
+        ),
+    ]
+    for sk, message in cases:
+        assert message in validate(sk)
 
 
 def test_compatibility_violation_detected():
@@ -351,6 +378,6 @@ def test_violation_order_with_duplicate_ids_and_bad_color():
         "S^p contains an unknown simple root index",
         "divisor ids are not unique",
         "axiom A1: <rho(D1), sigma[0]> = 2 > 1",
-        "axiom A2: pair rows at 0 do not sum to alpha^vee",
+        "axiom A2: pair rows at 1 do not sum to alpha^vee",
         "D1: invariant divisor with positive pairing",
     ]
