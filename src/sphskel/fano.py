@@ -11,6 +11,8 @@ Q*) come from one double description run per document (polar_pair); the
 edges of Q* (geometry.adjacent), the rank criterion and the curve families
 read those masks.
 Points rho'(D)/m_D and vertices of Q* are ints where integral (quotient).
+The augmentation checks find the roots alpha and 2 alpha of sigma in the
+skeleton's one table of sigma against the simple roots (sigma_table).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .geometry import (
 )
 from .linalg import Vec, dot, format_rational, gcd_fold, primitive, quotient
 from .roots import parabolic_count
-from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, root_locator
+from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, sigma_table
+from .sphroots import SUM_OF_TWO
 from .pinv import PInvariantReport, compute_p
 
 
@@ -108,13 +111,13 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
 
     rs = sk.root_system
     n = rs.total_rank
-    root_at = root_locator(n, sk.sigma)
 
     if aug.coroot_on_m is None:
         warnings.append(
             "coroot values on M not supplied: axioms a2, sigma1, sigma2, s skipped"
         )
         return (out, warnings)
+    _, simple, doubled = sigma_table(rs, sk.sigma)
 
     for alpha, row in aug.coroot_on_m.items():
         if alpha >= n:
@@ -123,7 +126,7 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
             out.append(f"coroot_on_M[{alpha + 1}] has wrong length")
     # (a2) pair colors sum to the coroot on M.
     for alpha in range(n):
-        if root_at(alpha, 1) is None or alpha not in aug.coroot_on_m:
+        if alpha not in simple or alpha not in aug.coroot_on_m:
             continue
         pair = [
             c for c in sk.colors
@@ -141,12 +144,12 @@ def validate_augmentation(aug: AugmentedData) -> tuple[list[str], list[str]]:
         row = aug.coroot_on_m.get(alpha)
         if row is None:
             continue
-        if root_at(alpha, 2) is not None and any(x % 2 != 0 for x in row):
+        if alpha in doubled and any(x % 2 != 0 for x in row):
             out.append(f"axiom sigma1: <alpha_{alpha + 1}^vee, M> is not even")
         if alpha in sk.sp and any(x != 0 for x in row):
             out.append(f"axiom s: <alpha_{alpha + 1}^vee, M> != 0 for alpha in S^p")
     for g in sk.sigma:
-        if g.kind == "alpha+alpha":
+        if g.kind == SUM_OF_TWO:
             a, b = g.embedding
             ra, rb = aug.coroot_on_m.get(a), aug.coroot_on_m.get(b)
             if ra is not None and rb is not None and tuple(ra) != tuple(rb):

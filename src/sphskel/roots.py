@@ -5,11 +5,12 @@ Bourbaki numbering; all pairings go through the coroot pairing matrix
 ``M[i][j] = <alpha_i^vee, alpha_j>``, so no euclidean realization is
 needed.  Simple-root indices are 0-based internally and numbered factor by
 factor.  Root systems are frozen values, so the data derived from them is
-pure and memoised per process by value: the coroot matrix, and per
-(system, subset of simple roots) the positive roots and their sum 2 rho.
-One routine builds those roots, by root strings along the subset alone
-(Humphreys, *Introduction to Lie Algebras*, 10.4), so no caller lists the
-roots of a whole product system: |R+| is summed over the simple factors.
+pure and memoised per process by value: the coroot matrix, per (system,
+subset of simple roots) the positive roots and their sum 2 rho, and |R+|
+per simple type.  One routine builds those roots, by root strings along
+the subset alone (Humphreys, *Introduction to Lie Algebras*, 10.4), so no
+caller lists the roots of a whole product system: |R+| is summed over the
+simple factors.
 """
 
 from __future__ import annotations
@@ -142,9 +143,8 @@ class RootSystem(NamedTuple):
         return _coroot_matrix(self)
 
     def coroot_pairing(self, i: int, coeffs: Sequence[int | Q]) -> int | Q:
-        """<alpha_i^vee, sum coeffs_j alpha_j>."""
-        row = self.coroot_matrix()[i]
-        return sum(c * row[j] for j, c in enumerate(coeffs) if c)
+        """<alpha_i^vee, sum coeffs_j alpha_j>, reading no index past the rank."""
+        return sum(c * m for m, c in zip(self.coroot_matrix()[i], coeffs) if c)
 
 
 @cache
@@ -232,8 +232,13 @@ def two_rho(rs: RootSystem, s: frozenset[int]) -> tuple[int, ...]:
 
 def parabolic_count(rs: RootSystem, sp: Iterable[int]) -> int:
     """|R+| - |R+ generated by sp| (the dimension of G/P); |R+| per factor."""
-    whole = sum(len(positive_roots(RootSystem((f,)))) for f in rs.factors)
+    whole = sum(_positive_count(f) for f in rs.factors)
     return whole - len(positive_roots_of_subset(rs, sp))
+
+
+@cache
+def _positive_count(t: SimpleType) -> int:
+    return len(positive_roots(RootSystem((t,))))
 
 
 def matrix_isomorphisms(

@@ -4,13 +4,14 @@ The lattice spanned by the spherical roots is always coordinatized by the
 roots themselves (they are linearly independent), so a divisor is stored as
 its integer pairing row against sigma.  The full color set is stored
 explicitly, with the simple roots moving each color, because localization
-needs that data.
+needs that data.  Color reconstruction, the structural checks and fano's
+augmentation checks read one table of sigma against the simple roots.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import cone_contains
 from .linalg import rank
@@ -79,39 +80,41 @@ class SphericalSkeleton(NamedTuple):
         return tuple(c for c in self.colors if alpha in c.moved_by)
 
 
-def coroot_row(rs: RootSystem, alpha: int, sigma: Sequence[SphericalRoot]) -> tuple[int, ...]:
-    return tuple(int(rs.coroot_pairing(alpha, g.coeffs)) for g in sigma)
+def sigma_table(
+    rs: RootSystem, sigma: Sequence[SphericalRoot]
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int], dict[int, int]]:
+    """Sigma against the simple roots: ``(rows, simple, doubled)``.
 
-
-def root_locator(
-    n: int, sigma: Sequence[SphericalRoot]
-) -> Callable[[int, int], int | None]:
-    """``root_at(alpha, mult)``: the index in sigma of the spherical root
-    ``mult * alpha_alpha`` over ``n`` simple roots, or None."""
+    ``rows[alpha][j]`` is <alpha^vee, sigma[j]>; ``simple`` and ``doubled``
+    map alpha, in increasing order, to the last j with sigma[j] = alpha or
+    2 alpha over all n simple roots.
+    """
+    n = rs.total_rank
+    rows = tuple(tuple(rs.coroot_pairing(a, g.coeffs) for g in sigma) for a in range(n))
     index = {g.coeffs: j for j, g in enumerate(sigma)}
 
-    def root_at(alpha: int, mult: int) -> int | None:
-        return index.get(tuple(mult if j == alpha else 0 for j in range(n)))
+    def located(k: int) -> dict[int, int]:
+        units = (tuple(k if i == a else 0 for i in range(n)) for a in range(n))
+        return {a: index[u] for a, u in enumerate(units) if u in index}
 
-    return root_at
+    return rows, located(1), located(2)
+
+
+# How the pair colors at alpha split <alpha^vee, sigma[j]> for sigma[j] != alpha.
+_PAIR_SPLIT = {0: (0, 0), -1: (0, -1), -2: (-1, -1)}
 
 
 def build_full_colors(
-    rs: RootSystem,
-    sigma: Sequence[SphericalRoot],
-    sp: Iterable[int],
-    arrows: Iterable[tuple[int, int]] = (),
+    rs: RootSystem, sigma: Sequence[SphericalRoot], sp: Iterable[int]
 ) -> tuple[Color, ...]:
     """Reconstruct the full color set from a spherical system.
 
-    ``arrows`` lists pairs (alpha, root index) where the plus color of the
-    pair at alpha takes value -1; needed only when the coroot pairing is
-    odd, all even splits are forced.
+    All even splits are forced; an odd pairing -1 always goes to the minus
+    color of the pair.
     """
     n = rs.total_rank
     spset = frozenset(sp)
-    arrowset = frozenset(arrows)
-    root_at = root_locator(n, sigma)
+    rows, simple, doubled = sigma_table(rs, sigma)
 
     # Vertices joined into one color come exactly from the orthogonal
     # two-vertex sums in sigma.
@@ -145,61 +148,35 @@ def build_full_colors(
     for alpha in range(n):
         if alpha in spset:
             continue
-        if root_at(alpha, 1) is not None:
-            own = root_at(alpha, 1)
-            plus: list[int] = []
-            minus: list[int] = []
-            for j, g in enumerate(sigma):
-                if j == own:
-                    plus.append(1)
-                    minus.append(1)
-                    continue
-                v = int(rs.coroot_pairing(alpha, g.coeffs))
-                if v == 0:
-                    plus.append(0)
-                    minus.append(0)
-                elif v == -2:
-                    plus.append(-1)
-                    minus.append(-1)
-                elif v == -1:
-                    if (alpha, j) in arrowset:
-                        plus.append(-1)
-                        minus.append(0)
-                    else:
-                        plus.append(0)
-                        minus.append(-1)
-                else:
-                    raise ValueError(
-                        f"cannot split pairing {v} at simple root {alpha}"
-                    )
-            colors.append(Color(next_id(), PAIR_PLUS, (alpha,), tuple(plus), 1))
-            colors.append(Color(next_id(), PAIR_MINUS, (alpha,), tuple(minus), 1))
-        elif root_at(alpha, 2) is not None:
-            row = []
-            for g in sigma:
-                half, odd = divmod(rs.coroot_pairing(alpha, g.coeffs), 2)
-                if odd:
-                    raise ValueError(f"half color at {alpha} has fractional pairing")
-                row.append(half)
-            colors.append(Color(next_id(), HALF, (alpha,), tuple(row), 1))
+        if alpha in simple:
+            own, row = simple[alpha], rows[alpha]
+            stuck = [v for j, v in enumerate(row) if j != own and v not in _PAIR_SPLIT]
+            if stuck:
+                raise ValueError(f"cannot split pairing {stuck[0]} at simple root {alpha}")
+            split = [(1, 1) if j == own else _PAIR_SPLIT[v] for j, v in enumerate(row)]
+            plus, minus = zip(*split)
+            colors.append(Color(next_id(), PAIR_PLUS, (alpha,), plus, 1))
+            colors.append(Color(next_id(), PAIR_MINUS, (alpha,), minus, 1))
+        elif alpha in doubled:
+            if any(v % 2 for v in rows[alpha]):
+                raise ValueError(f"half color at {alpha} has fractional pairing")
+            half = tuple(v // 2 for v in rows[alpha])
+            colors.append(Color(next_id(), HALF, (alpha,), half, 1))
         else:
             group = tuple(sorted(groups[find(alpha)]))
-            if any(
-                root_at(beta, 1) is not None or root_at(beta, 2) is not None
-                for beta in group
-            ):
+            if any(beta in simple or beta in doubled for beta in group):
                 # Valid systems never join a plain circle to a pair or half
                 # vertex (axioms A1 / Sigma1 forbid it).
                 raise ValueError(f"joined circles at {group} mix color kinds")
             if alpha != group[0]:
                 continue
-            rows = {coroot_row(rs, beta, sigma) for beta in group}
-            if len(rows) != 1:
+            images = {rows[beta] for beta in group}
+            if len(images) != 1:
                 raise ValueError(f"joined circles at {group} have unequal images")
             ms = {anticanonical_coefficient(rs, spset, beta, sigma) for beta in group}
             if len(ms) != 1:
                 raise ValueError(f"joined circles at {group} have unequal coefficients")
-            colors.append(Color(next_id(), AROUND, group, rows.pop(), ms.pop()))
+            colors.append(Color(next_id(), AROUND, group, images.pop(), ms.pop()))
     return tuple(colors)
 
 
@@ -208,10 +185,9 @@ def make_skeleton(
     sigma: Sequence[SphericalRoot],
     sp: Iterable[int],
     gamma_rows: Sequence[tuple[str, Sequence[int]]] = (),
-    arrows: Iterable[tuple[int, int]] = (),
 ) -> SphericalSkeleton:
     """Build a skeleton with its full color set reconstructed from the system."""
-    colors = build_full_colors(rs, sigma, sp, arrows)
+    colors = build_full_colors(rs, sigma, sp)
     gamma = tuple(
         GammaDivisor(gid, tuple(int(v) for v in row)) for gid, row in gamma_rows
     )
@@ -280,9 +256,7 @@ def _structure_violations(
     head = tuple(out)
     out = []
 
-    root_at = root_locator(n, sigma)
-    sigma_simple = {a for a in range(n) if root_at(a, 1) is not None}
-    sigma_half = {a for a in range(n) if root_at(a, 2) is not None}
+    rows, simple, doubled = sigma_table(rs, sigma)
 
     for c in colors:
         if c.kind not in COLOR_KINDS:
@@ -302,13 +276,13 @@ def _structure_violations(
         if c.kind in (PAIR_PLUS, PAIR_MINUS):
             if c.m != 1:
                 out.append(f"{c.id}: colors of simple spherical roots have m = 1")
-            if not set(c.moved_by) <= sigma_simple:
+            if not set(c.moved_by) <= simple.keys():
                 out.append(f"{c.id}: pair color moved by a root outside Sigma∩S")
             for j, v in enumerate(c.pairings):
                 if v > 1:
                     out.append(f"axiom A1: <rho({c.id}), sigma[{j}]> = {v} > 1")
                 elif v == 1:
-                    moved = any(root_at(a, 1) == j for a in c.moved_by)
+                    moved = any(simple.get(a) == j for a in c.moved_by)
                     if not moved:
                         out.append(
                             f"axiom A1: <rho({c.id}), sigma[{j}]> = 1 but "
@@ -316,23 +290,22 @@ def _structure_violations(
                         )
         elif c.kind == HALF:
             (alpha,) = c.moved_by if len(c.moved_by) == 1 else (None,)
-            if alpha is None or alpha not in sigma_half:
+            if alpha is None or alpha not in doubled:
                 out.append(f"{c.id}: half color must be moved by one doubled root")
             else:
-                expected = [divmod(v, 2) for v in coroot_row(rs, alpha, sigma)]
-                if any(odd for _, odd in expected):
+                if any(v % 2 for v in rows[alpha]):
                     out.append(f"axiom Sigma1: <alpha^vee, Lambda> not even at {alpha + 1}")
-                elif tuple(half for half, _ in expected) != c.pairings:
+                elif tuple(v // 2 for v in rows[alpha]) != c.pairings:
                     out.append(f"{c.id}: half color row differs from alpha^vee/2")
                 if c.m != 1:
                     out.append(f"{c.id}: half colors have m = 1")
         else:  # around
-            bad = set(c.moved_by) & (sigma_simple | sigma_half | set(sp))
+            bad = set(c.moved_by) & (simple.keys() | doubled.keys() | sp)
             if bad:
                 out.append(f"{c.id}: around color moved by {[a + 1 for a in sorted(bad)]}")
                 continue
             for alpha in c.moved_by:
-                if coroot_row(rs, alpha, sigma) != c.pairings:
+                if rows[alpha] != c.pairings:
                     out.append(
                         f"{c.id}: around color row differs from alpha^vee at {alpha + 1}"
                     )
@@ -346,15 +319,15 @@ def _structure_violations(
         if alpha in sp:
             continue
         cs = [c for c in colors if alpha in c.moved_by]
-        if alpha in sigma_simple:
+        if alpha in simple:
             pair = [c for c in cs if c.kind in (PAIR_PLUS, PAIR_MINUS)]
             if len(pair) != 2:
                 out.append(f"axiom A2: {len(pair)} pair colors at simple root {alpha + 1}")
             else:
                 total = tuple(a + b for a, b in zip(pair[0].pairings, pair[1].pairings))
-                if total != coroot_row(rs, alpha, sigma):
+                if total != rows[alpha]:
                     out.append(f"axiom A2: pair rows at {alpha + 1} do not sum to alpha^vee")
-        elif alpha in sigma_half:
+        elif alpha in doubled:
             if len([c for c in cs if c.kind == HALF]) != 1:
                 out.append(f"full colors: doubled root {alpha + 1} needs one half color")
         else:
@@ -363,15 +336,14 @@ def _structure_violations(
 
     # Axiom A3 is structural here: pair colors are exactly the abstract set.
     for c in colors:
-        if c.kind in (PAIR_PLUS, PAIR_MINUS) and not set(c.moved_by) & sigma_simple:
+        if c.kind in (PAIR_PLUS, PAIR_MINUS) and not set(c.moved_by) & simple.keys():
             out.append(f"axiom A3: {c.id} is not moved through Sigma∩S")
 
-    for alpha in sigma_half:
-        for j, g in enumerate(sigma):
-            v = rs.coroot_pairing(alpha, g.coeffs)
+    for alpha, own in doubled.items():
+        for j, v in enumerate(rows[alpha]):
             if v % 2 != 0:
                 out.append(f"axiom Sigma1: <alpha_{alpha + 1}^vee, sigma[{j}]> = {v} is odd")
-            if root_at(alpha, 2) != j and v > 0:
+            if j != own and v > 0:
                 out.append(
                     f"axiom Sigma1: <alpha_{alpha + 1}^vee, sigma[{j}]> = {v} > 0"
                 )
@@ -379,7 +351,7 @@ def _structure_violations(
     for g in sigma:
         if g.kind == SUM_OF_TWO:
             a, b = g.embedding
-            if coroot_row(rs, a, sigma) != coroot_row(rs, b, sigma):
+            if rows[a] != rows[b]:
                 out.append(f"axiom Sigma2: alpha^vee differs across {a + 1}+{b + 1}")
     return head, tuple(out)
 

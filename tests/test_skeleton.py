@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+import json
 
 import pytest
 
 from conftest import load_fixture, permuted_copy, random_skeleton
 from sphskel import skeleton
-from sphskel.catalog import FamilySpec, generate, mark
+from sphskel.catalog import FamilySpec, all_specs, generate, mark
+from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem, SimpleType
 from sphskel.serialize import augmented_from_doc, skeleton_from_doc, skeleton_to_doc
 from sphskel.skeleton import (
     COLOR_KINDS,
     GammaDivisor,
+    InvalidSkeleton,
     SubsetNotInDelta,
     elementary,
     equivalent,
@@ -22,9 +26,10 @@ from sphskel.skeleton import (
     normalize,
     product,
     reduced_elementary,
+    sigma_table,
     validate,
 )
-from sphskel.sphroots import ALPHA, DOUBLE_ALPHA, SUM_OF_TWO, make_root
+from sphskel.sphroots import ALPHA, DOUBLE_ALPHA, SUM_OF_TWO, SphericalRoot, make_root
 
 
 def worked_example():
@@ -380,4 +385,131 @@ def test_violation_order_with_duplicate_ids_and_bad_color():
         "axiom A1: <rho(D1), sigma[0]> = 2 > 1",
         "axiom A2: pair rows at 1 do not sum to alpha^vee",
         "D1: invariant divisor with positive pairing",
+    ]
+
+
+def _root_locator(n, sigma):
+    """Oracle: the index in sigma of mult * alpha_alpha, looked up per call."""
+    index = {g.coeffs: j for j, g in enumerate(sigma)}
+
+    def root_at(alpha, mult):
+        return index.get(tuple(mult if j == alpha else 0 for j in range(n)))
+
+    return root_at
+
+
+def _coroot_row(rs, alpha, sigma):
+    """Oracle: one coroot row, one pairing at a time."""
+    return tuple(int(rs.coroot_pairing(alpha, g.coeffs)) for g in sigma)
+
+
+def _oracle_table(rs, sigma):
+    n = rs.total_rank
+    root_at = _root_locator(n, sigma)
+    rows = tuple(_coroot_row(rs, a, sigma) for a in range(n))
+    simple = {a: root_at(a, 1) for a in range(n) if root_at(a, 1) is not None}
+    doubled = {a: root_at(a, 2) for a in range(n) if root_at(a, 2) is not None}
+    return rows, simple, doubled
+
+
+def test_sigma_table_matches_the_oracle_on_catalog_and_seeded_skeletons(rng):
+    bases = [generate(spec) for spec in all_specs(8)]
+    seeded = [random_skeleton(rng) for _ in range(60)]
+    seeded += [permuted_copy(sk, rng) for sk in seeded]
+    assert any(len(sk.root_system.factors) > 1 for sk in seeded)
+    for sk in bases + seeded:
+        assert sigma_table(sk.root_system, sk.sigma) == _oracle_table(
+            sk.root_system, sk.sigma
+        )
+
+
+def test_sigma_table_keeps_the_last_index_of_a_repeated_root():
+    rs = RootSystem.parse("B3")
+    a1, a2, d3 = (
+        make_root(ALPHA, (0,), rs),
+        make_root(ALPHA, (1,), rs),
+        make_root(DOUBLE_ALPHA, (2,), rs),
+    )
+    sigma = (a1, d3, a2, a1, d3)
+    rows, simple, doubled = sigma_table(rs, sigma)
+    assert simple == {0: 3, 1: 2} and doubled == {2: 4}
+    assert (rows, simple, doubled) == _oracle_table(rs, sigma)
+
+
+def test_sigma_table_on_short_and_over_long_vectors():
+    rs = RootSystem.parse("A3")
+    cases = [
+        ((1,), (1, 0, 0)),
+        ((0, 2), (0, 2, 0)),
+        ((1, 0, 0, 0), (1, 0, 0)),
+        ((0, 0, 2, 5), (0, 0, 2)),
+        ((1, 1, 0, 0, 7), (1, 1, 0)),
+    ]
+    for coeffs, within in cases:
+        odd = SphericalRoot(ALPHA, (0,), coeffs)
+        plain = SphericalRoot(ALPHA, (0,), within)
+        rows, simple, doubled = sigma_table(rs, (odd,))
+        # Entries past the rank are not read, and missing ones count as 0;
+        # only vectors over all n simple roots name a simple root.
+        assert rows == sigma_table(rs, (plain,))[0]
+        assert simple == doubled == {}
+        assert (rows, simple, doubled) == _oracle_table(rs, (odd,))
+
+
+def test_odd_pairing_goes_to_the_minus_color():
+    rs = RootSystem.parse("A2")
+    sk = make_skeleton(rs, [make_root(ALPHA, (0,), rs), make_root(ALPHA, (1,), rs)], ())
+    assert [(c.kind, c.moved_by, c.pairings) for c in sk.colors] == [
+        (skeleton.PAIR_PLUS, (0,), (1, 0)),
+        (skeleton.PAIR_MINUS, (0,), (1, -1)),
+        (skeleton.PAIR_PLUS, (1,), (0, 1)),
+        (skeleton.PAIR_MINUS, (1,), (-1, 1)),
+    ]
+    assert validate(sk) == []
+
+
+# Digest of generate(spec).colors for every catalog spec up to rank 8, as
+# reconstructed before the Sigma table: 287 specs, 1,008 colors.
+COLORS_DIGEST_RANK_8 = "22d7f9c5fc6c0abe156473aaa8ba666fd2799a77a499f755aad7f2d3e2f7c2c5"
+
+
+def test_reconstructed_colors_unchanged():
+    doc = [[str(spec), [list(c) for c in generate(spec).colors]] for spec in all_specs(8)]
+    assert (len(doc), sum(len(colors) for _, colors in doc)) == (287, 1008)
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == COLORS_DIGEST_RANK_8
+
+
+def test_over_long_sigma_vectors_give_violations_not_index_errors():
+    a2, a3 = RootSystem.parse("A2"), RootSystem.parse("A3")
+    shapes = [
+        make_skeleton(a2, [make_root(DOUBLE_ALPHA, (0,), a2)], ())._replace(
+            sigma=(SphericalRoot(DOUBLE_ALPHA, (0,), (2, 0, 1)),)
+        ),
+        make_skeleton(a3, [make_root(DOUBLE_ALPHA, (0,), a3)], (2,))._replace(
+            sigma=(SphericalRoot(DOUBLE_ALPHA, (0,), (2, 0, 0, 1)),)
+        ),
+        make_skeleton(a2, [make_root(ALPHA, (0,), a2)], ())._replace(
+            sigma=(SphericalRoot(ALPHA, (0,), (1, 0, 1)),), colors=()
+        ),
+    ]
+    for sk in shapes:
+        problems = validate(sk)
+        assert problems[0] == "sigma[0]: stored expansion differs from its pattern"
+        with pytest.raises(InvalidSkeleton) as info:
+            compute_p(sk)
+        assert info.value.violations == problems
+    assert validate(shapes[0]) == [
+        "sigma[0]: stored expansion differs from its pattern",
+        "D1: half color must be moved by one doubled root",
+        "full colors: simple root 1 needs one around color",
+    ]
+
+
+def test_sigma1_messages_follow_the_simple_roots():
+    # Two doubled roots past the eighth simple root: in simple-root order.
+    sigma = [(DOUBLE_ALPHA, (9,)), (DOUBLE_ALPHA, (3,)), (ALPHA, (2,)), (ALPHA, (8,))]
+    assert [v for v in validate(_bare("A4xA6", sigma)) if "Sigma1" in v] == [
+        "axiom Sigma1: <alpha_4^vee, sigma[2]> = -1 is odd",
+        "axiom Sigma1: <alpha_10^vee, sigma[3]> = -1 is odd",
     ]
