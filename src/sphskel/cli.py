@@ -10,8 +10,11 @@ Commands:
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
 error (one ``internal error: ...`` line on stderr).
 
-The argument parser is built once per process; ``main`` can be called any
-number of times in one process, and each call parses and dispatches anew.
+The argument parsers are built once per process; ``main`` can be called
+any number of times in one process, and each call parses and dispatches
+anew.  When the first argument names a command, that command's own parser
+reads the rest, skipping the top-level pass; the result, and every help,
+usage and error text, is what ``parse_args`` on the top-level parser gives.
 Output is deterministic byte for byte: JSON goes out through
 ``serialize.dumps`` (stdout) and ``serialize.dump`` (``verify --json``).
 ``verify`` runs one serial sweep over the catalog; it still accepts
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -41,11 +45,32 @@ EXIT_INTERNAL = 3
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
+        return json.loads(text)
     except OSError as exc:
         raise serialize.DocumentError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise serialize.DocumentError(str(exc)) from exc
+    except RecursionError as exc:  # the parser recurses once per level
+        raise serialize.DocumentError(
+            f"$: arrays and objects nested {_nesting_depth(text)} levels deep, "
+            "too deep to parse"
+        ) from exc
+
+
+def _nesting_depth(text: str) -> int:
+    """How deep the arrays and objects of JSON ``text`` nest.  Each token is
+    a whole string, whose brackets do not count, or one bracket; a string
+    left open runs to the end of the text."""
+    depth = deepest = 0
+    for match in re.finditer(r'"(?:\\.|[^"\\])*"?|[][{}]', text):
+        token = match.group()
+        if token in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif token in "]}":
+            depth -= 1
+    return deepest
 
 
 def _emit(doc: dict) -> None:
@@ -311,7 +336,8 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="sphskel",
         description="Exact p-invariant computations on spherical skeletons",
@@ -344,12 +370,39 @@ def _parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("catalog-list", help="list the symmetric families")
     _common_flags(p_list)
-    return parser
+    return parser, sub.choices
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The top-level parser."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, in one parse where it can be.
+
+    When ``argv[0]`` names a command, its own parser reads the rest, as the
+    top-level parser's subcommand action would; what it leaves over is
+    reported by the top-level parser, as ``parse_args`` reports it.  Any
+    other argv (empty, help, an unknown command) takes the two-level parse,
+    so every help, usage and error text is argparse's own."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "compute-p":
         if not args.path and not args.family:
             parser.error("compute-p needs a path or --family")

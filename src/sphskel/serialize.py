@@ -4,10 +4,10 @@ Integers read from a document stay ints; only quotients, such as an
 optimum, are Fractions.  ``linalg.format_rational`` renders both as exact
 "p/q" strings (plain "p" for integers); floats never appear.  Skeleton
 documents are validated against the packaged structural schema (parsed
-once per process) and reject unknown fields.  ``dumps`` and ``dump`` write
-reports (str, int, bool, None, lists, tuples and str-keyed dicts; anything
-else raises TypeError) as the exact text of ``json.dumps(doc, indent=2,
-sort_keys=True)``.
+once per process, and compiled into checkers on its first use) and reject
+unknown fields.  ``dumps`` and ``dump`` write reports (str, int, bool,
+None, lists, tuples and str-keyed dicts; anything else raises TypeError)
+as the exact text of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import io
 import json
 from fractions import Fraction as Q
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .fano import AugmentedData
 from .linalg import format_rational
@@ -41,56 +41,131 @@ def parse_rational(text: str) -> Q | None:
 
 
 # ---------------------------------------------------------------------------
-# Minimal structural schema interpreter (type / required / properties /
+# Minimal structural schema checker (type / required / properties /
 # additionalProperties / items / enum / minimum), enough to express the
 # documents.  additionalProperties is false (reject unknown fields) or a
-# schema that every field not in properties must satisfy.
+# schema that every field not in properties must satisfy.  Each schema is
+# compiled once into nested checkers, which read no schema dict while they
+# run.  A checker ``check(value, path, out)`` appends the messages for
+# ``value`` to ``out``: a failed type test is the node's only message;
+# then enum, minimum, required fields, unknown fields in document order and
+# known fields in schema order, and array items in order.
 
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-}
+# The class of each schema type.  A value of exactly that class, as JSON
+# parsing gives, passes at once; any other value passes if it is an
+# instance, except that a bool is no integer.
+_TYPES = {"object": dict, "array": list, "integer": int, "string": str}
+
+
+def _is_a(value: Any, cls: type) -> bool:
+    return type(value) is cls or (isinstance(value, cls) and not isinstance(value, bool))
+
+
+Checker = Callable[[Any, str, list], None]
+
+# id(schema) -> (schema, its checker).  The entry holds the schema, so its
+# id is never reused for another object; a schema must not change after its
+# first check.
+_COMPILED: dict[int, tuple[dict, Checker]] = {}
 
 
 def _schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
+    """Every structural violation of ``doc`` against ``schema``, in order.
+    The schema is compiled on its first check."""
+    entry = _COMPILED.get(id(schema))
+    if entry is None:
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
     out: list[str] = []
+    entry[1](doc, path, out)
+    return out
+
+
+def _compile(schema: dict) -> Checker:
     expected = schema.get("type")
-    if expected:
-        if not _TYPE_CHECKS[expected](doc):
-            return [f"{path}: expected {expected}"]
-    if "enum" in schema and doc not in schema["enum"]:
-        out.append(f"{path}: {doc!r} not one of {schema['enum']}")
-    if "minimum" in schema and doc < schema["minimum"]:
-        out.append(f"{path}: {doc!r} is below {schema['minimum']}")
+    cls = _TYPES[expected] if expected else None
+    steps: list[Checker] = []
+    if "enum" in schema:
+        steps.append(_compile_enum(schema["enum"]))
+    if "minimum" in schema:
+        steps.append(_compile_minimum(schema["minimum"]))
     if expected == "object":
-        props = schema.get("properties", {})
-        for key in schema.get("required", []):
+        steps.append(_compile_object(schema))
+    if expected == "array" and "items" in schema:
+        steps.append(_compile_items(schema["items"]))
+
+    def check(value: Any, path: str, out: list) -> None:
+        if cls is not None and type(value) is not cls and not _is_a(value, cls):
+            out.append(f"{path}: expected {expected}")
+            return
+        for step in steps:
+            step(value, path, out)
+
+    return check
+
+
+def _compile_enum(enum: list) -> Checker:
+    def check(value: Any, path: str, out: list) -> None:
+        if value not in enum:
+            out.append(f"{path}: {value!r} not one of {enum}")
+
+    return check
+
+
+def _compile_minimum(minimum: int) -> Checker:
+    def check(value: Any, path: str, out: list) -> None:
+        if value < minimum:
+            out.append(f"{path}: {value!r} is below {minimum}")
+
+    return check
+
+
+def _compile_object(schema: dict) -> Checker:
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    known = props.keys()
+    required = tuple(schema.get("required", ()))
+    extra = schema.get("additionalProperties", True)
+    closed = extra is False
+    extra_check = _compile(extra) if isinstance(extra, dict) else None
+
+    def check(doc: dict, path: str, out: list) -> None:
+        for key in required:
             if key not in doc:
                 out.append(f"{path}: missing required field {key!r}")
-        extra = schema.get("additionalProperties", True)
-        for key in doc:
-            if key in props:
-                continue
-            if extra is False:
-                out.append(f"{path}: unknown field {key!r}")
-            elif isinstance(extra, dict):
-                out.extend(_schema_check(doc[key], extra, f"{path}.{key}"))
+        if (closed or extra_check) and not known >= doc.keys():
+            for key in doc:
+                if key in known:
+                    continue
+                if closed:
+                    out.append(f"{path}: unknown field {key!r}")
+                else:
+                    extra_check(doc[key], f"{path}.{key}", out)
         for key, sub in props.items():
             if key in doc:
-                out.extend(_schema_check(doc[key], sub, f"{path}.{key}"))
-    if expected == "array" and "items" in schema:
-        items = schema["items"]
-        if items.keys() == {"type"}:  # a leaf item schema: one type test per item
-            leaf, check = items["type"], _TYPE_CHECKS[items["type"]]
+                sub(doc[key], f"{path}.{key}", out)
+
+    return check
+
+
+def _compile_items(items: dict) -> Checker:
+    if items.keys() == {"type"}:  # a leaf item schema: one type test per item
+        leaf = items["type"]
+        cls = _TYPES[leaf]
+
+        def check_leaves(doc: list, path: str, out: list) -> None:
+            if set(map(type, doc)) <= {cls}:  # every item of exactly that class
+                return
             out += [
-                f"{path}[{i}]: expected {leaf}" for i, x in enumerate(doc) if not check(x)
+                f"{path}[{i}]: expected {leaf}" for i, x in enumerate(doc) if not _is_a(x, cls)
             ]
-        else:
-            for i, item in enumerate(doc):
-                out.extend(_schema_check(item, items, f"{path}[{i}]"))
-    return out
+
+        return check_leaves
+    item = _compile(items)
+
+    def check(doc: list, path: str, out: list) -> None:
+        for i, x in enumerate(doc):
+            item(x, f"{path}[{i}]", out)
+
+    return check
 
 
 @functools.cache

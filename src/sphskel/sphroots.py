@@ -6,6 +6,8 @@ dotted circle (excluded from S^p but contributing no color), and the
 implied color slots with their pairing values.  Embeddings into an ambient
 root system are checked against the support's coroot pairing template, so
 bond multiplicities and short/long orientation must match exactly.
+``pattern`` builds each row once per (kind, support size) and process;
+every embedding and every document read shares it.
 
 A color's anticanonical coefficient needs only the positive roots of S^p:
 <alpha^vee, rho> = 1 for every simple root alpha (Humphreys 10.2), so
@@ -15,6 +17,8 @@ outside S^p because the coroot matrix is <= 0 off the diagonal.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
 from .roots import RootSystem, SimpleType, _simple_coroot_matrix, two_rho
@@ -85,8 +89,11 @@ def _a1xa1() -> tuple[tuple[int, ...], ...]:
     return ((2, 0), (0, 2))
 
 
+@cache
 def pattern(kind: str, size: int | None = None) -> SphericalRootPattern:
-    """Instantiate a table row; sized kinds need their support size."""
+    """Instantiate a table row; sized kinds need their support size.  Each
+    (kind, size) row is built once per process and shared: rows are
+    NamedTuples of tuples and frozensets, so no caller can change one."""
     if kind == ALPHA:
         return SphericalRootPattern(
             kind, 1, _tpl("A", 1), (1,), frozenset(), frozenset(),
@@ -232,8 +239,6 @@ def embed_from_coeffs(
     """Recover an embedded root from its pattern tag and expansion vector."""
     support = [i for i, c in enumerate(coeffs) if c]
     pat = pattern(kind, len(support))
-    from itertools import permutations
-
     for emb in permutations(support):
         if any(coeffs[a] != pat.expansion[p] for p, a in enumerate(emb)):
             continue

@@ -527,3 +527,67 @@ def test_fano_scaled_outputs_are_byte_identical(name, tmp_path, capsys):
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+COMMANDS = ("compute-p", "verify", "fano", "smoothness", "catalog-list")
+
+# Argument vectors that main parses in one pass (a command first) or two
+# (anything else): help, usage errors, leftovers, "--" and valid lines.
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "--json"], ["--json"],
+    ["--", "catalog-list"], ["-h", "compute-p"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command, "--help", "--bogus"] for command in COMMANDS),
+    ["verify"], ["verify", "all", "--meta"], ["verify", "tables", "extra", "--x"],
+    ["verify", "some"], ["compute-p", "--mark", "x"], ["compute-p", "a.json", "-h"],
+    ["compute-p", "a.json", "b.json"], ["fano"], ["smoothness", "a.json", "--divisors"],
+    ["compute-p", "--", "a.json"], ["compute-p", "a.json", "--", "--json"],
+    ["verify", "--", "all"], ["catalog-list", "--"], ["fano", "--", "-a.json"],
+    ["compute-p", "a.json", "--json"], ["compute-p", "--family", "2:G2", "--mark", "1"],
+    ["compute-p", "--fam", "2:G2", "--mark=1", "--csv"],
+    ["verify", "all", "--max-rank", "3", "--jobs", "2", "--json", "r.json"],
+    ["fano", "a.json", "--json"], ["smoothness", "a.json", "--divisors", "D1,D2"],
+    ["catalog-list", "--json"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = ("namespace", parse(argv))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(monkeypatch, capsys, argv):
+    seen = []
+    for command in COMMANDS:
+        handler = "cmd_" + command.replace("-", "_")
+        monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or 0)
+
+    def through_main(argv):
+        assert main(list(argv)) == 0
+        return seen.pop()
+
+    expected = _parse_outcome(cli._parser().parse_args, argv, capsys)
+    assert _parse_outcome(through_main, argv, capsys) == expected
+    if expected[0][0] == "exit":
+        assert expected[0][1] in (0, 2) and (expected[1] or expected[2])
+
+
+def test_dispatch_table_covers_both_outcomes(capsys):
+    kinds = [_parse_outcome(cli._parser().parse_args, argv, capsys)[0][0] for argv in DISPATCH_ARGVS]
+    assert kinds.count("namespace") >= 8 and kinds.count("exit") >= 20
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["sphskel", "compute-p", "--family", "2:G2", "--mark", "1"])
+    assert main() == 0
+    assert "p = 2" in capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["sphskel", "verify", "all", "--meta"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("sphskel: error: unrecognized arguments: --meta\n")

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from conftest import load_fixture
-from sphskel.cli import main
+from sphskel.cli import _nesting_depth, main
 
 SEED = 20261018
 MUTANTS = 500
@@ -119,3 +119,50 @@ def test_mutated_documents_exit_0_or_2(tmp_path, capsys, name):
     assert not problems, f"{len(problems)} escapes:\n" + "\n".join(problems[:5])
     # The mutations must reach both sides of the boundary.
     assert codes.count(2) > len(codes) // 2 and 0 in codes
+
+
+# Nesting past the JSON parser's recursion limit, and nesting that parses.
+DEPTHS = (500, 100_000)
+NESTED_FIELD = {"ex35.json": "sp", "ex32_fano.json": "sigma_in_M"}
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("where", ["top", "field"])
+@pytest.mark.parametrize(
+    "argv",
+    [("compute-p",), ("compute-p", "--json"), ("smoothness",), ("fano", "--json")],
+    ids=" ".join,
+)
+def test_deep_nesting_exits_2_with_violations(tmp_path, capsys, argv, where, depth):
+    name = "ex32_fano.json" if argv[0] == "fano" else "ex35.json"
+    nested = "[" * depth + "]" * depth
+    if where == "top":
+        text = nested
+    else:
+        doc = load_fixture(name)
+        doc[NESTED_FIELD[name]] = "NESTED"
+        text = json.dumps(doc).replace('"NESTED"', nested)
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    runs = []
+    for _ in range(2):
+        code = main([argv[0], str(path), *argv[1:]])
+        runs.append((code, capsys.readouterr()))
+    (code, first), (again, second) = runs
+    assert code == again == 2
+    assert (first.out, first.err) == (second.out, second.err)
+    if "--json" in argv:
+        violations = json.loads(first.out)["violations"]
+    else:
+        assert first.out == ""
+        violations = [line.removeprefix("violation: ") for line in first.err.splitlines()]
+    assert violations and "Traceback" not in first.err
+    if depth > 1000:
+        levels = depth + (where == "field")
+        assert violations == [f"$: arrays and objects nested {levels} levels deep, too deep to parse"]
+
+
+def test_nesting_depth_counts_no_bracket_inside_a_string():
+    assert _nesting_depth('[{"a]": "x\\"]["}, [[]]]') == 3
+    assert _nesting_depth('[["[[[') == 2  # a string left open
+    assert _nesting_depth('"[[" 1') == 0

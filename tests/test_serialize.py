@@ -4,7 +4,10 @@ import copy
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -29,6 +32,8 @@ from sphskel.serialize import (
 from sphskel.skeleton import COLOR_KINDS
 from sphskel.sphroots import PATTERN_KINDS
 from test_fano import toric_projective_space
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_rational_rendering():
@@ -120,7 +125,7 @@ def test_schema_enums_match_the_code():
 
 
 # ---------------------------------------------------------------------------
-# The schema interpreter against its recursive form.
+# The compiled schema checker against the recursive interpreter.
 
 _ORACLE_TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -131,8 +136,9 @@ _ORACLE_TYPE_CHECKS = {
 
 
 def _recursive_schema_check(doc: Any, schema: dict, path: str = "$") -> list[str]:
-    """The interpreter as it was before leaf-typed arrays were checked in
-    one loop: every array item is a recursive call.  The oracle."""
+    """The schema interpreter as it was before leaf-typed arrays were checked
+    in one loop and before schemas were compiled: it reads the schema dict
+    at every node, and every array item is a recursive call.  The oracle."""
     out: list[str] = []
     expected = schema.get("type")
     if expected:
@@ -273,6 +279,25 @@ def test_true_in_an_integer_array_is_named_at_its_index(name, path, at, message)
     schema = _schema_for(doc)
     expected = _recursive_schema_check(doc, schema)
     assert _schema_check(doc, schema) == expected == [message]
+
+
+def test_checkers_are_kept_per_live_schema():
+    # Each schema dict is dropped before the next is made, so a checker
+    # memo keyed by a bare id() would hand a freed id's checker on.
+    for n in range(50):
+        schema = {"type": "array", "items": {"type": "integer", "minimum": n}}
+        assert _schema_check([n - 1, n], schema) == [f"$[0]: {n - 1} is below {n}"]
+        del schema
+
+
+def test_importing_the_cli_compiles_no_schema():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sphskel.cli; "
+        "from sphskel import serialize; "
+        "sys.exit(bool(serialize._COMPILED) or serialize.load_schema.cache_info().currsize)"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], timeout=60)
+    assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------

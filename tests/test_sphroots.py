@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sphskel.catalog import all_specs, generate
 from sphskel.roots import RootSystem
 from sphskel.sphroots import (
     A3_MIDDLE,
@@ -17,6 +18,7 @@ from sphskel.sphroots import (
     F4_ROOT,
     G2_DOUBLED,
     G2_SHORT_SUM,
+    PATTERN_KINDS,
     SIZED_KINDS,
     SUM_OF_TWO,
     BadEmbedding,
@@ -172,3 +174,37 @@ def test_g2_short_sum_dotted_vertex_excluded_from_sp():
     assert root.coeffs == (1, 1)
     assert root.sp_vertices() == frozenset()
     assert not is_compatible(root, (0,), rs)
+
+
+def _frozen(value) -> bool:
+    """True when ``value`` is built of ints, strs, tuples and frozensets only."""
+    if isinstance(value, (int, str)):
+        return True
+    return isinstance(value, (tuple, frozenset)) and all(_frozen(v) for v in value)
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_pattern_memo_equals_a_fresh_row(kind):
+    accepted = 0
+    for size in range(1, 9):
+        try:
+            fresh = pattern.__wrapped__(kind, size)
+        except ValueError:
+            with pytest.raises(ValueError):
+                pattern(kind, size)
+            continue
+        row = pattern(kind, size)
+        assert row == fresh and row is pattern(kind, size)
+        assert _frozen(row), (kind, size)
+        accepted += 1
+    assert accepted
+
+
+def test_embed_from_coeffs_gives_back_every_catalog_sigma():
+    count = 0
+    for spec in all_specs(8):
+        sk = generate(spec)
+        for root in sk.sigma:
+            assert embed_from_coeffs(root.kind, root.coeffs, sk.root_system) == root, spec
+            count += 1
+    assert count == 867
