@@ -1,11 +1,16 @@
 """Generators for the symmetric families and table verification sweeps.
 
 Each family is stored as structured data: ambient root system, spherical
-roots as embedded table patterns, and the parabolic set S^p.  The full
-color sets (with anticanonical coefficients) are reconstructed from that
-data, and a marking adds one invariant divisor pairing -1 with the chosen
-spherical root.  The closed-form value registries drive the verification
-sweeps; they are the external cross-check that the family data is right.
+roots as embedded table patterns, and the parabolic set S^p.  One table,
+``PARAMETRIC_FAMILIES``, states each parametric family's ambient type, its
+parameters and the (l, m) it admits; ``FamilySpec.parse``, ``_system``,
+``all_specs`` and ``listing`` (the ``catalog-list`` text) all read it.  The
+full color sets (with anticanonical coefficients) are reconstructed from
+that data, and a marking adds one invariant divisor pairing -1 with the
+chosen spherical root.  The closed-form value registries drive the
+verification sweeps; they are the external cross-check that the family
+data is right.  A sweep solves each marking once into one ``CatalogRow``,
+which both the table and the equality reports read.
 """
 
 from __future__ import annotations
@@ -89,53 +94,67 @@ class FamilySpec(NamedTuple):
         return FamilySpec(fam, l=l, m=m)
 
 
-_PAR_RULES: dict[str, Callable[[int, int], bool]] = {
-    "3": lambda l, m: l >= 1 and m >= 0,
-    "4": lambda l, m: m >= 0,
-    "5": lambda l, m: m >= 2,
-    "6": lambda l, m: m >= 1,
-    "8": lambda l, m: l >= 1,
-    "9": lambda l, m: (m == 0 and l >= 2) or (m >= 1 and l >= 1),
-    "10/11": lambda l, m: (m == 0 and l >= 2) or (m >= 1 and l >= 1),
-    "12": lambda l, m: m >= 2,
-    "13": lambda l, m: m >= 2,
-    "14": lambda l, m: l >= 2,
-    "15": lambda l, m: (
-        (m == 0 and l >= 3)
-        or (m == 1 and l >= 2)
-        or (m >= 2 and l >= 1)
-        or (m >= 3 and l == 0)
+class Family(NamedTuple):
+    """One parametric family: its ambient simple type (a letter, and a rank
+    in l and m), the parameters its label names, and the (l, m) it admits,
+    as a rule and as the text ``catalog-list`` prints."""
+
+    letter: str
+    rank: Callable[[int, int], int]
+    params: str  # "l", "m" or "lm"
+    rule: Callable[[int, int], bool]
+    conditions: str
+
+
+_PAIRED = (  # families 9 and 10/11
+    lambda l, m: (m == 0 and l >= 2) or (m >= 1 and l >= 1),
+    "(m = 0, l >= 2) or (m >= 1, l >= 1)",
+)
+
+PARAMETRIC_FAMILIES: dict[str, Family] = {
+    "3": Family("A", lambda l, m: 2 * m + l, "lm", lambda l, m: l >= 1 and m >= 0,
+                "l >= 1, m >= 0"),
+    "4": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 0, "m >= 0"),
+    "5": Family("A", lambda l, m: m, "m", lambda l, m: m >= 2, "m >= 2"),
+    "6": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 1, "m >= 1"),
+    "8": Family("B", lambda l, m: l + 1, "l", lambda l, m: l >= 1, "l >= 1"),
+    "9": Family("B", lambda l, m: m + l, "lm", *_PAIRED),
+    "10/11": Family("C", lambda l, m: 2 * m + l + 1, "lm", *_PAIRED),
+    "12": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2"),
+    "13": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2"),
+    "14": Family("D", lambda l, m: l + 2, "l", lambda l, m: l >= 2, "l >= 2"),
+    "15": Family(
+        "D", lambda l, m: m + l + 1, "lm",
+        lambda l, m: (
+            (m == 0 and l >= 3)
+            or (m == 1 and l >= 2)
+            or (m >= 2 and l >= 1)
+            or (m >= 3 and l == 0)
+        ),
+        "(m = 0, l >= 3) or (m = 1, l >= 2) or (m >= 2, l >= 1) or (m >= 3, l = 0)",
     ),
-    "16/1": lambda l, m: m >= 1,
-    "16/2": lambda l, m: m >= 1,
-    "17": lambda l, m: m >= 1,
-}
-
-_USES_L = {"3", "8", "9", "10/11", "14", "15"}
-
-_AMBIENT_RANK: dict[str, Callable[[int, int], int]] = {
-    "3": lambda l, m: 2 * m + l,
-    "4": lambda l, m: 2 * m + 1,
-    "5": lambda l, m: m,
-    "6": lambda l, m: 2 * m + 1,
-    "8": lambda l, m: l + 1,
-    "9": lambda l, m: m + l,
-    "10/11": lambda l, m: 2 * m + l + 1,
-    "12": lambda l, m: m + 1,
-    "13": lambda l, m: m + 1,
-    "14": lambda l, m: l + 2,
-    "15": lambda l, m: m + l + 1,
-    "16/1": lambda l, m: 2 * m + 3,
-    "16/2": lambda l, m: 2 * m + 2,
-    "17": lambda l, m: 2 * m + 2,
+    "16/1": Family("D", lambda l, m: 2 * m + 3, "m", lambda l, m: m >= 1, "m >= 1"),
+    "16/2": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
+    "17": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
 }
 
 FIXED_FAMILIES = (
     "18", "19", "20", "21", "22", "23", "24",
     "25", "26", "27", "28", "29", "30",
 )
-PARAMETRIC_FAMILIES = tuple(_PAR_RULES)
-FAMILIES = ("2",) + PARAMETRIC_FAMILIES + FIXED_FAMILIES
+FAMILIES = ("2", *PARAMETRIC_FAMILIES, *FIXED_FAMILIES)
+
+
+def listing() -> list[tuple[str, str]]:
+    """(spec form, parameter conditions) of every family, in catalog order."""
+    return [
+        ("2:<type>", "group embeddings, type A1..G2 (e.g. 2:A3, 2:E6)"),
+        *(
+            (f"{fam}:" + ",".join(f"{p}=.." for p in family.params), family.conditions)
+            for fam, family in PARAMETRIC_FAMILIES.items()
+        ),
+        *((fam, "fixed") for fam in FIXED_FAMILIES),
+    ]
 
 
 def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozenset[int]]:
@@ -153,12 +172,13 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
 
     l = spec.l if spec.l is not None else 0
     m = spec.m if spec.m is not None else 0
-    if fam not in _PAR_RULES or not _PAR_RULES[fam](l, m):
+    family = PARAMETRIC_FAMILIES.get(fam)
+    if family is None or not family.rule(l, m):
         raise ParameterOutOfRange(f"parameters l={l}, m={m} out of range for {fam}")
+    n = family.rank(l, m)
+    rs = RootSystem((SimpleType(family.letter, n),))
 
     if fam == "3":
-        n = 2 * m + l
-        rs = RootSystem.parse(f"A{n}")
         sigma = [make_root(SUM_OF_TWO, (k, n - 1 - k), rs) for k in range(m)]
         if l == 1:
             sigma.append(make_root(ALPHA, (m,), rs))
@@ -168,22 +188,17 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
             sp = frozenset(range(m + 1, m + l - 1))
         return rs, sigma, sp
     if fam == "4":
-        n = 2 * m + 1
-        rs = RootSystem.parse(f"A{n}")
         sigma = [make_root(SUM_OF_TWO, (k, n - 1 - k), rs) for k in range(m)]
         sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
         return rs, sigma, frozenset()
     if fam == "5":
-        rs = RootSystem.parse(f"A{m}")
         return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)], frozenset()
     if fam == "6":
-        rs = RootSystem.parse(f"A{2 * m + 1}")
         sigma = [
             make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
         ]
         return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
     if fam == "8":
-        rs = RootSystem.parse(f"B{l + 1}")
         sigma = [make_root(ALPHA, (0,), rs)]
         if l == 1:
             sigma.append(make_root(DOUBLE_ALPHA, (1,), rs))
@@ -191,7 +206,6 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
         sigma.append(make_root(B_CHAIN_DOUBLED, tuple(range(1, l + 1)), rs))
         return rs, sigma, frozenset(range(2, l + 1))
     if fam == "9":
-        rs = RootSystem.parse(f"B{m + l}")
         sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
         if l == 1:
             sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
@@ -199,7 +213,6 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
         sigma.append(make_root(B_CHAIN_DOUBLED, tuple(range(m, m + l)), rs))
         return rs, sigma, frozenset(range(m + 1, m + l))
     if fam == "10/11":
-        rs = RootSystem.parse(f"C{2 * m + l + 1}")
         sigma = [
             make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
         ]
@@ -213,22 +226,18 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
             sp |= set(range(2 * m + 2, 2 * m + l + 1))
         return rs, sigma, frozenset(sp)
     if fam == "12":
-        rs = RootSystem.parse(f"C{m + 1}")
         sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
         sigma.append(make_root(ALPHA, (m,), rs))
         return rs, sigma, frozenset()
     if fam == "13":
-        rs = RootSystem.parse(f"C{m + 1}")
         return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m + 1)], frozenset()
     if fam == "14":
-        rs = RootSystem.parse(f"D{l + 2}")
         sigma = [
             make_root(ALPHA, (0,), rs),
             make_root(D_CHAIN, tuple(range(1, l + 2)), rs),
         ]
         return rs, sigma, frozenset(range(2, l + 2))
     if fam == "15":
-        rs = RootSystem.parse(f"D{m + l + 1}")
         sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
         if l == 0:
             sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
@@ -239,21 +248,18 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
         sigma.append(make_root(D_CHAIN, tuple(range(m, m + l + 1)), rs))
         return rs, sigma, frozenset(range(m + 1, m + l + 1))
     if fam == "16/1":
-        rs = RootSystem.parse(f"D{2 * m + 3}")
         sigma = [
             make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
         ]
         sigma.append(make_root(A_CHAIN, (2 * m + 1, 2 * m, 2 * m + 2), rs))
         return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
-    if fam in ("16/2", "17"):
-        rs = RootSystem.parse(f"D{2 * m + 2}")
-        sigma = [
-            make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
-        ]
-        kind = ALPHA if fam == "16/2" else DOUBLE_ALPHA
-        sigma.append(make_root(kind, (2 * m + 1,), rs))
-        return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
-    raise ParameterOutOfRange(f"unknown family {fam!r}")
+    # 16/2 and 17
+    sigma = [
+        make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
+    ]
+    kind = ALPHA if fam == "16/2" else DOUBLE_ALPHA
+    sigma.append(make_root(kind, (2 * m + 1,), rs))
+    return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
 
 
 def _fixed_system(fam: str) -> tuple[RootSystem, list[SphericalRoot], frozenset[int]]:
@@ -491,18 +497,15 @@ def all_specs(max_rank: int = 8) -> Iterator[FamilySpec]:
     for letter, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
         if n <= max_rank:
             yield FamilySpec("2", series=SimpleType(letter, n))
-    for fam in PARAMETRIC_FAMILIES:
-        rank_of = _AMBIENT_RANK[fam]
-        rule = _PAR_RULES[fam]
-        if fam in _USES_L:
-            for l in range(0, max_rank + 3):
-                for m in range(0, max_rank + 1):
-                    if rule(l, m) and 1 <= rank_of(l, m) <= max_rank:
-                        yield FamilySpec(fam, l=l, m=m)
-        else:
-            for m in range(0, max_rank + 1):
-                if rule(0, m) and 1 <= rank_of(0, m) <= max_rank:
-                    yield FamilySpec(fam, m=m)
+    for fam, family in PARAMETRIC_FAMILIES.items():
+        # Families 8 and 14 take only l, but m is swept for them too: the
+        # benchmark references pin their labels `8:l=..,m=..` (ROADMAP item
+        # 1, Program follow-ups).
+        uses_l = "l" in family.params
+        for l in range(max_rank + 3 if uses_l else 1):
+            for m in range(max_rank + 1):
+                if family.rule(l, m) and 1 <= family.rank(l, m) <= max_rank:
+                    yield FamilySpec(fam, l=l if uses_l else None, m=m)
     for fam in FIXED_FAMILIES:
         rank = _fixed_system(fam)[0].total_rank
         if rank <= max_rank:
@@ -552,16 +555,28 @@ def equality_entries(spec: FamilySpec) -> dict[int, tuple[int | Q, ...]]:
 # ---------------------------------------------------------------------------
 # Verification sweeps.
 
-class TableRow(NamedTuple):
+class CatalogRow(NamedTuple):
+    """One catalog marking, solved once and read by both tables."""
+
     family: str
     params: str
     marking: int
     expected: int | Q
-    actual: Q | None
+    p_value: Q | None
     bound: int
-    match: bool
     theta: tuple[str, ...] | None  # optimal vertex and dual as "p/q", None at p = +inf
     dual: tuple[str, ...] | None
+    listed: bool  # an equality case of the paper's list
+    is_equality: bool
+    theta_ok: bool  # printed vertex feasible and attaining (listed rows only)
+
+    @property
+    def table_match(self) -> bool:
+        return self.p_value == self.expected
+
+    @property
+    def equality_match(self) -> bool:
+        return self.listed == self.is_equality and (not self.listed or self.theta_ok)
 
 
 def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
@@ -572,30 +587,14 @@ def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
     return tasks
 
 
-class EqualityRow(NamedTuple):
-    family: str
-    params: str
-    marking: int
-    listed: bool
-    p_value: Q | None
-    bound: int
-    is_equality: bool
-    theta_ok: bool  # printed vertex feasible and attaining (listed rows only)
-
-    @property
-    def match(self) -> bool:
-        return self.listed == self.is_equality and (not self.listed or self.theta_ok)
-
-
-def _evaluate(spec: FamilySpec, k: int) -> tuple[TableRow, EqualityRow]:
-    """Solve one marking once and report it for both tables.
+def _evaluate(spec: FamilySpec, k: int) -> CatalogRow:
+    """Solve one marking once.
 
     For listed markings the printed optimal vertex must be feasible and
     attain the value; every other marking must be strictly below the bound.
     """
     sk = mark(spec, k)
     report = compute_p(sk)
-    expected = expected_value(spec, k)
     listed = equality_entries(spec)
     theta_ok = True
     if k in listed:
@@ -605,39 +604,29 @@ def _evaluate(spec: FamilySpec, k: int) -> tuple[TableRow, EqualityRow]:
             and evaluate_objective(sk, theta) == report.p_value
         )
     fam, _, params = spec.label().partition(":")
-    table = TableRow(
+    return CatalogRow(
         fam,
         params,
         k,
-        expected,
+        expected_value(spec, k),
         report.p_value,
         report.bound,
-        report.p_value == expected,
         _texts(report.theta),
         _texts(report.dual),
-    )
-    equality = EqualityRow(
-        fam,
-        params,
-        k,
         k in listed,
-        report.p_value,
-        report.bound,
         report.is_equality,
         theta_ok,
     )
-    return table, equality
 
 
 def _texts(values: Sequence[Q] | None) -> tuple[str, ...] | None:
     return None if values is None else tuple(map(format_rational, values))
 
 
-def verify_catalog(max_rank: int = 8) -> tuple[list[TableRow], list[EqualityRow]]:
-    """One sweep over every (family, params, marking): table and equality rows.
+def verify_catalog(max_rank: int = 8) -> list[CatalogRow]:
+    """One sweep over every (family, params, marking).
 
-    The table rows recompute every table value; the equality rows check that
-    the bound is attained exactly on the listed markings.
+    Each row recomputes its table value, and checks that the bound is
+    attained exactly on the listed markings.
     """
-    pairs = [_evaluate(spec, k) for spec, k in table_tasks(max_rank)]
-    return [t for t, _ in pairs], [e for _, e in pairs]
+    return [_evaluate(spec, k) for spec, k in table_tasks(max_rank)]

@@ -6,6 +6,7 @@ Commands:
   fano          reflexivity, curves, and Mukai report for augmented data
   smoothness    localized equality test at a divisor subset
   catalog-list  list the symmetric families and their parameter ranges
+                (``catalog.listing``; this module holds no family data)
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, 3 internal
 error (one ``internal error: ...`` line on stderr).
@@ -150,31 +151,29 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc: dict = {}
     failures = 0
-    tables, equality = catalog.verify_catalog(max_rank=args.max_rank)
-    if not tables:
+    rows = catalog.verify_catalog(max_rank=args.max_rank)
+    if not rows:
         print(
             f"violation: --max-rank {args.max_rank} selects no catalog marking",
             file=sys.stderr,
         )
         return EXIT_INVALID
     if args.what in ("tables", "all"):
-        rows = tables
-        bad = [r for r in rows if not r.match]
+        bad = [r for r in rows if not r.table_match]
         failures += len(bad)
         print(f"tables: {len(rows)} rows, {len(bad)} mismatches")
         for r in bad:
             print(
                 f"  MISMATCH {r.family} {r.params} gamma_{r.marking}: "
                 f"expected {serialize.format_rational(r.expected)}, "
-                f"got {serialize.format_rational(r.actual)}"
+                f"got {serialize.format_rational(r.p_value)}"
             )
         doc["tables"] = serialize.table_rows_to_json(rows)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as handle:
                 handle.write(serialize.table_rows_to_csv(rows))
     if args.what in ("equality", "all"):
-        rows = equality
-        bad = [r for r in rows if not r.match]
+        bad = [r for r in rows if not r.equality_match]
         failures += len(bad)
         listed = sum(1 for r in rows if r.listed)
         print(
@@ -306,26 +305,7 @@ def cmd_smoothness(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog_list(args: argparse.Namespace) -> int:
-    lines = [
-        ("2:<type>", "group embeddings, type A1..G2 (e.g. 2:A3, 2:E6)"),
-        ("3:l=..,m=..", "l >= 1, m >= 0"),
-        ("4:m=..", "m >= 0"),
-        ("5:m=..", "m >= 2"),
-        ("6:m=..", "m >= 1"),
-        ("8:l=..", "l >= 1"),
-        ("9:l=..,m=..", "(m = 0, l >= 2) or (m >= 1, l >= 1)"),
-        ("10/11:l=..,m=..", "(m = 0, l >= 2) or (m >= 1, l >= 1)"),
-        ("12:m=..", "m >= 2"),
-        ("13:m=..", "m >= 2"),
-        ("14:l=..", "l >= 2"),
-        (
-            "15:l=..,m=..",
-            "(m = 0, l >= 3) or (m = 1, l >= 2) or (m >= 2, l >= 1) or (m >= 3, l = 0)",
-        ),
-        ("16/1:m=..", "m >= 1"),
-        ("16/2:m=..", "m >= 1"),
-        ("17:m=..", "m >= 1"),
-    ] + [(fam, "fixed") for fam in catalog.FIXED_FAMILIES]
+    lines = catalog.listing()
     if args.json:
         _emit({"families": [{"spec": s, "conditions": c} for s, c in lines]})
     else:

@@ -229,9 +229,9 @@ def supported_vertex_indices(
     return tuple(out)
 
 
-def build_fano(aug: AugmentedData, check: bool = True) -> FanoPolytope:
+def build_fano(aug: AugmentedData) -> FanoPolytope:
     violations, fp = reflexive_polytopes(aug)
-    if check and violations:
+    if violations:
         raise FanoDataError("; ".join(violations))
     return require_supported(fp)
 

@@ -42,12 +42,11 @@ def skeleton_lp(sk: SphericalSkeleton) -> lp.LpProblem:
     return lp.LpProblem(c, a, tuple(sk.coefficients()))
 
 
-def compute_p(sk: SphericalSkeleton, check: bool = True) -> PInvariantReport:
+def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
     """Value of the invariant, optimal vertex, dual certificate, Mukai gap."""
-    if check:
-        violations = validate(sk)
-        if violations:
-            raise InvalidSkeleton(violations)
+    violations = validate(sk)
+    if violations:
+        raise InvalidSkeleton(violations)
     problem = skeleton_lp(sk)
     base = sum(m - 1 for m in sk.coefficients())
     bound = parabolic_count(sk.root_system, sk.sp)

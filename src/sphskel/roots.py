@@ -244,7 +244,7 @@ def _positive_count(t: SimpleType) -> int:
 def matrix_isomorphisms(
     m1: Sequence[Sequence[int]], m2: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
-    """All bijections phi with m2[phi(i)][phi(j)] == m1[i][j].
+    """Every bijection phi with m2[phi(i)][phi(j)] == m1[i][j], in lexicographic order.
 
     Used for Dynkin-diagram isomorphisms (the coroot pairing matrix
     determines the labeled diagram) and for sub-diagram classification.
@@ -254,30 +254,36 @@ def matrix_isomorphisms(
         return
     sig1 = [tuple(sorted(m1[i])) for i in range(n)]
     sig2 = [tuple(sorted(m2[i])) for i in range(n)]
-    assignment: list[int] = []
+    phi: list[int] = []  # the images of the rows of m1 placed so far
     used = [False] * n
-
-    def backtrack() -> Iterator[tuple[int, ...]]:
-        i = len(assignment)
+    cand = 0  # the next row of m2 to try for row len(phi) of m1
+    # One frame, not one generator per row: a caller that stops at the
+    # first isomorphism closes it cheaply.
+    while True:
+        i = len(phi)
         if i == n:
-            yield tuple(assignment)
+            yield tuple(phi)
+            cand = n
+        while cand < n and (
+            used[cand]
+            or sig1[i] != sig2[cand]
+            or m1[i][i] != m2[cand][cand]
+            or any(
+                m1[i][j] != m2[cand][c] or m1[j][i] != m2[c][cand]
+                for j, c in enumerate(phi)
+            )
+        ):
+            cand += 1
+        if cand < n:
+            phi.append(cand)
+            used[cand] = True
+            cand = 0
+        elif phi:  # nothing extends phi: move its last row on to the next image
+            cand = phi.pop()
+            used[cand] = False
+            cand += 1
+        else:
             return
-        for cand in range(n):
-            if used[cand] or sig1[i] != sig2[cand]:
-                continue
-            ok = True
-            for j in range(i):
-                if m1[i][j] != m2[cand][assignment[j]] or m1[j][i] != m2[assignment[j]][cand]:
-                    ok = False
-                    break
-            if ok and m1[i][i] == m2[cand][cand]:
-                assignment.append(cand)
-                used[cand] = True
-                yield from backtrack()
-                assignment.pop()
-                used[cand] = False
-
-    yield from backtrack()
 
 
 _TYPE_ORDER = "ABCDEFG"
@@ -318,21 +324,15 @@ def classify_subsystem(
     offset = 0
     for comp in components:
         sub = [[m[i][j] for j in comp] for i in comp]
-        match: tuple[SimpleType, tuple[int, ...]] | None = None
         for letter in _TYPE_ORDER:
             if not _RANK_RULES[letter](len(comp)):
                 continue
             t = SimpleType(letter, len(comp))
-            best = None
-            for phi in matrix_isomorphisms(sub, _simple_coroot_matrix(t)):
-                if best is None or phi < best:
-                    best = phi
-            if best is not None:
-                match = (t, best)
+            phi = next(matrix_isomorphisms(sub, _simple_coroot_matrix(t)), None)
+            if phi is not None:
                 break
-        if match is None:
+        else:
             raise ValueError(f"subset {comp} is not a finite-type diagram")
-        t, phi = match
         factors.append(t)
         for local, old in enumerate(comp):
             mapping[old] = offset + phi[local]

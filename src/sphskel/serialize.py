@@ -317,10 +317,10 @@ def table_rows_to_csv(rows: Sequence) -> str:
                 r.family,
                 r.params,
                 r.marking,
-                r.actual.numerator if r.actual is not None else "inf",
-                r.actual.denominator if r.actual is not None else "",
+                r.p_value.numerator if r.p_value is not None else "inf",
+                r.p_value.denominator if r.p_value is not None else "",
                 r.bound,
-                "yes" if r.match else "no",
+                "yes" if r.table_match else "no",
             ]
         )
     return buf.getvalue()
@@ -334,9 +334,9 @@ def table_rows_to_json(rows: Sequence) -> list[dict]:
             "params": r.params,
             "marking": r.marking,
             "expected": format_rational(r.expected),
-            "p": format_rational(r.actual),
+            "p": format_rational(r.p_value),
             "bound": r.bound,
-            "match": r.match,
+            "match": r.table_match,
         }
         if r.theta is not None:
             entry["theta"] = list(r.theta)
@@ -357,7 +357,7 @@ def equality_rows_to_json(rows: Sequence) -> list[dict]:
             "bound": r.bound,
             "equality": r.is_equality,
             "theta_ok": r.theta_ok,
-            "match": r.match,
+            "match": r.equality_match,
         }
         for r in rows
     ]

@@ -7,7 +7,9 @@ implied color slots with their pairing values.  Embeddings into an ambient
 root system are checked against the support's coroot pairing template, so
 bond multiplicities and short/long orientation must match exactly.
 ``pattern`` builds each row once per (kind, support size) and process;
-every embedding and every document read shares it.
+every embedding and every document read shares it.  A document's root is
+found among the isomorphisms of its pattern's diagram onto the support's
+(``roots.matrix_isomorphisms``), never among all orderings of the support.
 
 A color's anticanonical coefficient needs only the positive roots of S^p:
 <alpha^vee, rho> = 1 for every simple root alpha (Humphreys 10.2), so
@@ -18,10 +20,15 @@ outside S^p because the coroot matrix is <= 0 off the diagonal.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
-from .roots import RootSystem, SimpleType, _simple_coroot_matrix, two_rho
+from .roots import (
+    RootSystem,
+    SimpleType,
+    _simple_coroot_matrix,
+    matrix_isomorphisms,
+    two_rho,
+)
 
 ALPHA = "alpha"
 DOUBLE_ALPHA = "2alpha"
@@ -236,18 +243,19 @@ def make_root(kind: str, embedding: Sequence[int], rs: RootSystem) -> SphericalR
 def embed_from_coeffs(
     kind: str, coeffs: Sequence[int], rs: RootSystem
 ) -> SphericalRoot:
-    """Recover an embedded root from its pattern tag and expansion vector."""
+    """Recover an embedded root from its pattern tag and expansion vector:
+    the first diagram isomorphism, in lexicographic order, that carries it."""
     support = [i for i, c in enumerate(coeffs) if c]
     pat = pattern(kind, len(support))
-    for emb in permutations(support):
-        if any(coeffs[a] != pat.expansion[p] for p, a in enumerate(emb)):
-            continue
-        try:
-            root = make_root(kind, emb, rs)
-        except BadEmbedding:
-            continue
-        if list(root.coeffs) == [int(c) for c in coeffs]:
-            return root
+    m = rs.coroot_matrix()
+    if len(coeffs) == len(m):
+        sub = [[m[a][b] for b in support] for a in support]
+        for phi in matrix_isomorphisms(pat.template, sub):
+            emb = tuple(support[i] for i in phi)
+            if all(coeffs[a] == pat.expansion[p] for p, a in enumerate(emb)):
+                # What make_root checks, the isomorphism has: the support
+                # induces the pattern's diagram.
+                return SphericalRoot(kind, emb, tuple(map(int, coeffs)))
     raise BadEmbedding(f"no {kind} embedding matches coefficients {list(coeffs)}")
 
 

@@ -197,8 +197,8 @@ def test_expected_value_spot_checks():
 
 
 def test_verify_tables_small_budget():
-    rows = verify_catalog(max_rank=4)[0]
-    assert rows and all(r.match for r in rows)
+    rows = verify_catalog(max_rank=4)
+    assert rows and all(r.table_match for r in rows)
 
 
 # Digest of the rank-4 table rows (with certificates) and equality rows as
@@ -207,20 +207,31 @@ SWEEP_DIGEST_RANK_4 = "56e6aa5608bc062b6ca144782bf3837736ff4f776a5ffa5574c359d83
 
 
 def test_verify_sweep_rows_unchanged():
-    tables, equality = verify_catalog(max_rank=4)
+    rows = verify_catalog(max_rank=4)
     doc = {
-        "tables": table_rows_to_json(tables),
-        "equality": equality_rows_to_json(equality),
+        "tables": table_rows_to_json(rows),
+        "equality": equality_rows_to_json(rows),
     }
     text = json.dumps(doc, sort_keys=True).encode()
-    assert len(tables) == len(equality) == 157
+    assert len(rows) == 157
     assert hashlib.sha256(text).hexdigest() == SWEEP_DIGEST_RANK_4
 
 
 def test_verify_equality_small_budget():
-    rows = verify_catalog(max_rank=4)[1]
-    assert rows and all(r.match for r in rows)
+    rows = verify_catalog(max_rank=4)
+    assert rows and all(r.equality_match for r in rows)
     assert any(r.listed for r in rows)
+
+
+def test_a_listed_row_matches_only_with_its_printed_vertex():
+    row = verify_catalog(max_rank=1)[0]
+    assert (row.family, row.params, row.marking) == ("2", "A1", 1)
+    assert row.listed and row.is_equality and row.theta_ok and row.equality_match
+    assert not row._replace(theta_ok=False).equality_match
+    assert not row._replace(is_equality=False).equality_match
+    assert not row._replace(listed=False).equality_match
+    assert row._replace(listed=False, is_equality=False, theta_ok=False).equality_match
+    assert not row._replace(expected=row.p_value + 1).table_match
 
 
 def test_equality_entries_match_sigma_sizes():

@@ -359,6 +359,34 @@ def test_catalog_list(capsys):
             assert accepted, (l, m)
 
 
+# sha256 of the stdout of `catalog-list` and `catalog-list --json`, recorded
+# when cli.py still held the family table as text (aa37b78).
+CATALOG_LIST_DIGESTS = {
+    (): "802fe241bf383c53b7ee2c1d8d22b8ed06d1db6129a16e52f7a9cb3895393506",
+    ("--json",): "f7275e892612d6051b9588e2b7299c5bc5916adafc6054623723a285725bdc02",
+}
+
+
+@pytest.mark.parametrize("flags", list(CATALOG_LIST_DIGESTS), ids=" ".join)
+def test_catalog_list_output_unchanged(capsys, flags):
+    assert main(["catalog-list", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_LIST_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("fam", list(catalog.PARAMETRIC_FAMILIES))
+def test_family_rule_reads_as_its_conditions(fam):
+    family = catalog.PARAMETRIC_FAMILIES[fam]
+    # "(m = 0, l >= 2) or ..." as a Python expression in l and m.
+    text = family.conditions.replace(" = ", " == ").replace(",", " and")
+    for l, m in product(range(8), repeat=2):
+        assert family.rule(l, m) == eval(text, {}, {"l": l, "m": m}), (l, m)
+        # The rule and the rank read only the parameters the label names.
+        shifted = (l + ("l" not in family.params), m + ("m" not in family.params))
+        assert family.rule(*shifted) == family.rule(l, m), (l, m)
+        assert family.rank(*shifted) == family.rank(l, m), (l, m)
+
+
 def _raise_runtime_error(args):
     raise RuntimeError("unexpected\nstate")
 
@@ -380,7 +408,7 @@ def test_internal_error_exit_code(monkeypatch, capsys, command, argv):
 
 
 def test_internal_error_deep_in_a_command(monkeypatch, capsys):
-    def broken(sk, check=True):
+    def broken(sk):
         raise RuntimeError("solver state")
 
     monkeypatch.setattr(pinv, "compute_p", broken)

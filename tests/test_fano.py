@@ -131,6 +131,8 @@ def test_shifted_polytope_violates_interior_condition():
         coroot_on_m=None,
     )
     assert any("(2)" in v for v in fano.validate_reflexive(shifted))
+    with pytest.raises(fano.FanoDataError, match=r"\(2\)"):
+        fano.build_fano(shifted)
 
 
 def test_wrong_rho_prime_breaks_restriction_law():
@@ -388,22 +390,6 @@ def test_one_pass_matches_separate_steps():
     assert fano.mukai_check(fp, curves) == fano.mukai_check(fp)
     invariant = compute_p(aug.skeleton)
     assert fano.mukai_check(fp, curves, invariant) == fano.mukai_check(fp)
-
-
-def test_unchecked_build_still_needs_interior_origin():
-    aug = ex32()
-    shifted = fano.AugmentedData(
-        skeleton=aug.skeleton,
-        lattice_rank=2,
-        sigma_in_m=aug.sigma_in_m,
-        rho_prime={k: tuple(x + 1 for x in v) for k, v in aug.rho_prime.items()},
-        m=aug.m,
-        coroot_on_m=None,
-    )
-    with pytest.raises(fano.FanoDataError, match=r"\(2\)"):
-        fano.build_fano(shifted)
-    with pytest.raises(fano.OriginNotInterior):
-        fano.build_fano(shifted, check=False)
 
 
 def _cross_check_documents():

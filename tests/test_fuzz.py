@@ -6,7 +6,10 @@ repeated or reordered, keys dropped or added) and run through
 ``cli.main``.  Malformed input must exit 2 with violations and valid input
 exit 0: never 1 (table mismatch) or 3 (internal error), never a traceback.
 Each document runs twice and must print the same both times, which also
-covers the per-value memo of the structural skeleton checks.
+covers the per-value memo of the structural skeleton checks.  Text that
+breaks before the document exists (nesting past the parser's recursion
+limit, truncated text, a BOM, invalid UTF-8, NaN, Infinity, 1e400, an int
+past the 4,300-digit conversion limit) must exit 2 the same way.
 """
 
 from __future__ import annotations
@@ -121,6 +124,26 @@ def test_mutated_documents_exit_0_or_2(tmp_path, capsys, name):
     assert codes.count(2) > len(codes) // 2 and 0 in codes
 
 
+def _invalid_twice(capsys, argv: list[str]) -> list[str]:
+    """Run argv twice; both runs exit 2 with the same output, and the
+    violations they report (from the --json document, or stderr) are
+    returned."""
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        runs.append((code, capsys.readouterr()))
+    (code, first), (again, second) = runs
+    assert code == again == 2
+    assert (first.out, first.err) == (second.out, second.err)
+    if "--json" in argv:
+        violations = json.loads(first.out)["violations"]
+    else:
+        assert first.out == ""
+        violations = [line.removeprefix("violation: ") for line in first.err.splitlines()]
+    assert violations and "Traceback" not in first.err
+    return violations
+
+
 # Nesting past the JSON parser's recursion limit, and nesting that parses.
 DEPTHS = (500, 100_000)
 NESTED_FIELD = {"ex35.json": "sp", "ex32_fano.json": "sigma_in_M"}
@@ -144,19 +167,7 @@ def test_deep_nesting_exits_2_with_violations(tmp_path, capsys, argv, where, dep
         text = json.dumps(doc).replace('"NESTED"', nested)
     path = tmp_path / "nested.json"
     path.write_text(text)
-    runs = []
-    for _ in range(2):
-        code = main([argv[0], str(path), *argv[1:]])
-        runs.append((code, capsys.readouterr()))
-    (code, first), (again, second) = runs
-    assert code == again == 2
-    assert (first.out, first.err) == (second.out, second.err)
-    if "--json" in argv:
-        violations = json.loads(first.out)["violations"]
-    else:
-        assert first.out == ""
-        violations = [line.removeprefix("violation: ") for line in first.err.splitlines()]
-    assert violations and "Traceback" not in first.err
+    violations = _invalid_twice(capsys, [argv[0], str(path), *argv[1:]])
     if depth > 1000:
         levels = depth + (where == "field")
         assert violations == [f"$: arrays and objects nested {levels} levels deep, too deep to parse"]
@@ -166,3 +177,37 @@ def test_nesting_depth_counts_no_bracket_inside_a_string():
     assert _nesting_depth('[{"a]": "x\\"]["}, [[]]]') == 3
     assert _nesting_depth('[["[[[') == 2  # a string left open
     assert _nesting_depth('"[[" 1') == 0
+
+
+def _text_case(name: str, case: str) -> bytes:
+    """The fixture document as bytes, broken at the text level."""
+    doc = load_fixture(name)
+    raw = json.dumps(doc, indent=2).encode()
+    if case == "truncated":
+        return raw[: len(raw) // 2]
+    if case == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if case == "invalid utf-8":
+        return raw.replace(b'"A1"', b'"A\xff1"', 1)
+    # A number token JSON's grammar or Python's int conversion refuses, in
+    # the anticanonical coefficient of the first color.
+    skeleton = doc.get("skeleton", doc)
+    skeleton["colors"][0]["m"] = "VALUE"
+    token = {"NaN": "NaN", "Infinity": "Infinity", "1e400": "1e400", "4301 digits": "1" * 4301}
+    return json.dumps(doc, indent=2).replace('"VALUE"', token[case]).encode()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["truncated", "bom", "invalid utf-8", "NaN", "Infinity", "1e400", "4301 digits"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("compute-p",), ("compute-p", "--json"), ("smoothness",), ("fano", "--json")],
+    ids=" ".join,
+)
+def test_broken_text_exits_2_with_violations(tmp_path, capsys, argv, case):
+    name = "ex32_fano.json" if argv[0] == "fano" else "ex35.json"
+    path = tmp_path / "broken.json"
+    path.write_bytes(_text_case(name, case))
+    _invalid_twice(capsys, [argv[0], str(path), *argv[1:]])

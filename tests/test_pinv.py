@@ -71,7 +71,7 @@ def test_unbounded_without_gamma():
 
 def test_nonnegative_on_randoms(rng):
     for _ in range(60):
-        rep = compute_p(random_skeleton(rng), check=False)
+        rep = compute_p(random_skeleton(rng))
         if rep.finite:
             assert rep.p_value >= 0
 
@@ -80,7 +80,7 @@ def test_monotone_under_reductions(rng):
     for _ in range(40):
         sk = random_skeleton(rng)
         values = [
-            compute_p(s, check=False).p_value
+            compute_p(s).p_value
             for s in (sk, elementary(sk), reduced_elementary(sk))
         ]
         cleaned = [v if v is not None else Q(10**9) for v in values]
@@ -90,8 +90,8 @@ def test_monotone_under_reductions(rng):
 def test_additive_under_product(rng):
     for _ in range(25):
         a, b = random_skeleton(rng), random_skeleton(rng)
-        pa, pb = compute_p(a, check=False), compute_p(b, check=False)
-        pab = compute_p(product(a, b), check=False)
+        pa, pb = compute_p(a), compute_p(b)
+        pab = compute_p(product(a, b))
         if pa.finite and pb.finite:
             assert pab.p_value == pa.p_value + pb.p_value
         else:
@@ -103,13 +103,13 @@ def test_invariant_under_relabeling(rng):
         sk = random_skeleton(rng)
         other = permuted_copy(sk, rng)
         assert validate(other) == []
-        assert compute_p(sk, check=False).p_value == compute_p(other, check=False).p_value
+        assert compute_p(sk).p_value == compute_p(other).p_value
 
 
 def test_theta_is_vertex_of_feasible_region(rng):
     for _ in range(25):
         sk = random_skeleton(rng)
-        rep = compute_p(sk, check=False)
+        rep = compute_p(sk)
         if not rep.finite or not sk.sigma:
             continue
         assert theta_feasible(sk, rep.theta)

@@ -31,7 +31,6 @@ def _samples() -> list:
     spec = catalog.FamilySpec.parse("2:B2")
     sk = catalog.mark(spec, 1)
     report = pinv.compute_p(sk)
-    table_row, equality_row = catalog._evaluate(spec, 1)
     aug = augmented_from_doc(load_fixture("ex32_fano.json"))
     fp = fano.build_fano(aug)
     return [
@@ -50,8 +49,8 @@ def _samples() -> list:
         fp.q,
         report,
         spec,
-        table_row,
-        equality_row,
+        catalog._evaluate(spec, 1),
+        catalog.PARAMETRIC_FAMILIES["3"],
         aug,
         fp,
         fano.curve_degrees(fp),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -116,6 +116,26 @@ def test_matrix_isomorphisms_b2_c2_flip():
     b2 = RootSystem.parse("B2").coroot_matrix()
     c2 = RootSystem.parse("C2").coroot_matrix()
     assert list(matrix_isomorphisms(b2, c2)) == [(1, 0)]
+
+
+def test_matrix_isomorphisms_are_every_bijection_in_lexicographic_order():
+    # classify_subsystem and sphroots.embed_from_coeffs take the first one
+    # as the least.
+    rng = random.Random(7)
+    for text in ("A1xA1xA1xA1", "A3xA3", "D4xA1", "A2xG2xA2", "E6", "B2xC2", "C3xB3"):
+        m1 = RootSystem.parse(text).coroot_matrix()
+        n = len(m1)
+        shuffle = rng.sample(range(n), n)
+        m2 = [[m1[shuffle[i]][shuffle[j]] for j in range(n)] for i in range(n)]
+        for target in (m1, m2, RootSystem.parse(f"A{n}").coroot_matrix()):
+            brute = [
+                phi for phi in permutations(range(n))
+                if all(target[phi[i]][phi[j]] == m1[i][j] for i in range(n) for j in range(n))
+            ]
+            assert list(matrix_isomorphisms(m1, target)) == brute, text
+    # Entries alone do not force a bijection here.
+    zero = [[0] * 3] * 3
+    assert list(matrix_isomorphisms(zero, zero)) == list(permutations(range(3)))
 
 
 def test_classify_subsystem_relabels():

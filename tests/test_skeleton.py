@@ -506,6 +506,24 @@ def test_over_long_sigma_vectors_give_violations_not_index_errors():
     ]
 
 
+def test_ragged_sigma_vectors_give_violations_and_no_false_dependence():
+    a2 = RootSystem.parse("A2")
+    base = make_skeleton(a2, [make_root(ALPHA, (0,), a2), make_root(ALPHA, (1,), a2)], ())
+    long_first = (SphericalRoot(ALPHA, (1,), (0, 0, 1)), SphericalRoot(ALPHA, (0,), (1, 0)))
+    short_first = (SphericalRoot(ALPHA, (0,), (1,)), make_root(ALPHA, (1,), a2))
+    for sigma in (long_first, short_first):
+        sk = base._replace(sigma=sigma)
+        problems = validate(sk)
+        assert problems[0] == "sigma[0]: stored expansion differs from its pattern"
+        assert "sigma is linearly dependent" not in problems
+        with pytest.raises(InvalidSkeleton) as info:
+            compute_p(sk)
+        assert info.value.violations == problems
+    # Padded with zeros, a repeated vector is still dependent.
+    dependent = (SphericalRoot(ALPHA, (0,), (1,)), SphericalRoot(ALPHA, (0,), (1, 0)))
+    assert "sigma is linearly dependent" in validate(base._replace(sigma=dependent))
+
+
 def test_sigma1_messages_follow_the_simple_roots():
     # Two doubled roots past the eighth simple root: in simple-root order.
     sigma = [(DOUBLE_ALPHA, (9,)), (DOUBLE_ALPHA, (3,)), (ALPHA, (2,)), (ALPHA, (8,))]

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import json
+import random
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
+from conftest import permuted_copy
 from sphskel.catalog import all_specs, generate
-from sphskel.roots import RootSystem
+from sphskel.cli import main
+from sphskel.roots import RootSystem, matrix_isomorphisms
 from sphskel.sphroots import (
     A3_MIDDLE,
     A_CHAIN,
@@ -22,6 +31,7 @@ from sphskel.sphroots import (
     SIZED_KINDS,
     SUM_OF_TWO,
     BadEmbedding,
+    SphericalRoot,
     anticanonical_coefficient,
     embed_from_coeffs,
     is_compatible,
@@ -208,3 +218,142 @@ def test_embed_from_coeffs_gives_back_every_catalog_sigma():
             assert embed_from_coeffs(root.kind, root.coeffs, sk.root_system) == root, spec
             count += 1
     assert count == 867
+
+
+def _embed_by_permutations(kind, coeffs, rs):
+    """The permutation scan that embed_from_coeffs replaced: the reference."""
+    support = [i for i, c in enumerate(coeffs) if c]
+    pat = pattern(kind, len(support))
+    for emb in permutations(support):
+        if any(coeffs[a] != pat.expansion[p] for p, a in enumerate(emb)):
+            continue
+        try:
+            root = make_root(kind, emb, rs)
+        except BadEmbedding:
+            continue
+        if list(root.coeffs) == [int(c) for c in coeffs]:
+            return root
+    raise BadEmbedding(f"no {kind} embedding matches coefficients {list(coeffs)}")
+
+
+def _outcome(embed, kind, coeffs, rs):
+    try:
+        return embed(kind, coeffs, rs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_FACTORS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2")
+
+
+def _seeded_cases(rng: random.Random, count: int):
+    """(kind, coeffs, root system) on supports of 1 to 7 vertices.  Half lay
+    a pattern on its own diagram, through a random automorphism or in a
+    random order, beside up to two other factors; half lay the expansion
+    or random small entries on a random support.  Now and then the vector
+    has the wrong length."""
+    for _ in range(count):
+        kind = rng.choice(PATTERN_KINDS)
+        size = rng.randint(3 if kind in SIZED_KINDS else 1, 7)
+        pat = pattern(kind, size)
+        extra = rng.choices(_FACTORS, k=rng.randint(0, 2))
+        if rng.random() < 0.5:
+            home = _support_system(kind, size)
+            cut = rng.randint(0, len(extra))
+            before = RootSystem.parse("x".join(extra[:cut]))
+            after = RootSystem.parse("x".join(extra[cut:]))
+            rs = RootSystem(before.factors + home.factors + after.factors)
+            m = home.coroot_matrix()
+            if rng.random() < 0.7:
+                phi = rng.choice(list(matrix_isomorphisms(m, m)))
+            else:
+                phi = rng.sample(range(home.total_rank), home.total_rank)
+            placed = {before.total_rank + phi[p]: v for p, v in enumerate(pat.expansion)}
+        else:
+            rs = RootSystem.parse("x".join(extra + [rng.choice(_FACTORS)]))
+            support = rng.sample(range(rs.total_rank), min(size, rs.total_rank))
+            values = list(pat.expansion)
+            if len(values) != len(support) or rng.random() < 0.3:
+                values = [rng.choice((1, 1, 2, 3)) for _ in support]
+            placed = dict(zip(support, values))
+        coeffs = [placed.get(i, 0) for i in range(rs.total_rank)]
+        roll = rng.random()
+        if roll < 0.05:
+            coeffs.append(0)
+        elif roll < 0.1:
+            coeffs.append(1)
+        elif roll < 0.15:
+            coeffs.pop()
+        yield kind, tuple(coeffs), rs
+
+
+def test_embed_from_coeffs_matches_the_permutation_scan():
+    rng = random.Random(20261019)
+    cases = []
+    for spec in all_specs(8):
+        sk = generate(spec)
+        for other in (sk, permuted_copy(sk, rng)):
+            cases += [(g.kind, g.coeffs, other.root_system) for g in other.sigma]
+    cases += _seeded_cases(rng, 2000)
+    found = 0
+    for kind, coeffs, rs in cases:
+        try:
+            expected = _outcome(_embed_by_permutations, kind, coeffs, rs)
+        except IndexError:  # the scan read past a fixed-size pattern's expansion
+            expected = BadEmbedding, f"no {kind} embedding matches coefficients {list(coeffs)}"
+        assert _outcome(embed_from_coeffs, kind, coeffs, rs) == expected, (kind, coeffs, rs)
+        found += isinstance(expected, SphericalRoot)
+    assert found > 2 * 867 + 600 and len(cases) - found > 1000
+
+
+@pytest.mark.parametrize("kind", sorted(set(PATTERN_KINDS) - set(SIZED_KINDS)))
+def test_support_larger_than_a_fixed_pattern_is_a_bad_embedding(kind, tmp_path, capsys):
+    pat = pattern(kind)
+    rs = RootSystem.parse("x".join(["A1"] * (pat.support_size + 1)))
+    coeffs = pat.expansion + (1,)
+    with pytest.raises(BadEmbedding, match="no .* embedding matches"):
+        embed_from_coeffs(kind, coeffs, rs)
+    doc = {
+        "schema_version": 1,
+        "root_system": [str(f) for f in rs.factors],
+        "sigma": [{"pattern": kind, "coeffs": list(coeffs)}],
+        "sp": [],
+        "colors": [],
+        "gamma": [],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute-p", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"violation: no {kind} embedding matches")
+
+
+def test_a_chain_over_a1_factors_exits_2_within_a_cpu_second(tmp_path):
+    # The support induces no A12 diagram.  A scan over the orderings of the
+    # support tries all 12! of them before it gives up; the isomorphism
+    # search finds no candidate for the first vertex.
+    k = 12
+    doc = {
+        "schema_version": 1,
+        "root_system": ["A1"] * k,
+        "sigma": [{"pattern": A_CHAIN, "coeffs": [1] * k}],
+        "sp": [],
+        "colors": [],
+        "gamma": [],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); from sphskel.cli import main; "
+        "t = time.process_time(); code = main(['compute-p', sys.argv[2]]); "
+        "print(code, time.process_time() - t)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src), str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    exit_code, cpu = done.stdout.split()
+    assert exit_code == "2" and float(cpu) < 1.0
+    assert done.stderr == (
+        f"violation: no a_chain embedding matches coefficients {[1] * k}\n"
+    )
