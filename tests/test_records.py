@@ -50,6 +50,7 @@ def _samples() -> list:
         report,
         spec,
         catalog._evaluate(spec, 1),
+        catalog._evaluate(catalog.FamilySpec.parse("2:A2"), 1),
         catalog.PARAMETRIC_FAMILIES["3"],
         aug,
         fp,
@@ -60,6 +61,11 @@ def _samples() -> list:
 
 SAMPLES = _samples()
 IDS = [type(r).__name__ for r in SAMPLES]
+# One CatalogRow serves both tables; its two samples, an unlisted marking
+# and a listed equality case, keep the ids of the two rows it replaced.
+_ROWS = [i for i, r in enumerate(SAMPLES) if isinstance(r, catalog.CatalogRow)]
+assert [SAMPLES[i].listed for i in _ROWS] == [False, True]
+IDS[_ROWS[0]], IDS[_ROWS[1]] = "TableRow", "EqualityRow"
 
 
 def test_samples_cover_every_record_type():
