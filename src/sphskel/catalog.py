@@ -91,6 +91,10 @@ class FamilySpec(NamedTuple):
                     raise ParameterOutOfRange(f"unknown parameter {part!r}")
         if fam in FIXED_FAMILIES:
             return FamilySpec(fam)
+        named = PARAMETRIC_FAMILIES[fam].params + ("m" if fam in _SWEPT_M else "")
+        for key, value in (("l", l), ("m", m)):
+            if value is not None and key not in named:
+                raise ParameterOutOfRange(f"family {fam} takes no parameter {key}")
         return FamilySpec(fam, l=l, m=m)
 
 
@@ -137,6 +141,12 @@ PARAMETRIC_FAMILIES: dict[str, Family] = {
     "16/2": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
     "17": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
 }
+
+# Families 8 and 14 take only l, yet their labels carry an m: all_specs
+# sweeps it, and the benchmark references pin the labels `8:l=..,m=..` and
+# `14:l=..,m=..` (ROADMAP item 1, program follow-ups).  FamilySpec.parse
+# accepts that m and refuses every other parameter a family does not name.
+_SWEPT_M = ("8", "14")
 
 FIXED_FAMILIES = (
     "18", "19", "20", "21", "22", "23", "24",
@@ -498,9 +508,7 @@ def all_specs(max_rank: int = 8) -> Iterator[FamilySpec]:
         if n <= max_rank:
             yield FamilySpec("2", series=SimpleType(letter, n))
     for fam, family in PARAMETRIC_FAMILIES.items():
-        # Families 8 and 14 take only l, but m is swept for them too: the
-        # benchmark references pin their labels `8:l=..,m=..` (ROADMAP item
-        # 1, Program follow-ups).
+        # m is swept for every family that takes l, 8 and 14 too (_SWEPT_M).
         uses_l = "l" in family.params
         for l in range(max_rank + 3 if uses_l else 1):
             for m in range(max_rank + 1):

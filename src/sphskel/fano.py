@@ -8,9 +8,12 @@ combinatorial bound epsilon, and the generalized Mukai inequality report.
 
 Q, Q* and the divisor points on each facet of Q (a bit mask per vertex of
 Q*) come from one double description run per document (polar_pair); the
-edges of Q* (geometry.adjacent), the rank criterion and the curve families
-read those masks.
-Points rho'(D)/m_D and vertices of Q* are ints where integral (quotient).
+edges of Q* among the supported vertices (geometry.edges, from the tight
+rows), the rank criterion and the curve families read those masks.  The
+curve pass is integer arithmetic: each divisor's rho' row and m are read
+once, and each edge vector is divided by its one gcd.
+Points u = rho'(D)/m_D, built once per document and carried by
+FanoPolytope, and vertices of Q* are ints where integral (quotient).
 The augmentation checks find the roots alpha and 2 alpha of sigma in the
 skeleton's one table of sigma against the simple roots (sigma_table).
 """
@@ -18,19 +21,20 @@ skeleton's one table of sigma against the simple roots (sigma_table).
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import combinations
+from math import gcd
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from . import lp
 from .geometry import (
     OriginNotInterior,
     VPolytope,
-    adjacent,
     cone_contains,
+    edges,
     polar,
     polar_pair,
 )
-from .linalg import Vec, dot, format_rational, gcd_fold, primitive, quotient
+from .linalg import Vec, dot, format_rational, quotient
 from .roots import parabolic_count
 from .skeleton import PAIR_MINUS, PAIR_PLUS, SphericalSkeleton, sigma_table
 from .sphroots import SUM_OF_TWO
@@ -164,6 +168,7 @@ class FanoPolytope(NamedTuple):
     incidence: tuple[int, ...]  # per Q* vertex: bit i iff divisor i is on its facet
     supported: tuple[int, ...]  # indices into qstar.vertices
     sigma_rows: tuple[Vec, ...]  # -<w, sigma_g> for each vertex w of Q
+    u: dict[str, Vec]  # divisor id -> rho'(D)/m_D (AugmentedData.u_map)
 
 
 def _text(v: Sequence[int | Q]) -> str:
@@ -204,7 +209,7 @@ def reflexive_polytopes(aug: AugmentedData) -> tuple[list[str], FanoPolytope | N
         v = qstar.vertices[idx]
         if any(x.denominator != 1 for x in v):
             out.append(f"(4) supported vertex {_text(v)} is not a lattice point")
-    return out, FanoPolytope(aug, q, qstar, incidence, supported, sigma_rows)
+    return out, FanoPolytope(aug, q, qstar, incidence, supported, sigma_rows, u)
 
 
 def validate_reflexive(aug: AugmentedData) -> list[str]:
@@ -245,15 +250,20 @@ def require_supported(fp: FanoPolytope | None) -> FanoPolytope:
     return fp
 
 
-def _lattice_multiple(v: Sequence[Q]) -> tuple[Vec, int]:
-    """Write an integer vector as t * chi with chi primitive and t > 0."""
-    if any(x.denominator != 1 for x in v):
-        raise FanoDataError(f"difference {_text(v)} is not a lattice vector")
-    ints = [x.numerator for x in v]
-    t = gcd_fold(ints)
+def _lattice_multiple(v: Vec, w: Vec) -> tuple[Vec, int]:
+    """Write v - w, a nonzero integer vector, as t * chi with chi primitive
+    and t > 0."""
+    diff = tuple(map(sub, v, w))
+    try:
+        t = gcd(*diff)
+    except TypeError:  # a Fraction coordinate
+        if any(x.denominator != 1 for x in diff):
+            raise FanoDataError(f"difference {_text(diff)} is not a lattice vector") from None
+        diff = tuple(x.numerator for x in diff)
+        t = gcd(*diff)
     if t == 0:
         raise FanoDataError("zero edge vector")
-    return tuple(primitive(ints)), t
+    return (diff if t == 1 else tuple(x // t for x in diff)), t
 
 
 class CurveDegreeReport(NamedTuple):
@@ -271,30 +281,30 @@ def curve_degrees(fp: FanoPolytope) -> CurveDegreeReport:
     aug = fp.aug
     sk = aug.skeleton
     colors = len(sk.colors)  # the first divisors
+    vertices = fp.qstar.vertices
+    supported = [(fp.incidence[idx], vertices[idx]) for idx in fp.supported]  # (mask, v)
     dv = []
     eps_candidates = []
     # m_D + <rho'_D, v> = m_D (1 + <u_D, v>) over the pairs with D off the
     # facet of v: the degree of the curve (D, v) when D is a color.
     for i, did in enumerate(aug.divisor_ids()):
-        for idx in fp.supported:
-            if fp.incidence[idx] >> i & 1:
-                continue
-            v = fp.qstar.vertices[idx]
-            degree = aug.m[did] + dot(aug.rho_prime[did], v)
-            eps_candidates.append(degree)
-            if i >= colors:
-                continue
+        row, m = aug.rho_prime[did], aug.m[did]
+        off = [v for z, v in supported if not z >> i & 1]
+        off_degrees = [m + sum(map(mul, row, v)) for v in off]
+        eps_candidates += off_degrees
+        if i >= colors:
+            continue
+        for v, degree in zip(off, off_degrees):
             if degree.denominator != 1 or degree <= 0:
                 raise FanoDataError(
                     f"curve degree {format_rational(degree)} at ({did}, {_text(v)})"
                 )
             dv.append((did, v, int(degree)))
     edge = []
-    pairs = combinations(fp.supported, 2)
-    for i, j in adjacent(fp.incidence, pairs, aug.lattice_rank + 1, len(sk.divisors)):
-        v, w = fp.qstar.vertices[i], fp.qstar.vertices[j]
-        chi, t = _lattice_multiple(tuple(a - b for a, b in zip(v, w)))
-        edge.append((v, w, chi, t))
+    n, width = aug.lattice_rank + 1, len(sk.divisors)
+    for i, j in edges(fp.incidence, fp.supported, n, width):
+        v, w = vertices[i], vertices[j]
+        edge.append((v, w, *_lattice_multiple(v, w)))
     degrees = [d for _, _, d in dv] + [t for _, _, _, t in edge]
     if not degrees:
         raise NoSupportedVertices("no generating curves found")
@@ -311,8 +321,7 @@ def check_q_factorial(fp: FanoPolytope) -> bool:
     """Every supported dual face has exactly rank vertices of Q, and no
     vertex of that face carries two divisors."""
     aug = fp.aug
-    u = aug.u_map()
-    points = [u[did] for did in aug.divisor_ids()]
+    points = [fp.u[did] for did in aug.divisor_ids()]
     vertices = set(fp.q.vertices)
     on_vertex = sum(1 << i for i, p in enumerate(points) if p in vertices)
     shared = sum(1 << i for i, p in enumerate(points) if points.count(p) > 1)
@@ -395,7 +404,7 @@ def mukai_check(
 def color_vertex_check(fp: FanoPolytope) -> bool:
     """Colors with u_D outside the valuation cone must be vertices of Q."""
     aug = fp.aug
-    u = aug.u_map()
+    u = fp.u
     for cid in aug.color_ids():
         if not _in_valuation_cone(aug, u[cid]) and u[cid] not in fp.q.vertices:
             return False

@@ -7,9 +7,12 @@ of vertices rather than the number of constraint subsets.  Its start cone
 comes from one fraction-free elimination (``linalg.eliminate``).  One such
 run on a point set gives its hull Q, the dual Q* and their incidence
 (polar_pair).  One combinatorial test on the transposed incidence decides
-whether two extreme rays are adjacent (adjacent): for the double
-description and for the edges of Q*.  A vertex coordinate is an int when
-it is integral and a Fraction otherwise (``linalg.quotient``).
+whether two extreme rays are adjacent (adjacent), for the double
+description.  The edges of Q* come from the same transposed incidence
+(edges): a simple vertex finds its neighbours by dropping one tight row at
+a time, any other vertex is tested as ``adjacent`` does.  A vertex
+coordinate is an int when it is integral and a Fraction otherwise
+(``linalg.quotient``).
 Hull and cone membership and interiority are exact LPs with equality rows;
 boundedness, when the cone shows the polytope is not a bounded non-empty
 one, is decided by exact LPs over free variables.
@@ -205,6 +208,56 @@ def adjacent(
     return out
 
 
+def edges(
+    masks: Sequence[int], among: Sequence[int], n: int, width: int
+) -> list[tuple[int, int]]:
+    """The adjacent pairs (i, j), i < j, of extreme rays of a pointed cone in
+    Q^n with zero sets masks over width rows, among the increasing indices
+    ``among``, in lexicographic order: ``adjacent`` on every such pair.
+
+    A simple ray, with exactly n - 1 zeros, has one neighbour per zero: the
+    other ray on the n - 2 zeros left when that one is dropped (Avis &
+    Fukuda 1992), read from prefix and suffix ANDs of the transposed
+    incidence.  Any other ray goes through ``adjacent`` with each later ray
+    that shares at least n - 2 of its zeros.
+    """
+    on = transpose(masks, width)
+    everyone = (1 << len(masks)) - 1
+    keep = sum(1 << i for i in among)
+    out, others = [], []
+    for i in among:
+        z = masks[i]
+        later = keep >> i + 1 << i + 1
+        if z.bit_count() != n - 1:
+            while later:
+                low = later & -later
+                j = low.bit_length() - 1
+                if (z & masks[j]).bit_count() >= n - 2:
+                    others.append((i, j))
+                later ^= low
+            continue
+        rows = []
+        while z:
+            low = z & -z
+            rows.append(on[low.bit_length() - 1])
+            z ^= low
+        prefix = [everyone]
+        for row in rows[:-1]:
+            prefix.append(prefix[-1] & row)
+        near, suffix = 0, everyone
+        for k in range(len(rows) - 1, -1, -1):
+            near |= prefix[k] & suffix
+            suffix &= rows[k]
+        near &= later
+        while near:
+            low = near & -near
+            out.append((i, low.bit_length() - 1))
+            near ^= low
+    if others:
+        out = sorted(out + adjacent(masks, others, n, width))
+    return out
+
+
 def _extreme_rays(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]] | None:
     """Extreme rays of the cone {y : <a, y> >= 0 for every row a} in Q^n
     with their zero sets, or None when the rows have rank below n (the cone
@@ -276,7 +329,11 @@ def polar_pair(
             f ^= low
         if on_all.bit_count() == pts.count(p):
             vertices.add(p)
-    dual = sorted((tuple(quotient(x, r[0]) for x in r[1:]), z) for r, z in zip(rays, masks))
+    # A vertex of Q* is integral iff its primitive ray has a0 = 1.
+    dual = sorted(
+        (tuple(r[1:]) if r[0] == 1 else tuple(quotient(x, r[0]) for x in r[1:]), z)
+        for r, z in zip(rays, masks)
+    )
     qstar = VPolytope(tuple(v for v, _ in dual), dim)
     return VPolytope(tuple(sorted(vertices)), dim), qstar, tuple(z for _, z in dual)
 

@@ -7,7 +7,9 @@ documents are validated against the packaged structural schema (parsed
 once per process, and compiled into checkers on its first use) and reject
 unknown fields.  ``dumps`` and ``dump`` write reports (str, int, bool,
 None, lists, tuples and str-keyed dicts; anything else raises TypeError)
-as the exact text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+as the exact text of ``json.dumps(doc, indent=2, sort_keys=True)``.  The
+writer tests a value's exact type first and falls back to isinstance, so
+NamedTuple records still print as arrays.
 """
 
 from __future__ import annotations
@@ -372,32 +374,48 @@ _quote = json.encoder.encode_basestring_ascii  # the ensure_ascii escaping
 def _encode(o: Any, level: int, memo: dict) -> str:
     """The text of ``o`` nested ``level`` deep.  A list of strings (a vector)
     is joined once per depth and kept in ``memo`` under ``(id(o), level)``;
-    the document keeps every such list alive while ``memo`` lives."""
-    if isinstance(o, str):
+    the document keeps every such list alive while ``memo`` lives.
+
+    The exact types that JSON parsing and the reports build (str, int, list,
+    dict) are told apart by one type test each; bools, None, tuples
+    (NamedTuple records among them) and subclasses go through isinstance."""
+    cls = type(o)
+    if cls is str:
         return _quote(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
+    if cls is int:
         return int.__repr__(o)
+    if cls is not list and cls is not dict:
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, str):
+            return _quote(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            cls = list
+        elif isinstance(o, dict):
+            cls = dict
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "[]" if cls is list else "{}"
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        key = (id(o), level)
-        if key not in memo:
-            try:
-                memo[key] = "[" + inner + sep.join(map(_quote, o)) + inner[:-2] + "]"
-            except TypeError:  # not all strings: nothing to share
-                items = [_encode(x, level + 1, memo) for x in o]
-                return "[" + inner + sep.join(items) + inner[:-2] + "]"
-        return memo[key]
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
+    if cls is dict:
         items = [_quote(k) + ": " + _encode(o[k], level + 1, memo) for k in sorted(o)]
         return "{" + inner + sep.join(items) + inner[:-2] + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if type(o[0]) is str:
+        key = (id(o), level)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        try:
+            text = memo[key] = "[" + inner + sep.join(map(_quote, o)) + inner[:-2] + "]"
+            return text
+        except TypeError:  # not all strings: nothing to share
+            pass
+    items = [_encode(x, level + 1, memo) for x in o]
+    return "[" + inner + sep.join(items) + inner[:-2] + "]"
 
 
 def dumps(doc: Any) -> str:

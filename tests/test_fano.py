@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction as Q
 from itertools import combinations
+from itertools import product as iproduct
 
 import pytest
 
 from conftest import load_fixture
-from sphskel import cli, fano
+from sphskel import cli, fano, geometry
 from sphskel.geometry import adjacent, polar_pair
 from sphskel.pinv import compute_p
 from sphskel.roots import RootSystem
@@ -270,6 +271,44 @@ def test_edge_differences_are_integer_multiples():
             assert tuple(a - b for a, b in zip(v, w)) == tuple(t * x for x in chi)
 
 
+def _with_qstar_vertices(fp, vertices):
+    """fp with its Q* vertices replaced and the incidence kept."""
+    return fp._replace(qstar=fp.qstar._replace(vertices=tuple(vertices)))
+
+
+def test_curve_pass_refuses_a_fractional_edge_vector():
+    # P^2's Q* has vertices (-1, -1), (-1, 2), (2, -1); moving the first off
+    # the lattice makes its edge to the second a non-lattice vector.
+    fp = fano.build_fano(toric_projective_space(2))
+    broken = _with_qstar_vertices(fp, [(Q(-1, 2), -1), *fp.qstar.vertices[1:]])
+    message = r"^difference \(1/2, -3\) is not a lattice vector$"
+    with pytest.raises(fano.FanoDataError, match=message):
+        fano.curve_degrees(broken)
+
+
+def test_curve_pass_refuses_a_zero_edge_vector():
+    fp = fano.build_fano(toric_projective_space(2))
+    first, _, third = fp.qstar.vertices
+    broken = _with_qstar_vertices(fp, [first, first, third])
+    with pytest.raises(fano.FanoDataError, match="^zero edge vector$"):
+        fano.curve_degrees(broken)
+
+
+def test_curve_pass_refuses_a_fractional_or_nonpositive_color_degree():
+    # ex32: the supported vertices are (-1, 1), on the facet of the color D1,
+    # and (2, 1), off the facets of both colors D1 and D2.
+    fp = fano.build_fano(ex32())
+    assert [fp.qstar.vertices[i] for i in fp.supported] == [(-1, 1), (2, 1)]
+    vertices = list(fp.qstar.vertices)
+    vertices[fp.supported[1]] = (Q(3, 2), 1)
+    with pytest.raises(fano.FanoDataError, match=r"^curve degree 5/2 at \(D1, \(3/2, 1\)\)$"):
+        fano.curve_degrees(_with_qstar_vertices(fp, vertices))
+    # m_D2 + <rho'(D2), (-1, 1)> = m_D2 + 1 is 0 at m_D2 = -1.
+    aug = fp.aug._replace(m={**fp.aug.m, "D2": -1})
+    with pytest.raises(fano.FanoDataError, match=r"^curve degree 0 at \(D2, \(-1, 1\)\)$"):
+        fano.curve_degrees(fp._replace(aug=aug))
+
+
 def test_random_rank2_color_vertex_scan(rng):
     # Brute-force valuation-cone membership agrees with the check.
     for _ in range(10):
@@ -288,10 +327,8 @@ def test_non_simplicial_data_rejected():
     # A cube of invariant divisors: the dual faces are cubes of one
     # dimension less, so the rank criterion fails and the Mukai report
     # refuses to run.
-    from itertools import product as iproduct
-
     for d in (3, 5):
-        fp = fano.build_fano(toric(list(iproduct((-1, 1), repeat=d))))
+        fp = fano.build_fano(_cube(d))
         assert not fano.check_q_factorial(fp)
         with pytest.raises(fano.NotQFactorial):
             fano.mukai_check(fp)
@@ -312,7 +349,7 @@ def _rank_edges(fp):
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             common = active[i] & active[j]
-            if rank([normals[t] for t in common]) != d - 1:
+            if len(common) < d - 1 or rank([normals[t] for t in common]) != d - 1:
                 continue
             if any(common <= active[z] for z in range(len(verts)) if z not in (i, j)):
                 continue
@@ -320,27 +357,46 @@ def _rank_edges(fp):
     return edges
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["ex32", "ex61", "P2", "P3", "P4", "P5", "P1^2", "P1^3", "P1^4", "P2xP2"],
-)
+def _cube(d):
+    return toric(list(iproduct((-1, 1), repeat=d)))
+
+
+_EDGE_CASES = {
+    "ex32": ex32,
+    "ex61": ex61,
+    **{f"P{n}": (lambda n=n: toric_projective_space(n)) for n in (2, 3, 4, 5)},
+    **{
+        f"P1^{n}": (lambda n=n: toric(product_rays(*[projective_rays(1)] * n)))
+        for n in (2, 3, 4, 7, 8)
+    },
+    "P2xP2": lambda: toric(product_rays(projective_rays(2), projective_rays(2))),
+    "P2^4": lambda: toric(product_rays(*[projective_rays(2)] * 4)),
+    "cube3": lambda: _cube(3),  # Q* is the cross-polytope: no vertex is simple
+    "cube4": lambda: _cube(4),
+}
+
+
+def _restricted(pairs, among):
+    keep = set(among)
+    return [(i, j) for i, j in pairs if i in keep and j in keep]
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASES))
 def test_qstar_edges_match_rank_oracle(name):
-    cases = {
-        "ex32": ex32,
-        "ex61": ex61,
-        **{f"P{n}": (lambda n=n: toric_projective_space(n)) for n in (2, 3, 4, 5)},
-        **{
-            f"P1^{n}": (lambda n=n: toric(product_rays(*[projective_rays(1)] * n)))
-            for n in (2, 3, 4)
-        },
-        "P2xP2": lambda: toric(product_rays(projective_rays(2), projective_rays(2))),
-    }
-    fp = fano.build_fano(cases[name]())
-    edges = _all_edges(fp.incidence, fp.qstar.ambient_dim, len(fp.aug.divisor_ids()))
-    assert edges == _rank_edges(fp)
+    fp = fano.build_fano(_EDGE_CASES[name]())
+    d, width = fp.qstar.ambient_dim, len(fp.aug.divisor_ids())
+    edges = _all_edges(fp.incidence, d, width)
+    assert edges == _rank_edges(fp) == _qstar_edges_by_scan(fp.incidence, d)
+    # The edges from tight rows, over all vertices and over the supported
+    # ones, and the edge curves of the curve pass.
+    assert geometry.edges(fp.incidence, range(len(fp.incidence)), d + 1, width) == edges
+    supported = _restricted(edges, fp.supported)
+    assert geometry.edges(fp.incidence, fp.supported, d + 1, width) == supported
+    vertices = fp.qstar.vertices
+    curves = fano.curve_degrees(fp).edge_curves
+    assert [(v, w) for v, w, _, _ in curves] == [(vertices[i], vertices[j]) for i, j in supported]
     # Each vertex of a d-polytope lies on at least d edges.
-    d = fp.qstar.ambient_dim
-    for k in range(len(fp.qstar.vertices)):
+    for k in range(len(vertices)):
         assert sum(k in e for e in edges) >= d
 
 
@@ -374,9 +430,13 @@ def test_qstar_edges_match_scan_on_random_polar_pairs(rng):
         if pair is None:
             continue
         q, qstar, masks = pair
-        fp = fano.FanoPolytope(None, q, qstar, masks, (), ())
+        fp = fano.FanoPolytope(None, q, qstar, masks, (), (), {})
         edges = _all_edges(masks, d, len(pts))
         assert edges == _qstar_edges_by_scan(masks, d) == _rank_edges(fp)
+        everything = range(len(masks))
+        assert geometry.edges(masks, everything, d + 1, len(pts)) == edges
+        among = sorted(rng.sample(everything, rng.randrange(len(masks) + 1)))
+        assert geometry.edges(masks, among, d + 1, len(pts)) == _restricted(edges, among)
         checked += 1
     assert checked > 100
 

@@ -361,6 +361,17 @@ def test_writer_renders_a_shared_list_at_each_depth():
     assert _dump(doc) == _stdlib_dump(doc)
 
 
+def test_writer_matches_stdlib_on_a_document_300_levels_deep():
+    # Lists, tuples and dicts in turn, each beside a leaf, around one shared
+    # vector: the writer has no depth limit of its own.
+    vector = ["1", "-1/2"]
+    doc = [vector, "leaf", None]
+    for k in range(300):
+        doc = ({"k": doc, "n": k, "v": vector}, [doc, str(k)], (doc, k % 2 == 0))[k % 3]
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _dump(doc) == _stdlib_dump(doc)
+
+
 @pytest.mark.parametrize(
     "doc", [{}, [], (), {"a": {}}, {"a": []}, [[]], 0, -7, "", "x\u00e9", True, None]
 )
