@@ -570,7 +570,7 @@ class CatalogRow(NamedTuple):
     params: str
     marking: int
     expected: int | Q
-    p_value: Q | None
+    p_value: int | Q | None
     bound: int
     theta: tuple[str, ...] | None  # optimal vertex and dual as "p/q", None at p = +inf
     dual: tuple[str, ...] | None
@@ -627,7 +627,7 @@ def _evaluate(spec: FamilySpec, k: int) -> CatalogRow:
     )
 
 
-def _texts(values: Sequence[Q] | None) -> tuple[str, ...] | None:
+def _texts(values: Sequence[int | Q] | None) -> tuple[str, ...] | None:
     return None if values is None else tuple(map(format_rational, values))
 
 

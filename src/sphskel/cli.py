@@ -211,7 +211,9 @@ def cmd_fano(args: argparse.Namespace) -> int:
             if args.json:
                 _emit({"error": "invalid data", "violations": violations})
             return EXIT_INVALID
-        fp = fano.require_supported(fp)
+        # The rank criterion reads only the masks and u: a document that
+        # fails it exits before the curve pass.
+        fp = fano.require_q_factorial(fano.require_supported(fp))
         curves = fano.curve_degrees(fp)
         mukai = fano.mukai_check(fp, curves, invariant)
     except serialize.DocumentError as exc:

@@ -329,6 +329,13 @@ def check_q_factorial(fp: FanoPolytope) -> bool:
     return all(z.bit_count() == aug.lattice_rank and not z & shared for z in faces)
 
 
+def require_q_factorial(fp: FanoPolytope) -> FanoPolytope:
+    """fp itself, once it passes the rank criterion (check_q_factorial)."""
+    if not check_q_factorial(fp):
+        raise NotQFactorial("a supported dual face violates the rank criterion")
+    return fp
+
+
 class MukaiReport(NamedTuple):
     picard: int
     iota: int
@@ -336,8 +343,8 @@ class MukaiReport(NamedTuple):
     dim: int
     mukai_lhs: int
     holds: bool
-    p_skeleton: Q | None
-    p_polytope: Q | None
+    p_skeleton: int | Q | None
+    p_polytope: int | Q | None
     cross_check: bool
 
 
@@ -370,8 +377,7 @@ def mukai_check(
     of ``compute_p(fp.aug.skeleton)`` when the caller has them already; each
     is computed here otherwise.
     """
-    if not check_q_factorial(fp):
-        raise NotQFactorial("a supported dual face violates the rank criterion")
+    require_q_factorial(fp)
     report = curves if curves is not None else curve_degrees(fp)
     if invariant is None:
         invariant = compute_p(fp.aug.skeleton)

@@ -1,9 +1,11 @@
 """Exact rational vectors and fraction-free Gaussian elimination.
 
-An exact number is an ``int`` unless it came from a division, and then a
-Fraction; ``quotient`` keeps an exact division an ``int``, while LP
-results and ``solve_linear`` stay Fractions.  Both types are read through
-``numerator`` and ``denominator``; nothing here touches a float.
+An exact number is an ``int`` unless it is a true quotient, and then a
+Fraction in lowest terms: ``quotient`` keeps an exact division an ``int``,
+and every division that builds a result goes through it, the solutions of
+``solve_linear`` and the results of ``lp.solve`` included.  Both types are
+read through ``numerator`` and ``denominator``; nothing here touches a
+float.
 Elimination runs on primitive integer rows only: ``pivot``, the one
 integer-preserving Gauss-Jordan step (Edmonds 1967; Bareiss 1968), serves
 ``eliminate``, and through it ``rank``, ``solve_linear`` and the double
@@ -125,8 +127,8 @@ def solve_linear(rows: Iterable[Sequence[int | Q]], rhs: Sequence[int | Q]) -> V
     # A row without a pivot reads 0 = rhs.
     if any(c < 0 and row[-1] for row, c in zip(tab, pivots)):
         return None
-    x = [Q(0)] * n
+    x = [0] * n
     for row, c in zip(tab, pivots):
         if c >= 0:
-            x[c] = Q(row[-1], row[c])
+            x[c] = quotient(row[-1], row[c])
     return tuple(x)

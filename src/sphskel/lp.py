@@ -18,9 +18,11 @@ variable (slack, or artificial of an equality row) stands for den_i times
 the row's own, and its dual is den_i times the unit variable's.  Phase 1
 maximises minus the sum of the artificials, so the artificial of row i
 weighs -lcm(den) / den_i.  Inputs are stored as given, ints or Fractions,
-and read through numerator and denominator; the results are quotients and
-are built as Fractions at the end, so optimal values, primal vertices, and
-dual certificates are exact.  Returned primal points are basic solutions,
+and read through numerator and denominator.  Each result entry (the
+optimum, every x and every y) is read off the final tableau over d by
+``linalg.quotient``: an int unless it is a true quotient, and then a
+Fraction in lowest terms, so optimal values, primal vertices, and dual
+certificates are exact.  Returned primal points are basic solutions,
 i.e. vertices of the feasible region.
 
 The dual vector ``y`` has one entry per row, the inequality rows first and
@@ -38,13 +40,11 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Mat, Vec, lcm_fold
+from .linalg import Mat, Vec, lcm_fold, quotient
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
-
-_ZERO = Q(0)  # every zero entry of a result; Fractions are immutable
 
 
 class _LpProblemFields(NamedTuple):
@@ -88,7 +88,7 @@ class LpProblem(_LpProblemFields):
 
 class LpResult(NamedTuple):
     status: str
-    value: Q | None = None
+    value: int | Q | None = None
     x: Vec | None = None
     y: Vec | None = None
 
@@ -172,7 +172,7 @@ def solve(problem: LpProblem) -> LpResult:
     if not rows:
         if any(cj > 0 for cj in problem.c):
             return LpResult(UNBOUNDED)
-        return LpResult(OPTIMAL, _ZERO, (_ZERO,) * n, ())
+        return LpResult(OPTIMAL, 0, (0,) * n, ())
 
     # Labels: n originals; one unit variable per row, the slack of an
     # inequality row or the artificial of an equality row; an artificial
@@ -243,10 +243,10 @@ def solve(problem: LpProblem) -> LpResult:
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    x = [_ZERO] * n
+    x = [0] * n
     for row, bi in zip(tab, basic):
         if bi < n and row[-1]:
-            x[bi] = Q(row[-1], d)
+            x[bi] = quotient(row[-1], d)
     # Dual values are the negated reduced costs of the unit variables,
     # times den[i], and negated again for an equality row that was
     # negated.  Each final row combines original rows, so these price
@@ -255,11 +255,11 @@ def solve(problem: LpProblem) -> LpResult:
     z = tab[-1]
     d *= scale
     price = dict(zip(nonbasic, z))
-    y = [Q(-s * p, d) if (p := price.get(n + i)) else _ZERO for i, s in enumerate(den)]
+    y = [quotient(-s * p, d) if (p := price.get(n + i)) else 0 for i, s in enumerate(den)]
     for i in range(m, r):
         if rows[i][1] < 0 and y[i]:
             y[i] = -y[i]
-    return LpResult(OPTIMAL, Q(-z[-1], d), tuple(x), tuple(y))
+    return LpResult(OPTIMAL, quotient(-z[-1], d), tuple(x), tuple(y))
 
 
 def check_certificate(problem: LpProblem, result: LpResult) -> bool:

@@ -4,6 +4,8 @@ p(R) = sum_D (m_D - 1) + max{ c.x : A x <= b, x >= 0 } with
 c_g = sum_D <rho(D), g>, A rows -<rho(D), .>, b_D = m_D.  An unbounded LP
 means p = +infinity (the skeleton is then not complete).  smoothness
 validates a skeleton, localizes it at a divisor subset and computes p there.
+The value, gap, vertex and dual are ints unless they are true quotients,
+and then Fractions, as ``lp.solve`` returns them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .skeleton import InvalidSkeleton, SphericalSkeleton, localize, validate
 
 
 class PInvariantReport(NamedTuple):
-    p_value: Q | None  # None encodes +infinity
+    p_value: int | Q | None  # None encodes +infinity
     bound: int
-    gap: Q | None
+    gap: int | Q | None
     theta: Vec | None  # coordinates of the optimal vertex over sigma
     dual: Vec | None
     is_equality: bool

@@ -1,7 +1,7 @@
 """Canonical JSON and CSV formats.
 
-Integers read from a document stay ints; only quotients, such as an
-optimum, are Fractions.  ``linalg.format_rational`` renders both as exact
+Integers read from a document stay ints; only true quotients, such as
+37/2, are Fractions.  ``linalg.format_rational`` renders both as exact
 "p/q" strings (plain "p" for integers); floats never appear.  Skeleton
 documents are validated against the packaged structural schema (parsed
 once per process, and compiled into checkers on its first use) and reject

@@ -249,8 +249,13 @@ def embed_from_coeffs(
     pat = pattern(kind, len(support))
     m = rs.coroot_matrix()
     if len(coeffs) == len(m):
-        sub = [[m[a][b] for b in support] for a in support]
-        for phi in matrix_isomorphisms(pat.template, sub):
+        if len(support) == 1 == pat.support_size:  # one bijection: no matcher
+            a = support[0]
+            isos = [(0,)] if m[a][a] == pat.template[0][0] else []
+        else:
+            sub = [[m[a][b] for b in support] for a in support]
+            isos = matrix_isomorphisms(pat.template, sub)
+        for phi in isos:
             emb = tuple(support[i] for i in phi)
             if all(coeffs[a] == pat.expansion[p] for p, a in enumerate(emb)):
                 # What make_root checks, the isomorphism has: the support

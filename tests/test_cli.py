@@ -547,6 +547,26 @@ def test_fano_violation_text_renders_rationals(tmp_path, capsys):
     assert captured.err == f"violation: {violation}\n"
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_fano_rank_criterion_comes_before_the_curve_pass(d, tmp_path, capsys, monkeypatch):
+    # The cubes fail the rank criterion: exit 2, its violation on stderr and
+    # an empty stdout, with no curve degree taken.  A curve pass that would
+    # fail as well does not run, so the rank criterion's message is the one
+    # such a document gets.
+    def failing_curve_pass(fp):
+        raise fano.NoSupportedVertices("no generating curves found")
+
+    monkeypatch.setattr(fano, "curve_degrees", failing_curve_pass)
+    path = _write_toric(tmp_path / "cube.json", list(product((-1, 1), repeat=d)))
+    for argv in (["fano", path], ["fano", path, "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "violation: a supported dual face violates the rank criterion\n"
+        )
+
+
 _SCALED_FANO_RAYS = {
     "(P^1)^7": lambda: product_rays(*[projective_rays(1)] * 7),
     "(P^1)^8": lambda: product_rays(*[projective_rays(1)] * 8),

@@ -689,12 +689,84 @@ def test_integer_kernel_without_constraints():
     assert res == lp.LpResult(lp.OPTIMAL, Q(0), (Q(0), Q(0)), ())
 
 
-def test_integer_kernel_returns_fractions(rng):
-    for _ in range(50):
-        res = lp.solve(_rational_problem(rng))
+def _fractional_entries(res):
+    """The count of Fraction entries of an optimal result, each checked to
+    be in normal form: an int exactly when its denominator is 1, and
+    otherwise a Fraction (whose denominator, being positive, exceeds 1)."""
+    entries = (res.value, *res.x, *res.y)
+    for v in entries:
+        assert type(v) is (int if v.denominator == 1 else Q), res
+    return sum(type(v) is Q for v in entries)
+
+
+def test_results_are_ints_unless_true_quotients():
+    # The value, every x and every y of lp.solve, on seeded LPs with
+    # Fraction data, on equality-row LPs and on every rank-8 catalog LP,
+    # equal to the Fraction tableau's result and in normal form.
+    rng = random.Random("lp-normal-form")
+    fractional = Counter()
+    makers = (_rational_problem, _equality_problem)
+    problems = [(make.__name__, make(rng)) for make in makers for _ in range(300)]
+    problems += [("catalog", skeleton_lp(mark(spec, k))) for spec, k in table_tasks(8)]
+    for kind, problem in problems:
+        res = lp.solve(problem)
+        assert res == _fraction_solve(problem), problem
         if res.status == lp.OPTIMAL:
-            assert type(res.value) is Q
-            assert all(type(v) is Q for v in res.x + res.y)
+            fractional[kind, "optimal"] += 1
+            fractional[kind, "fractional"] += bool(_fractional_entries(res))
+    assert fractional["catalog", "optimal"] == 867, fractional
+    for kind in ("_rational_problem", "_equality_problem", "catalog"):
+        optimal = fractional[kind, "optimal"]
+        # Both kinds of entry occur: all-int results and quotients.
+        assert 10 < fractional[kind, "fractional"] < optimal - 10, fractional
+    assert _fractional_entries(lp.solve(lp.LpProblem.build([0, Q(-1, 3)], [], []))) == 0
+
+
+def _moved(res, field, i, delta):
+    v = list(getattr(res, field))
+    v[i] += delta
+    return res._replace(**{field: tuple(v)})
+
+
+def test_certificate_reads_all_int_results():
+    # max x1 + x2 s.t. x1 <= 2, x2 <= 3: every entry an int, and each one,
+    # moved by 1 or by 1/2, breaks feasibility or the duality gap.
+    problem = lp.LpProblem.build([1, 1], [[1, 0], [0, 1]], [2, 3])
+    res = lp.solve(problem)
+    assert res == (lp.OPTIMAL, 5, (2, 3), (1, 1))
+    assert all(type(v) is int for v in (res.value, *res.x, *res.y))
+    assert lp.check_certificate(problem, res)
+    for field in ("x", "y"):
+        for i in range(2):
+            for delta in (1, Q(1, 2)):
+                bad = _moved(res, field, i, delta)
+                assert not lp.check_certificate(problem, bad), (field, i, delta)
+                assert not _fraction_check_certificate(problem, bad)
+
+
+def test_certificate_reads_all_int_catalog_results():
+    # Each all-int catalog result is accepted.  Its y entries price rows
+    # with b = m_D > 0, so moving one by 1 or 1/2 opens the duality gap;
+    # moving an x entry with c_j != 0 breaks value == c.x.  Every other
+    # move must get the Fraction checker's verdict.
+    checked = rejected = 0
+    for spec, k in table_tasks(8):
+        problem = skeleton_lp(mark(spec, k))
+        res = lp.solve(problem)
+        if _fractional_entries(res):
+            continue
+        assert lp.check_certificate(problem, res), (spec.label(), k)
+        checked += 1
+        for field, entries in (("x", problem.c), ("y", problem.b)):
+            for i, coeff in enumerate(entries):
+                for delta in (1, Q(1, 2)):
+                    bad = _moved(res, field, i, delta)
+                    verdict = lp.check_certificate(problem, bad)
+                    assert verdict == _fraction_check_certificate(problem, bad)
+                    if coeff:
+                        assert not verdict, (spec.label(), k, field, i, delta)
+                    rejected += not verdict
+    assert checked > 700 and rejected > 10000, (checked, rejected)
 
 
 def _sympy_linprog(c, a, b, a_eq=(), b_eq=()):
