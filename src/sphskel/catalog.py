@@ -1,13 +1,16 @@
 """Generators for the symmetric families and table verification sweeps.
 
-Each family is stored as structured data: ambient root system, spherical
-roots as embedded table patterns, and the parabolic set S^p.  One table,
-``PARAMETRIC_FAMILIES``, states each parametric family's ambient type, its
-parameters and the (l, m) it admits; ``FamilySpec.parse``, ``_system``,
-``all_specs`` and ``listing`` (the ``catalog-list`` text) all read it.  The
-full color sets (with anticanonical coefficients) are reconstructed from
-that data, and a marking adds one invariant divisor pairing -1 with the
-chosen spherical root.  The closed-form value registries drive the
+Each family is plain data: its ambient simple type and its spherical roots
+as (pattern kind, embedding) pairs.  ``PARAMETRIC_FAMILIES`` states each
+parametric family's type, parameters, admitted (l, m) and roots in l, m
+and the rank; ``FIXED`` states the exceptional families 18-30; family 2,
+the group embeddings, is the one special case.  ``FamilySpec.parse``,
+``all_specs`` and ``listing`` (the ``catalog-list`` text) read the same
+tables, and ``generate`` is the one place that embeds the roots.  No
+family states S^p: axiom (S) makes it the union of the roots' circle-free
+vertices.  The full color sets (with anticanonical coefficients) are
+reconstructed from that data, and a marking adds one invariant divisor
+pairing -1 with the chosen spherical root.  The closed-form value registries drive the
 verification sweeps; they are the external cross-check that the family
 data is right.  A sweep solves each marking once into one ``CatalogRow``,
 which both the table and the equality reports read.
@@ -38,7 +41,6 @@ from .sphroots import (
     DOUBLE_ALPHA,
     F4_ROOT,
     SUM_OF_TWO,
-    SphericalRoot,
     make_root,
 )
 
@@ -98,16 +100,37 @@ class FamilySpec(NamedTuple):
         return FamilySpec(fam, l=l, m=m)
 
 
+# One spherical root as family data: its pattern kind and its embedding.
+Embedded = tuple[str, tuple[int, ...]]
+
+
+def _doubled(m: int) -> list[Embedded]:
+    """2 alpha_i for i < m."""
+    return [(DOUBLE_ALPHA, (i,)) for i in range(m)]
+
+
+def _sums(m: int, n: int) -> list[Embedded]:
+    """alpha_k + alpha_{n-1-k} for k < m."""
+    return [(SUM_OF_TWO, (k, n - 1 - k)) for k in range(m)]
+
+
+def _middles(m: int) -> list[Embedded]:
+    """The A3-middle roots on 2i, 2i+1, 2i+2 for i < m."""
+    return [(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2)) for i in range(m)]
+
+
 class Family(NamedTuple):
     """One parametric family: its ambient simple type (a letter, and a rank
-    in l and m), the parameters its label names, and the (l, m) it admits,
-    as a rule and as the text ``catalog-list`` prints."""
+    in l and m), the parameters its label names, the (l, m) it admits, as a
+    rule and as the text ``catalog-list`` prints, and its spherical roots in
+    l, m and the rank n."""
 
     letter: str
     rank: Callable[[int, int], int]
     params: str  # "l", "m" or "lm"
     rule: Callable[[int, int], bool]
     conditions: str
+    sigma: Callable[[int, int, int], Sequence[Embedded]]
 
 
 _PAIRED = (  # families 9 and 10/11
@@ -117,16 +140,32 @@ _PAIRED = (  # families 9 and 10/11
 
 PARAMETRIC_FAMILIES: dict[str, Family] = {
     "3": Family("A", lambda l, m: 2 * m + l, "lm", lambda l, m: l >= 1 and m >= 0,
-                "l >= 1, m >= 0"),
-    "4": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 0, "m >= 0"),
-    "5": Family("A", lambda l, m: m, "m", lambda l, m: m >= 2, "m >= 2"),
-    "6": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 1, "m >= 1"),
-    "8": Family("B", lambda l, m: l + 1, "l", lambda l, m: l >= 1, "l >= 1"),
-    "9": Family("B", lambda l, m: m + l, "lm", *_PAIRED),
-    "10/11": Family("C", lambda l, m: 2 * m + l + 1, "lm", *_PAIRED),
-    "12": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2"),
-    "13": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2"),
-    "14": Family("D", lambda l, m: l + 2, "l", lambda l, m: l >= 2, "l >= 2"),
+                "l >= 1, m >= 0",
+                lambda l, m, n: _sums(m, n)
+                + [(ALPHA, (m,)) if l == 1 else (A_CHAIN, tuple(range(m, m + l)))]),
+    "4": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 0, "m >= 0",
+                lambda l, m, n: _sums(m, n) + [(DOUBLE_ALPHA, (m,))]),
+    "5": Family("A", lambda l, m: m, "m", lambda l, m: m >= 2, "m >= 2",
+                lambda l, m, n: _doubled(m)),
+    "6": Family("A", lambda l, m: 2 * m + 1, "m", lambda l, m: m >= 1, "m >= 1",
+                lambda l, m, n: _middles(m)),
+    "8": Family("B", lambda l, m: l + 1, "l", lambda l, m: l >= 1, "l >= 1",
+                lambda l, m, n: [(ALPHA, (0,)), (DOUBLE_ALPHA, (1,)) if l == 1
+                                 else (B_CHAIN_DOUBLED, tuple(range(1, l + 1)))]),
+    "9": Family("B", lambda l, m: m + l, "lm", *_PAIRED,
+                lambda l, m, n: _doubled(m) + [
+                    (DOUBLE_ALPHA, (m,)) if l == 1
+                    else (B_CHAIN_DOUBLED, tuple(range(m, m + l)))]),
+    "10/11": Family("C", lambda l, m: 2 * m + l + 1, "lm", *_PAIRED,
+                    lambda l, m, n: _middles(m) + [
+                        (B_CHAIN_DOUBLED, (2 * m + 1, 2 * m)) if l == 1
+                        else (C_CHAIN_PINNED, tuple(range(2 * m, 2 * m + l + 1)))]),
+    "12": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2",
+                 lambda l, m, n: _doubled(m) + [(ALPHA, (m,))]),
+    "13": Family("C", lambda l, m: m + 1, "m", lambda l, m: m >= 2, "m >= 2",
+                 lambda l, m, n: _doubled(m + 1)),
+    "14": Family("D", lambda l, m: l + 2, "l", lambda l, m: l >= 2, "l >= 2",
+                 lambda l, m, n: [(ALPHA, (0,)), (D_CHAIN, tuple(range(1, l + 2)))]),
     "15": Family(
         "D", lambda l, m: m + l + 1, "lm",
         lambda l, m: (
@@ -136,10 +175,19 @@ PARAMETRIC_FAMILIES: dict[str, Family] = {
             or (m >= 3 and l == 0)
         ),
         "(m = 0, l >= 3) or (m = 1, l >= 2) or (m >= 2, l >= 1) or (m >= 3, l = 0)",
+        lambda l, m, n: _doubled(m) + [
+            (DOUBLE_ALPHA, (m,)) if l == 0
+            else (SUM_OF_TWO, (m, m + 1)) if l == 1
+            else (D_CHAIN, tuple(range(m, m + l + 1)))
+        ],
     ),
-    "16/1": Family("D", lambda l, m: 2 * m + 3, "m", lambda l, m: m >= 1, "m >= 1"),
-    "16/2": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
-    "17": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1"),
+    "16/1": Family("D", lambda l, m: 2 * m + 3, "m", lambda l, m: m >= 1, "m >= 1",
+                   lambda l, m, n: _middles(m)
+                   + [(A_CHAIN, (2 * m + 1, 2 * m, 2 * m + 2))]),
+    "16/2": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1",
+                   lambda l, m, n: _middles(m) + [(ALPHA, (2 * m + 1,))]),
+    "17": Family("D", lambda l, m: 2 * m + 2, "m", lambda l, m: m >= 1, "m >= 1",
+                 lambda l, m, n: _middles(m) + [(DOUBLE_ALPHA, (2 * m + 1,))]),
 }
 
 # Families 8 and 14 take only l, yet their labels carry an m: all_specs
@@ -148,10 +196,28 @@ PARAMETRIC_FAMILIES: dict[str, Family] = {
 # accepts that m and refuses every other parameter a family does not name.
 _SWEPT_M = ("8", "14")
 
-FIXED_FAMILIES = (
-    "18", "19", "20", "21", "22", "23", "24",
-    "25", "26", "27", "28", "29", "30",
-)
+# The two D5 roots that families 19, 22, 23 and 26 share.
+_D5_PAIR = ((D_CHAIN, (0, 2, 3, 1, 4)), (D_CHAIN, (5, 4, 3, 1, 2)))
+
+# The exceptional families: ambient simple type and spherical roots.
+FIXED: dict[str, tuple[str, Sequence[Embedded]]] = {
+    "18": ("E6", ((A_CHAIN, (0, 2, 3, 4, 5)), (D_CHAIN, (1, 3, 2, 4)))),
+    "19": ("E6", _D5_PAIR),
+    "20": ("E6", ((SUM_OF_TWO, (0, 5)), (SUM_OF_TWO, (2, 4)),
+                  (DOUBLE_ALPHA, (3,)), (DOUBLE_ALPHA, (1,)))),
+    "21": ("E6", _doubled(6)),
+    "22": ("E7", (*_D5_PAIR, (ALPHA, (6,)))),
+    "23": ("E7", (*_D5_PAIR, (DOUBLE_ALPHA, (6,)))),
+    "24": ("E7", ((DOUBLE_ALPHA, (0,)), (DOUBLE_ALPHA, (2,)),
+                  (A3_MIDDLE, (1, 3, 4)), (A3_MIDDLE, (4, 5, 6)))),
+    "25": ("E7", _doubled(7)),
+    "26": ("E8", (*_D5_PAIR, (DOUBLE_ALPHA, (6,)), (DOUBLE_ALPHA, (7,)))),
+    "27": ("E8", _doubled(8)),
+    "28": ("F4", ((F4_ROOT, (0, 1, 2, 3)),)),
+    "29": ("F4", _doubled(4)),
+    "30": ("G2", _doubled(2)),
+}
+FIXED_FAMILIES = tuple(FIXED)
 FAMILIES = ("2", *PARAMETRIC_FAMILIES, *FIXED_FAMILIES)
 
 
@@ -167,18 +233,17 @@ def listing() -> list[tuple[str, str]]:
     ]
 
 
-def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozenset[int]]:
+def _system(spec: FamilySpec) -> tuple[RootSystem, Sequence[Embedded]]:
+    """The ambient root system and the spherical roots, as family data."""
     fam = spec.family
     if fam == "2":
         t = spec.series
         if t is None:
             raise ParameterOutOfRange("family 2 needs a simple type")
-        rs = RootSystem((t, t))
-        n = t.rank
-        sigma = [make_root(SUM_OF_TWO, (i, n + i), rs) for i in range(n)]
-        return rs, sigma, frozenset()
-    if fam in FIXED_FAMILIES:
-        return _fixed_system(fam)
+        return RootSystem((t, t)), [(SUM_OF_TWO, (i, t.rank + i)) for i in range(t.rank)]
+    if fam in FIXED:
+        ambient, sigma = FIXED[fam]
+        return RootSystem.parse(ambient), sigma
 
     l = spec.l if spec.l is not None else 0
     m = spec.m if spec.m is not None else 0
@@ -186,165 +251,23 @@ def _system(spec: FamilySpec) -> tuple[RootSystem, list[SphericalRoot], frozense
     if family is None or not family.rule(l, m):
         raise ParameterOutOfRange(f"parameters l={l}, m={m} out of range for {fam}")
     n = family.rank(l, m)
-    rs = RootSystem((SimpleType(family.letter, n),))
-
-    if fam == "3":
-        sigma = [make_root(SUM_OF_TWO, (k, n - 1 - k), rs) for k in range(m)]
-        if l == 1:
-            sigma.append(make_root(ALPHA, (m,), rs))
-            sp: frozenset[int] = frozenset()
-        else:
-            sigma.append(make_root(A_CHAIN, tuple(range(m, m + l)), rs))
-            sp = frozenset(range(m + 1, m + l - 1))
-        return rs, sigma, sp
-    if fam == "4":
-        sigma = [make_root(SUM_OF_TWO, (k, n - 1 - k), rs) for k in range(m)]
-        sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
-        return rs, sigma, frozenset()
-    if fam == "5":
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)], frozenset()
-    if fam == "6":
-        sigma = [
-            make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
-        ]
-        return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
-    if fam == "8":
-        sigma = [make_root(ALPHA, (0,), rs)]
-        if l == 1:
-            sigma.append(make_root(DOUBLE_ALPHA, (1,), rs))
-            return rs, sigma, frozenset()
-        sigma.append(make_root(B_CHAIN_DOUBLED, tuple(range(1, l + 1)), rs))
-        return rs, sigma, frozenset(range(2, l + 1))
-    if fam == "9":
-        sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
-        if l == 1:
-            sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
-            return rs, sigma, frozenset()
-        sigma.append(make_root(B_CHAIN_DOUBLED, tuple(range(m, m + l)), rs))
-        return rs, sigma, frozenset(range(m + 1, m + l))
-    if fam == "10/11":
-        sigma = [
-            make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
-        ]
-        sp = set(range(0, 2 * m + 1, 2))
-        if l == 1:
-            sigma.append(make_root(B_CHAIN_DOUBLED, (2 * m + 1, 2 * m), rs))
-        else:
-            sigma.append(
-                make_root(C_CHAIN_PINNED, tuple(range(2 * m, 2 * m + l + 1)), rs)
-            )
-            sp |= set(range(2 * m + 2, 2 * m + l + 1))
-        return rs, sigma, frozenset(sp)
-    if fam == "12":
-        sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
-        sigma.append(make_root(ALPHA, (m,), rs))
-        return rs, sigma, frozenset()
-    if fam == "13":
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m + 1)], frozenset()
-    if fam == "14":
-        sigma = [
-            make_root(ALPHA, (0,), rs),
-            make_root(D_CHAIN, tuple(range(1, l + 2)), rs),
-        ]
-        return rs, sigma, frozenset(range(2, l + 2))
-    if fam == "15":
-        sigma = [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(m)]
-        if l == 0:
-            sigma.append(make_root(DOUBLE_ALPHA, (m,), rs))
-            return rs, sigma, frozenset()
-        if l == 1:
-            sigma.append(make_root(SUM_OF_TWO, (m, m + 1), rs))
-            return rs, sigma, frozenset()
-        sigma.append(make_root(D_CHAIN, tuple(range(m, m + l + 1)), rs))
-        return rs, sigma, frozenset(range(m + 1, m + l + 1))
-    if fam == "16/1":
-        sigma = [
-            make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
-        ]
-        sigma.append(make_root(A_CHAIN, (2 * m + 1, 2 * m, 2 * m + 2), rs))
-        return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
-    # 16/2 and 17
-    sigma = [
-        make_root(A3_MIDDLE, (2 * i, 2 * i + 1, 2 * i + 2), rs) for i in range(m)
-    ]
-    kind = ALPHA if fam == "16/2" else DOUBLE_ALPHA
-    sigma.append(make_root(kind, (2 * m + 1,), rs))
-    return rs, sigma, frozenset(range(0, 2 * m + 1, 2))
-
-
-def _fixed_system(fam: str) -> tuple[RootSystem, list[SphericalRoot], frozenset[int]]:
-    if fam == "18":
-        rs = RootSystem.parse("E6")
-        return rs, [
-            make_root(A_CHAIN, (0, 2, 3, 4, 5), rs),
-            make_root(D_CHAIN, (1, 3, 2, 4), rs),
-        ], frozenset({2, 3, 4})
-    if fam == "19":
-        rs = RootSystem.parse("E6")
-        return rs, [
-            make_root(D_CHAIN, (0, 2, 3, 1, 4), rs),
-            make_root(D_CHAIN, (5, 4, 3, 1, 2), rs),
-        ], frozenset({1, 2, 3, 4})
-    if fam == "20":
-        rs = RootSystem.parse("E6")
-        return rs, [
-            make_root(SUM_OF_TWO, (0, 5), rs),
-            make_root(SUM_OF_TWO, (2, 4), rs),
-            make_root(DOUBLE_ALPHA, (3,), rs),
-            make_root(DOUBLE_ALPHA, (1,), rs),
-        ], frozenset()
-    if fam == "21":
-        rs = RootSystem.parse("E6")
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(6)], frozenset()
-    if fam in ("22", "23"):
-        rs = RootSystem.parse("E7")
-        last = ALPHA if fam == "22" else DOUBLE_ALPHA
-        return rs, [
-            make_root(D_CHAIN, (0, 2, 3, 1, 4), rs),
-            make_root(D_CHAIN, (5, 4, 3, 1, 2), rs),
-            make_root(last, (6,), rs),
-        ], frozenset({1, 2, 3, 4})
-    if fam == "24":
-        rs = RootSystem.parse("E7")
-        return rs, [
-            make_root(DOUBLE_ALPHA, (0,), rs),
-            make_root(DOUBLE_ALPHA, (2,), rs),
-            make_root(A3_MIDDLE, (1, 3, 4), rs),
-            make_root(A3_MIDDLE, (4, 5, 6), rs),
-        ], frozenset({1, 4, 6})
-    if fam == "25":
-        rs = RootSystem.parse("E7")
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(7)], frozenset()
-    if fam == "26":
-        rs = RootSystem.parse("E8")
-        return rs, [
-            make_root(D_CHAIN, (0, 2, 3, 1, 4), rs),
-            make_root(D_CHAIN, (5, 4, 3, 1, 2), rs),
-            make_root(DOUBLE_ALPHA, (6,), rs),
-            make_root(DOUBLE_ALPHA, (7,), rs),
-        ], frozenset({1, 2, 3, 4})
-    if fam == "27":
-        rs = RootSystem.parse("E8")
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(8)], frozenset()
-    if fam == "28":
-        rs = RootSystem.parse("F4")
-        return rs, [make_root(F4_ROOT, (0, 1, 2, 3), rs)], frozenset({0, 1, 2})
-    if fam == "29":
-        rs = RootSystem.parse("F4")
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(4)], frozenset()
-    if fam == "30":
-        rs = RootSystem.parse("G2")
-        return rs, [make_root(DOUBLE_ALPHA, (i,), rs) for i in range(2)], frozenset()
-    raise ParameterOutOfRange(f"unknown family {fam!r}")
+    return RootSystem((SimpleType(family.letter, n),)), family.sigma(l, m, n)
 
 
 @cache
 def generate(spec: FamilySpec) -> SphericalSkeleton:
     """The family's skeleton with empty Gamma; always validates.
 
-    Built once per spec and process: the skeleton is an immutable value.
+    No family states its S^p: by axiom (S) it meets each root's support in
+    exactly the pattern's circle-free vertices, so it is their union.
+    ``validate`` checks the axiom in full.  Built once per spec and process:
+    the skeleton is an immutable value.
     """
-    rs, sigma, sp = _system(spec)
+    rs, roots = _system(spec)
+    sigma = [make_root(kind, embedding, rs) for kind, embedding in roots]
+    # Filled in ascending order, as a range is: a frozenset's iteration
+    # order, and so the skeleton's repr, depends on its insertion order.
+    sp = frozenset(sorted(v for root in sigma for v in root.sp_vertices()))
     sk = make_skeleton(rs, sigma, sp)
     problems = validate(sk)
     if problems:
@@ -392,14 +315,7 @@ def group_embedding_value(series: str, n: int, k: int) -> int | Q:
         if k >= n - 1:
             return n * n - 2 * n + 1
         return 3 * n + k * k - 2 * k - 6
-    exceptional = {
-        "E6": {1: Q(37, 2), 2: 16, 3: 16, 4: 14, 5: 16, 6: Q(37, 2)},
-        "E7": {1: 27, 2: 25, 3: 25, 4: 22, 5: 19, 6: 19, 7: 20},
-        "E8": {1: 38, 2: 36, 3: 36, 4: 32, 5: 27, 6: 24, 7: 22, 8: 21},
-        "F4": {1: 12, 2: 10, 3: 8, 4: 7},
-        "G2": {1: 2, 2: 4},
-    }
-    return exceptional[f"{series}{n}"][k]
+    return EXCEPTIONAL_GROUP_VALUES[f"{series}{n}"][k - 1]
 
 
 def symmetric_subgroup_value(fam: str, l: int, m: int, k: int) -> int | Q:
@@ -474,6 +390,15 @@ def symmetric_subgroup_value(fam: str, l: int, m: int, k: int) -> int | Q:
     raise KeyError(fam)
 
 
+# The value of marking k is entry k - 1, in both exceptional tables.
+EXCEPTIONAL_GROUP_VALUES: dict[str, tuple[int | Q, ...]] = {
+    "E6": (Q(37, 2), 16, 16, 14, 16, Q(37, 2)),
+    "E7": (27, 25, 25, 22, 19, 19, 20),
+    "E8": (38, 36, 36, 32, 27, 24, 22, 21),
+    "F4": (12, 10, 8, 7),
+    "G2": (2, 4),
+}
+
 EXCEPTIONAL_SUBGROUP_VALUES: dict[str, tuple[int | Q, ...]] = {
     "18": (13, 20),
     "19": (24, 24),
@@ -514,9 +439,8 @@ def all_specs(max_rank: int = 8) -> Iterator[FamilySpec]:
             for m in range(max_rank + 1):
                 if family.rule(l, m) and 1 <= family.rank(l, m) <= max_rank:
                     yield FamilySpec(fam, l=l if uses_l else None, m=m)
-    for fam in FIXED_FAMILIES:
-        rank = _fixed_system(fam)[0].total_rank
-        if rank <= max_rank:
+    for fam, (ambient, _) in FIXED.items():
+        if SimpleType.parse(ambient).rank <= max_rank:
             yield FamilySpec(fam)
 
 

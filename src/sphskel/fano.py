@@ -375,10 +375,11 @@ def mukai_check(
 
     ``curves`` is the report of ``curve_degrees(fp)`` and ``invariant`` that
     of ``compute_p(fp.aug.skeleton)`` when the caller has them already; each
-    is computed here otherwise.
+    is computed here otherwise.  A passed-in ``curves`` must come from a
+    polytope that has passed ``require_q_factorial``; the rank criterion is
+    checked here only before the curve pass this function runs itself.
     """
-    require_q_factorial(fp)
-    report = curves if curves is not None else curve_degrees(fp)
+    report = curves if curves is not None else curve_degrees(require_q_factorial(fp))
     if invariant is None:
         invariant = compute_p(fp.aug.skeleton)
     p_skel = invariant.p_value

@@ -109,8 +109,12 @@ def eliminate(tab: list[list[int]], ncols: int) -> list[int]:
 
 
 def rank(rows: Iterable[Sequence[int | Q]]) -> int:
-    tab = [integral(r) for r in rows]
-    return sum(c >= 0 for c in eliminate(tab, len(tab[0]) if tab else 0))
+    """The rank of rows read as vectors, a shorter row zero-padded to the
+    length of the longest."""
+    rows = list(rows)
+    width = max(map(len, rows), default=0)
+    tab = [integral([*r, *(0,) * (width - len(r))]) for r in rows]
+    return sum(c >= 0 for c in eliminate(tab, width))
 
 
 def solve_linear(rows: Iterable[Sequence[int | Q]], rhs: Sequence[int | Q]) -> Vec | None:

@@ -251,10 +251,7 @@ def _structure_violations(
         seen_coeffs.add(g.coeffs)
         if sp_known and not is_compatible(g, sp, rs):
             out.append(f"axiom S: sigma[{j}] is not compatible with S^p")
-    # Rows of unequal length are zero-padded to the longest: rank reads every
-    # row at the columns of the first.
-    width = max((len(g.coeffs) for g in sigma), default=0)
-    if rank([(*g.coeffs, *(0,) * (width - len(g.coeffs))) for g in sigma]) != nsigma:
+    if rank([g.coeffs for g in sigma]) != nsigma:
         out.append("sigma is linearly dependent")
     head = tuple(out)
     out = []

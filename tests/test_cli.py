@@ -567,6 +567,23 @@ def test_fano_rank_criterion_comes_before_the_curve_pass(d, tmp_path, capsys, mo
         )
 
 
+@pytest.mark.parametrize("path", [EX32, EX61], ids=["ex32", "ex61"])
+def test_fano_checks_the_rank_criterion_once(path, capsys, monkeypatch):
+    # cmd_fano checks it before the curve pass, and mukai_check trusts the
+    # curve report it is handed instead of checking again.
+    calls = []
+    check = fano.check_q_factorial
+
+    def counted(fp):
+        calls.append(fp)
+        return check(fp)
+
+    monkeypatch.setattr(fano, "check_q_factorial", counted)
+    assert main(["fano", path, "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 _SCALED_FANO_RAYS = {
     "(P^1)^7": lambda: product_rays(*[projective_rays(1)] * 7),
     "(P^1)^8": lambda: product_rays(*[projective_rays(1)] * 8),

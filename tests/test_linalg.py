@@ -44,6 +44,19 @@ def test_rank():
     assert rank([[0, 0]]) == 0
 
 
+def test_rank_zero_pads_ragged_rows():
+    # A shorter row is read with zeros in its missing columns, in either
+    # order: the width is the longest row's, not the first's.
+    assert rank([(1,), (0, 1)]) == 2
+    assert rank([(0, 1), (1,)]) == 2
+    assert rank([(1,), (2, 0)]) == 1
+    assert rank([(2, 0), (1,)]) == 1
+    assert rank([(0, 0, 1), (1,), (0, 1)]) == 3
+    assert rank([(1, 1), (0, 0, 1), (1, 1, 1)]) == 2
+    assert rank([(), (0, 0, 3)]) == 1
+    assert rank([]) == 0
+
+
 # The Fraction Gauss-Jordan that linalg ran before the fraction-free
 # kernel, kept as the oracle for it.
 
