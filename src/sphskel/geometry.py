@@ -13,9 +13,10 @@ description.  The edges of Q* come from the same transposed incidence
 a time, any other vertex is tested as ``adjacent`` does.  A vertex
 coordinate is an int when it is integral and a Fraction otherwise
 (``linalg.quotient``).
-Hull and cone membership and interiority are exact LPs with equality rows;
-boundedness, when the cone shows the polytope is not a bounded non-empty
-one, is decided by exact LPs over free variables.
+Cone membership and interiority are exact LPs with equality rows, and hull
+membership is cone membership of the lifted points (p, 1); boundedness, when
+the cone shows the polytope is not a bounded non-empty one, is decided by
+exact LPs over free variables.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class DimensionTooLarge(GeometryError):
 
 
 class OriginNotInterior(GeometryError):
-    pass
-
-
-class NotAVertex(GeometryError):
     pass
 
 
@@ -84,29 +81,11 @@ class VPolytope(NamedTuple):
     vertices: tuple[Vec, ...]
     ambient_dim: int
 
-    @staticmethod
-    def build(points: Iterable[Sequence], dim: int) -> "VPolytope":
-        pts: list[Vec] = []
-        for p in points:
-            v = tuple(p)
-            if len(v) != dim:
-                raise GeometryError("point length differs from ambient dimension")
-            if v not in pts:
-                pts.append(v)
-        keep = [
-            p for i, p in enumerate(pts)
-            if not point_in_hull(pts[:i] + pts[i + 1:], p)
-        ]
-        return VPolytope(tuple(sorted(keep)), dim)
-
 
 def point_in_hull(points: Sequence[Sequence[Q]], target: Sequence[Q]) -> bool:
     """Decide target in conv(points) by LP feasibility on barycentric weights:
     sum(l_i p_i) = target, sum(l_i) = 1, l >= 0."""
-    k = len(points)
-    a_eq = [[p[j] for p in points] for j in range(len(target))] + [[1] * k]
-    res = lp.solve(lp.LpProblem.build([0] * k, (), (), a_eq, [*target, 1]))
-    return res.status == lp.OPTIMAL
+    return cone_contains([(*p, 1) for p in points], (*target, 1))
 
 
 def cone_contains(generators: Sequence[Sequence[Q]], target: Sequence[Q]) -> bool:
@@ -352,23 +331,5 @@ def origin_interior(q: VPolytope) -> bool:
 
 def polar(q: VPolytope) -> HPolytope:
     """{v : <u, v> >= -1 for every vertex u of q}, the dual of q when 0 is
-    interior to q (see dualize)."""
+    interior to q (origin_interior)."""
     return HPolytope(tuple((u, -1) for u in q.vertices), q.ambient_dim)
-
-
-def dualize(q: VPolytope) -> HPolytope:
-    """Polar dual {v : <u, v> >= -1 for every vertex u of q}."""
-    if not origin_interior(q):
-        raise OriginNotInterior("0 must lie in the interior of the polytope")
-    return polar(q)
-
-
-def dual_face(q: VPolytope, v: Sequence[Q]) -> frozenset[int]:
-    """Indices of vertices of q pairing to -1 with a vertex v of the dual."""
-    pair = polar_pair(q.vertices, q.ambient_dim)
-    if pair is None:
-        raise OriginNotInterior("0 must lie in the interior of the polytope")
-    mask = dict(zip(pair[1].vertices, pair[2])).get(tuple(v))
-    if mask is None:
-        raise NotAVertex(f"{v} is not a vertex of the dual polytope")
-    return frozenset(i for i in range(len(q.vertices)) if mask >> i & 1)

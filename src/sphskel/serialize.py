@@ -18,7 +18,6 @@ import csv
 import functools
 import io
 import json
-from fractions import Fraction as Q
 from importlib import resources
 from typing import Any, Callable, Sequence
 
@@ -33,13 +32,6 @@ SCHEMA_VERSION = 1
 
 class DocumentError(ValueError):
     pass
-
-
-def parse_rational(text: str) -> Q | None:
-    text = text.strip()
-    if text in ("inf", "+inf"):
-        return None
-    return Q(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ its integer pairing row against sigma.  The full color set is stored
 explicitly, with the simple roots moving each color, because localization
 needs that data.  Color reconstruction, the structural checks and fano's
 augmentation checks read one table of sigma against the simple roots.
+Isomorphism compares the divisors as one sorted key per Dynkin-diagram
+isomorphism that carries S^p and sigma onto the other skeleton's.
 """
 
 from __future__ import annotations
@@ -437,11 +439,6 @@ def reduced_elementary(sk: SphericalSkeleton) -> SphericalSkeleton:
     return sk._replace(gamma=tuple(gamma))
 
 
-def marked_roots(sk: SphericalSkeleton) -> frozenset[int]:
-    """Indices of spherical roots with n_gamma > 0 (the set ||Gamma||)."""
-    return frozenset(j for j, c in enumerate(_gamma_counts(sk)) if c > 0)
-
-
 def localize(sk: SphericalSkeleton, ids: Iterable[str]) -> SphericalSkeleton:
     """Restriction of the skeleton to the divisors containing a fixed orbit."""
     chosen = set(ids)
@@ -497,64 +494,41 @@ def _signature(sk: SphericalSkeleton) -> tuple:
     )
 
 
+def _carried(row: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """row with each entry row[j] moved to place perm[j]."""
+    out = [0] * len(perm)
+    for j, v in enumerate(row):
+        out[perm[j]] = v
+    return tuple(out)
+
+
+def _divisor_keys(sk: SphericalSkeleton, tau: Sequence[int]) -> tuple[list, list]:
+    """Sorted (kind class, m, row) of the colors, pair_plus and pair_minus in
+    one class, and sorted Gamma rows, each row carried to the sigma order tau."""
+    colors = sorted(
+        (PAIR_PLUS if c.kind == PAIR_MINUS else c.kind, c.m, _carried(c.pairings, tau))
+        for c in sk.colors
+    )
+    return colors, sorted(_carried(d.pairings, tau) for d in sk.gamma)
+
+
 def isomorphic(a: SphericalSkeleton, b: SphericalSkeleton) -> bool:
-    """Search Dynkin-diagram isomorphisms plus divisor bijections."""
+    """Compare the divisor keys once per Dynkin-diagram isomorphism phi that
+    maps S^p onto S^p and sigma onto sigma (by the permutation tau)."""
     if _signature(a) != _signature(b):
         return False
+    b_roots = {g.coeffs: j for j, g in enumerate(b.sigma)}
+    b_keys = _divisor_keys(b, range(len(b.sigma)))
     ma = a.root_system.coroot_matrix()
     mb = b.root_system.coroot_matrix()
-    b_roots = {g.coeffs: j for j, g in enumerate(b.sigma)}
-    nb = len(b.sigma)
-
-    def transported_row(row: tuple[int, ...], tau: list[int]) -> tuple[int, ...]:
-        out = [0] * nb
-        for j, v in enumerate(row):
-            out[tau[j]] = v
-        return tuple(out)
-
     for phi in matrix_isomorphisms(ma, mb):
         if {phi[x] for x in a.sp} != set(b.sp):
             continue
-        tau: list[int] = []
-        ok = True
-        for g in a.sigma:
-            moved = [0] * len(phi)
-            for i, c in enumerate(g.coeffs):
-                moved[phi[i]] = c
-            j = b_roots.get(tuple(moved))
-            if j is None:
-                ok = False
-                break
-            tau.append(j)
-        if not ok or len(set(tau)) != nb:
+        tau = [b_roots.get(_carried(g.coeffs, phi)) for g in a.sigma]
+        if None in tau or len(set(tau)) != len(b.sigma):
             continue
-        a_pairs = sorted(
-            (c.m, transported_row(c.pairings, tau))
-            for c in a.colors
-            if c.kind in (PAIR_PLUS, PAIR_MINUS)
-        )
-        b_pairs = sorted(
-            (c.m, c.pairings) for c in b.colors if c.kind in (PAIR_PLUS, PAIR_MINUS)
-        )
-        if a_pairs != b_pairs:
-            continue
-        a_rest = sorted(
-            (c.kind, c.m, transported_row(c.pairings, tau))
-            for c in a.colors
-            if c.kind not in (PAIR_PLUS, PAIR_MINUS)
-        )
-        b_rest = sorted(
-            (c.kind, c.m, c.pairings)
-            for c in b.colors
-            if c.kind not in (PAIR_PLUS, PAIR_MINUS)
-        )
-        if a_rest != b_rest:
-            continue
-        if sorted(transported_row(d.pairings, tau) for d in a.gamma) != sorted(
-            d.pairings for d in b.gamma
-        ):
-            continue
-        return True
+        if _divisor_keys(a, tau) == b_keys:
+            return True
     return False
 
 

@@ -10,13 +10,9 @@ from sphskel.geometry import (
     MAX_DIM,
     DimensionTooLarge,
     HPolytope,
-    NotAVertex,
-    OriginNotInterior,
     UnboundedPolytope,
     VPolytope,
     cone_contains,
-    dual_face,
-    dualize,
     origin_interior,
     point_in_hull,
     polar,
@@ -25,6 +21,7 @@ from sphskel.geometry import (
 )
 from sphskel import lp
 from sphskel.linalg import dot, rank, solve_linear
+from oracles import hull
 
 
 def _brute_force_vertices(rows, dim):
@@ -146,32 +143,26 @@ def test_random_3d_against_brute_force(rng):
 
 
 def test_dualize_cross_polytope_self_dual_pair():
-    cross = VPolytope.build([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
-    cube = vertex_enumerate(dualize(cross))
+    cross = hull([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    cube = vertex_enumerate(polar(cross))
     assert set(cube.vertices) == {
         (Q(1), Q(1)), (Q(1), Q(-1)), (Q(-1), Q(1)), (Q(-1), Q(-1))
     }
-    back = vertex_enumerate(dualize(cube))
+    back = vertex_enumerate(polar(cube))
     assert set(back.vertices) == set(cross.vertices)
 
 
 def test_dualize_worked_examples():
-    q = VPolytope.build([(1, 0), (0, 1), (-1, 1), (0, -1)], 2)
-    qstar = vertex_enumerate(dualize(q))
+    q = hull([(1, 0), (0, 1), (-1, 1), (0, -1)], 2)
+    qstar = vertex_enumerate(polar(q))
     assert set(qstar.vertices) == {
         (Q(2), Q(1)), (Q(-1), Q(1)), (Q(-1), Q(-1)), (Q(0), Q(-1))
     }
-    square = VPolytope.build([(1, 1), (-1, 1), (-1, -1), (1, -1)], 2)
-    diamond = vertex_enumerate(dualize(square))
+    square = hull([(1, 1), (-1, 1), (-1, -1), (1, -1)], 2)
+    diamond = vertex_enumerate(polar(square))
     assert set(diamond.vertices) == {
         (Q(1), Q(0)), (Q(-1), Q(0)), (Q(0), Q(1)), (Q(0), Q(-1))
     }
-
-
-def test_dualize_requires_interior_origin():
-    shifted = VPolytope.build([(1, 0), (2, 0), (1, 1)], 2)
-    with pytest.raises(OriginNotInterior):
-        dualize(shifted)
 
 
 def test_double_dual_roundtrip(rng):
@@ -179,43 +170,11 @@ def test_double_dual_roundtrip(rng):
         pts = {(Q(2), Q(0)), (Q(-1), Q(2)), (Q(0), Q(-3))}
         while rng.random() < 0.5:
             pts.add((Q(rng.randrange(-3, 4)), Q(rng.randrange(-3, 4))))
-        try:
-            q = VPolytope.build(pts, 2)
-            hull = vertex_enumerate(dualize(vertex_enumerate(dualize(q))))
-        except OriginNotInterior:
+        q = hull(pts, 2)
+        if not origin_interior(q):
             continue
-        assert set(hull.vertices) == set(q.vertices)
-
-
-def test_dual_face_cube_vertex():
-    cross = VPolytope.build(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3
-    )
-    face = dual_face(cross, (-1, -1, -1))
-    got = {cross.vertices[i] for i in face}
-    assert got == {(Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))}
-
-
-def test_dual_face_worked_example():
-    q = VPolytope.build([(1, 0), (0, 1), (-1, 1), (0, -1)], 2)
-    face = dual_face(q, (-1, 1))
-    assert (Q(1), Q(0)) in {q.vertices[i] for i in face}
-
-
-def test_dual_face_rejects_non_vertex():
-    q = VPolytope.build([(1, 0), (0, 1), (-1, -1)], 2)
-    with pytest.raises(NotAVertex):
-        dual_face(q, (5, 5))
-
-
-def test_dual_face_random_scan(rng):
-    for _ in range(10):
-        pts = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(-1), Q(-1))]
-        pts.append((Q(rng.randrange(1, 3)), Q(-rng.randrange(1, 3))))
-        q = VPolytope.build(pts, 2)
-        for v in vertex_enumerate(dualize(q)).vertices:
-            expected = {i for i, u in enumerate(q.vertices) if dot(u, v) == -1}
-            assert dual_face(q, v) == expected
+        back = vertex_enumerate(polar(vertex_enumerate(polar(q))))
+        assert set(back.vertices) == set(q.vertices)
 
 
 def test_cone_contains_trivial_cases():
@@ -257,7 +216,7 @@ def test_vertex_enumerate_active_rank_invariant():
 
 
 def test_vpolytope_drops_redundant_points():
-    q = VPolytope.build([(1, 0), (0, 1), (-1, -1), (0, 0)], 2)
+    q = hull([(1, 0), (0, 1), (-1, -1), (0, 0)], 2)
     assert (Q(0), Q(0)) not in q.vertices
     assert len(q.vertices) == 3
 
@@ -398,7 +357,7 @@ def test_polar_pair_against_lp_and_separate_steps(rng):
     for t in range(300):
         d = 1 + t % 4
         pts = _random_point_set(rng, d)
-        q = VPolytope.build(pts, d)
+        q = hull(pts, d)
         pair = polar_pair(pts, d)
         assert (pair is not None) == origin_interior(q)  # rank test and LP
         if pair is None:
@@ -454,10 +413,6 @@ def test_polar_pair_above_cap_decides_interior_first():
     assert origin_interior(VPolytope(tuple(cross), 16))
     with pytest.raises(DimensionTooLarge):
         polar_pair(cross, 16)
-    with pytest.raises(DimensionTooLarge):
-        dual_face(VPolytope(tuple(cross), 16), (1,) * 16)
     shifted = [tuple(x + 1 for x in p) for p in cross]
     assert polar_pair(shifted, 16) is None
     assert polar_pair([p[:15] + (0,) for p in cross], 16) is None  # flat
-    with pytest.raises(OriginNotInterior):
-        dual_face(VPolytope(tuple(shifted), 16), (1,) * 16)

@@ -25,7 +25,6 @@ from sphskel.serialize import (
     dumps,
     format_rational,
     load_schema,
-    parse_rational,
     skeleton_from_doc,
     skeleton_to_doc,
 )
@@ -40,8 +39,6 @@ def test_rational_rendering():
     assert format_rational(Q(37, 2)) == "37/2"
     assert format_rational(Q(4, 2)) == "2"
     assert format_rational(None) == "inf"
-    assert parse_rational("37/2") == Q(37, 2)
-    assert parse_rational("inf") is None
 
 
 def test_format_rational_reads_ints_and_fractions_alike():

@@ -22,7 +22,6 @@ from sphskel.skeleton import (
     isomorphic,
     localize,
     make_skeleton,
-    marked_roots,
     normalize,
     product,
     reduced_elementary,
@@ -147,7 +146,6 @@ def test_elementary_counts():
     assert [d.pairings for d in el.gamma] == [(-1, 0), (-1, 0), (0, -1)]
     vel = reduced_elementary(two)
     assert [d.pairings for d in vel.gamma] == [(-1, 0), (0, -1)]
-    assert marked_roots(two) == {0, 1}
     assert validate(el) == [] and validate(vel) == []
 
 
@@ -219,6 +217,47 @@ def test_equivalent_but_not_isomorphic():
     trimmed = normalize(sk)
     assert not isomorphic(sk, trimmed)  # gamma sizes differ
     assert equivalent(sk, trimmed)
+
+
+def test_isomorphic_across_factor_order():
+    # a x b against b x a: phi swaps the factors and tau the sigma blocks,
+    # so every pairing row must be carried to b's sigma order.
+    a = generate(FamilySpec("3", l=1, m=1))._replace(gamma=(GammaDivisor("g", (-1, 0)),))
+    b = generate(FamilySpec("5", m=2))._replace(gamma=(GammaDivisor("h", (0, -1)),))
+    ab, ba = product(a, b), product(b, a)
+    assert str(ab.root_system) == "A3xA2" and str(ba.root_system) == "A2xA3"
+    assert isomorphic(ab, ba) and isomorphic(ba, ab)
+    # g moved from a's first spherical root to its second.
+    moved = ba._replace(gamma=(ba.gamma[0], GammaDivisor("g", (0, 0, 0, -1))))
+    assert not isomorphic(ab, moved)
+
+
+def test_isomorphic_does_not_tell_pair_kinds_apart():
+    # The pair colors at alpha_1 have rows (1, 0) and (1, -1); swapping
+    # their kinds changes no divisor class.
+    rs = RootSystem.parse("A2")
+    sk = make_skeleton(rs, [make_root(ALPHA, (0,), rs), make_root(ALPHA, (1,), rs)], ())
+    plus, minus = sk.colors[:2]
+    assert plus.pairings != minus.pairings
+    swapped = sk._replace(
+        colors=(
+            plus._replace(kind=skeleton.PAIR_MINUS),
+            minus._replace(kind=skeleton.PAIR_PLUS),
+            *sk.colors[2:],
+        )
+    )
+    assert isomorphic(sk, swapped) and isomorphic(swapped, sk)
+
+
+def test_reversed_color_row_passes_the_signature_but_is_not_isomorphic():
+    sk = generate(FamilySpec("29"))
+    d3 = sk.colors[2]
+    assert d3.pairings == (0, -2, 2, -1)
+    reversed_row = sk._replace(
+        colors=(*sk.colors[:2], d3._replace(pairings=d3.pairings[::-1]), sk.colors[3])
+    )
+    assert skeleton._signature(sk) == skeleton._signature(reversed_row)
+    assert not isomorphic(sk, reversed_row)
 
 
 def test_equivalence_relation_on_samples(rng):
