@@ -78,6 +78,13 @@ class FamilySpec(NamedTuple):
             if not rest:
                 raise ParameterOutOfRange("family 2 needs a simple type, e.g. 2:G2")
             return FamilySpec("2", series=SimpleType.parse(rest))
+        if fam in FIXED:
+            ambient = FIXED[fam][0]
+            if rest.strip() not in ("", ambient):
+                raise ParameterOutOfRange(
+                    f"family {fam} takes no parameters, only its type {ambient}: {text!r}"
+                )
+            return FamilySpec(fam)
         l = m = None
         if rest:
             for part in rest.split(","):
@@ -87,12 +94,8 @@ class FamilySpec(NamedTuple):
                     l = int(val)
                 elif key == "m":
                     m = int(val)
-                elif key and fam in FIXED_FAMILIES:
-                    continue  # tolerate a group label suffix like 29:F4
                 else:
                     raise ParameterOutOfRange(f"unknown parameter {part!r}")
-        if fam in FIXED_FAMILIES:
-            return FamilySpec(fam)
         named = PARAMETRIC_FAMILIES[fam].params + ("m" if fam in _SWEPT_M else "")
         for key, value in (("l", l), ("m", m)):
             if value is not None and key not in named:

@@ -9,8 +9,12 @@ maps every other row, the reduced-cost row included, to
 ``(p*T[i][j] - T[i][e]*T[r][j]) // d``, a division that is exact because
 every entry is a minor of the integer data (Edmonds 1967; Azulay & Pique
 2001).  Column e becomes ``-T[i][e]``, T[r][e] the old d, and d becomes p.
-Bland's rule enters the lowest *label* with a positive reduced cost; the
-ratio test cross-multiplies and breaks ties by the lowest basic label, so
+When p == d, as in most pivots on near-unimodular data, the map is
+``T[i][j] - T[i][e]*T[r][j] // d``: d divides the whole numerator, so it
+divides ``T[i][e]*T[r][j]``, and only the columns where row r is nonzero
+change (Bareiss 1968; Applegate, Cook, Dash & Espinoza 2007).  Bland's
+rule enters the lowest *label* with a positive reduced cost; the ratio
+test cross-multiplies and breaks ties by the lowest basic label, so
 the pivots are exactly those of the rational tableau.
 
 Each row is scaled to integers by its own denominator den_i, so its unit
@@ -109,21 +113,36 @@ def _pivot(
     """Pivot ``tab / d`` on (r, e) as the module docstring says, swap the
     two labels, and return the new d.  A negative pivot, which only phase
     1's drive-out meets, negates row r first and flips the signs of column
-    e's new entries, so d stays positive."""
+    e's new entries, so d stays positive.
+
+    When p == d, row i maps to ``T[i][j] - f*T[r][j] // d`` with f =
+    T[i][e]: d divides the whole of ``d*T[i][j] - f*T[r][j]``, so it
+    divides ``f*T[r][j]``, and only the columns where row r is nonzero
+    change.  Those rows are updated in place; a row with f == 0 is left
+    as it is.  Otherwise every row is rewritten over the new d."""
     prow = tab[r]
     p = prow[e]
     sign = 1
     if p < 0:
         prow = tab[r] = [-v for v in prow]
         p, sign = -p, -1
-    for i, row in enumerate(tab):
-        if i != r:
+    if p == d:
+        nonzero = [(j, b) for j, b in enumerate(prow) if b and j != e]
+        for i, row in enumerate(tab):
             f = row[e]
-            if f:
-                row = tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            if f and i != r:
+                for j, b in nonzero:
+                    row[j] -= f * b // d
                 row[e] = -sign * f
-            elif p != d:
-                tab[i] = [p * a // d for a in row]
+    else:
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[e]
+                if f:
+                    row = tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                    row[e] = -sign * f
+                else:
+                    tab[i] = [p * a // d for a in row]
     prow[e] = sign * d
     basic[r], nonbasic[e] = nonbasic[e], basic[r]
     return p

@@ -57,10 +57,13 @@ class SimpleType(_SimpleTypeFields):
 
     @staticmethod
     def parse(text: str) -> "SimpleType":
+        """A letter, then the rank in ASCII digits only: ``int`` would also
+        read signs, underscores and other scripts' digits."""
         text = text.strip()
-        if not text or not text[0].isalpha():
+        digits = text[1:]
+        if not text[:1].isalpha() or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse simple type {text!r}")
-        return SimpleType(text[0].upper(), int(text[1:]))
+        return SimpleType(text[0].upper(), int(digits))
 
 
 def _simple_coroot_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:

@@ -28,3 +28,28 @@ def hull(points: Iterable[Sequence], dim: int) -> VPolytope:
         if not point_in_hull(pts[:i] + pts[i + 1:], p)
     ]
     return VPolytope(tuple(sorted(keep)), dim)
+
+
+def dense_pivot(
+    tab: list[list[int]], basic: list[int], nonbasic: list[int], d: int, r: int, e: int
+) -> int:
+    """``lp._pivot`` as one dense update: every row with a nonzero entry in
+    column e is rebuilt over the new d, and when p != d so is every other
+    row."""
+    prow = tab[r]
+    p = prow[e]
+    sign = 1
+    if p < 0:
+        prow = tab[r] = [-v for v in prow]
+        p, sign = -p, -1
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[e]
+            if f:
+                row = tab[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[e] = -sign * f
+            elif p != d:
+                tab[i] = [p * a // d for a in row]
+    prow[e] = sign * d
+    basic[r], nonbasic[e] = nonbasic[e], basic[r]
+    return p

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -30,15 +32,36 @@ from sphskel.skeleton import (
     validate,
 )
 
+POOL = Path(__file__).parents[1] / "perfbench" / "data" / "query_pool.json.gz"
+
 
 def test_spec_parsing():
     assert FamilySpec.parse("2:G2").series == SimpleType("G", 2)
     assert FamilySpec.parse("3:l=1,m=2") == FamilySpec("3", l=1, m=2)
-    assert FamilySpec.parse("29:F4") == FamilySpec("29")
+    for fixed in ("29", "29:F4", " 29 : F4 ", "30:G2", "18:E6", "26:E8", "28:F4"):
+        assert FamilySpec.parse(fixed) == FamilySpec(fixed.partition(":")[0].strip())
     with pytest.raises(ParameterOutOfRange):
         FamilySpec.parse("7")
     with pytest.raises(ParameterOutOfRange):
         FamilySpec.parse("2")
+
+
+def test_every_catalog_and_pool_label_parses_back():
+    # Every label the sweeps print, and every marking and document root
+    # system of the benchmark's request pool, is in the strict grammar and
+    # reads as int() reads it.
+    specs = list(all_specs(24))
+    for spec in specs:
+        assert FamilySpec.parse(spec.label()) == spec, spec.label()
+    with gzip.open(POOL, "rt", encoding="utf-8") as handle:
+        pool = json.load(handle)
+    known = set(specs)
+    for label, _ in pool["markings"]:
+        assert FamilySpec.parse(label) in known and FamilySpec.parse(label).label() == label
+    types = {t for doc in pool["docs"] for t in doc["root_system"]}
+    for text in types:
+        assert SimpleType.parse(text) == SimpleType(text[0].upper(), int(text[1:])), text
+    assert len(specs) > 1000 and len(pool["markings"]) == 867 and len(types) > 5
 
 
 def test_group_embedding_structure():

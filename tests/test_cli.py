@@ -429,6 +429,49 @@ def test_swept_m_of_the_l_only_families_is_still_read(capsys, spec):
     capsys.readouterr()
 
 
+# Specs outside the catalog's grammar, each with its violation.  A fixed
+# family takes only a bare label or its own ambient type (29, 29:F4); a
+# simple type's rank is ASCII digits only, where int() would also read a
+# sign, a space, an underscore or another script's digits.
+REFUSED_SPECS = {
+    "29:l=3,m=9": "family 29 takes no parameters, only its type F4: '29:l=3,m=9'",
+    "29:E6": "family 29 takes no parameters, only its type F4: '29:E6'",
+    "29:xyz": "family 29 takes no parameters, only its type F4: '29:xyz'",
+    "29:m=1": "family 29 takes no parameters, only its type F4: '29:m=1'",
+    "29:f4": "family 29 takes no parameters, only its type F4: '29:f4'",
+    "30:F4": "family 30 takes no parameters, only its type G2: '30:F4'",
+    "18:E6,l=1": "family 18 takes no parameters, only its type E6: '18:E6,l=1'",
+    "2:G2,B2": "cannot parse simple type 'G2,B2'",
+    "2:A+1": "cannot parse simple type 'A+1'",
+    "2:A1_0": "cannot parse simple type 'A1_0'",
+    "2:A\u0661": "cannot parse simple type 'A\u0661'",
+    "2:A": "cannot parse simple type 'A'",
+    "2:A-1": "cannot parse simple type 'A-1'",
+    "2:A 3": "cannot parse simple type 'A 3'",
+    "2:A\u00b2": "cannot parse simple type 'A\u00b2'",
+}
+
+
+@pytest.mark.parametrize("spec", list(REFUSED_SPECS))
+def test_spec_the_catalog_does_not_define_exits_2(capsys, spec):
+    message = REFUSED_SPECS[spec]
+    assert main(["compute-p", "--family", spec, "--mark", "1"]) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", f"violation: {message}\n")
+    assert main(["compute-p", "--family", spec, "--mark", "1", "--json"]) == cli.EXIT_INVALID
+    assert json.loads(capsys.readouterr().out)["violations"] == [message]
+
+
+@pytest.mark.parametrize("text", ["A+1", "A 1", "A\u0661"])
+def test_document_simple_type_rank_is_ascii_digits(tmp_path, capsys, text):
+    # ex35 is over A1, and int() would read each of these ranks as 1.
+    doc = json.loads((DATA / "ex35.json").read_text(encoding="utf-8"))
+    doc["root_system"] = [text]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["compute-p", str(path)]) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", f"violation: cannot parse simple type {text!r}\n")
+
+
 def _raise_runtime_error(args):
     raise RuntimeError("unexpected\nstate")
 

@@ -12,6 +12,8 @@ from sphskel.catalog import mark, table_tasks
 from sphskel.linalg import dot, gcd_fold, lcm_fold, pivot, primitive, rank, solve_linear
 from sphskel.pinv import skeleton_lp
 
+from oracles import dense_pivot
+
 
 def brute_force_lp(c, a, b):
     """Independent oracle: enumerate basic points and extreme rays.
@@ -534,7 +536,9 @@ def test_compact_kernel_matches_tableau_oracle_on_catalog():
     assert len(tasks) == 867
 
 
-def test_compact_kernel_matches_tableau_oracle_on_seeded_lps():
+def _seeded_lps():
+    """2,800 LPs from seven makers in turn: phase 1, ties, equality rows,
+    Fractions, dropped rows and drive-outs."""
     rng = random.Random("lp-compact-oracle")
     makers = (
         _mixed_problem,
@@ -545,15 +549,55 @@ def test_compact_kernel_matches_tableau_oracle_on_seeded_lps():
         _mixed_number_problem,
         _scaled_phase1_problem,
     )
-    stats = Counter()
     for t in range(400 * len(makers)):
-        problem = makers[t % len(makers)](rng)
+        yield makers[t % len(makers)](rng)
+
+
+def test_compact_kernel_matches_tableau_oracle_on_seeded_lps():
+    stats = Counter()
+    for problem in _seeded_lps():
         res = lp.solve(problem)
         assert res == _tableau_solve(problem, stats), problem
         stats[res.status] += 1
     assert min(stats[s] for s in (lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE)) > 200, stats
     assert stats["phase1"] > 1500 and stats["fractional"] > 1000, stats
     assert stats["drive_out"] > 50 and stats["null_rows"] > 20, stats
+
+
+def _pivot_branches(monkeypatch, problems):
+    """Solve each problem with ``lp._pivot`` checked against the dense
+    update at every pivot; count the pivots by branch."""
+    counts = Counter()
+    sparse = lp._pivot
+
+    def checked(tab, basic, nonbasic, d, r, e):
+        p = tab[r][e]
+        counts["negative"] += p < 0
+        counts["p!=d" if abs(p) != d else "p=d=1" if d == 1 else "p=d>1"] += 1
+        expected = ([list(row) for row in tab], list(basic), list(nonbasic))
+        expected_d = dense_pivot(*expected, d, r, e)
+        new_d = sparse(tab, basic, nonbasic, d, r, e)
+        assert (tab, basic, nonbasic, new_d) == (*expected, expected_d)
+        return new_d
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    for problem in problems:
+        lp.solve(problem)
+    return counts
+
+
+def test_sparse_pivot_matches_dense_pivot_on_catalog(monkeypatch):
+    problems = [skeleton_lp(mark(spec, k)) for spec, k in table_tasks(8)]
+    counts = _pivot_branches(monkeypatch, problems)
+    pivots = counts["p=d=1"] + counts["p=d>1"] + counts["p!=d"]
+    assert len(problems) == 867 and pivots == 2761, counts
+    assert min(counts[k] for k in ("p=d=1", "p=d>1", "p!=d")) > 0, counts
+
+
+def test_sparse_pivot_matches_dense_pivot_on_seeded_lps(monkeypatch):
+    counts = _pivot_branches(monkeypatch, _seeded_lps())
+    assert min(counts[k] for k in ("p=d=1", "p=d>1", "p!=d", "negative")) > 0, counts
+
 
 def test_equality_rows_match_pair_encoding():
     # The native equality rows against the +/- row pairs they replaced, on
