@@ -85,22 +85,30 @@ class FamilySpec(NamedTuple):
                     f"family {fam} takes no parameters, only its type {ambient}: {text!r}"
                 )
             return FamilySpec(fam)
-        l = m = None
+        # Each of l and m at most once, as ASCII digits with no leading
+        # zero: int() would also read a sign, an underscore or another
+        # script's digits.  The m that families 8 and 14 do not use keeps
+        # int()'s reading until it is dropped (_SWEPT_M).
+        values: dict[str, int] = {}
         if rest:
             for part in rest.split(","):
                 key, _, val = part.partition("=")
-                key = key.strip().lower()
-                if key == "l":
-                    l = int(val)
-                elif key == "m":
-                    m = int(val)
-                else:
+                key, val = key.strip().lower(), val.strip()
+                if key not in ("l", "m"):
                     raise ParameterOutOfRange(f"unknown parameter {part!r}")
+                if key in values:
+                    raise ParameterOutOfRange(f"parameter {key} given twice: {text!r}")
+                digits = val.isascii() and val.isdigit() and (val[0] != "0" or val == "0")
+                if not digits and not (key == "m" and fam in _SWEPT_M):
+                    raise ParameterOutOfRange(
+                        f"parameter {key} takes ASCII digits with no leading zero: {text!r}"
+                    )
+                values[key] = int(val)
         named = PARAMETRIC_FAMILIES[fam].params + ("m" if fam in _SWEPT_M else "")
-        for key, value in (("l", l), ("m", m)):
-            if value is not None and key not in named:
+        for key in values:
+            if key not in named:
                 raise ParameterOutOfRange(f"family {fam} takes no parameter {key}")
-        return FamilySpec(fam, l=l, m=m)
+        return FamilySpec(fam, l=values.get("l"), m=values.get("m"))
 
 
 # One spherical root as family data: its pattern kind and its embedding.

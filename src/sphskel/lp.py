@@ -19,15 +19,18 @@ the pivots are exactly those of the rational tableau.
 
 Each row is scaled to integers by its own denominator den_i, so its unit
 variable (slack, or artificial of an equality row) stands for den_i times
-the row's own, and its dual is den_i times the unit variable's.  Phase 1
-maximises minus the sum of the artificials, so the artificial of row i
-weighs -lcm(den) / den_i.  Inputs are stored as given, ints or Fractions,
-and read through numerator and denominator.  Each result entry (the
-optimum, every x and every y) is read off the final tableau over d by
-``linalg.quotient``: an int unless it is a true quotient, and then a
-Fraction in lowest terms, so optimal values, primal vertices, and dual
-certificates are exact.  Returned primal points are basic solutions,
-i.e. vertices of the feasible region.
+the row's own, and its dual is den_i times the unit variable's.  A row of
+ints (den_i = 1, every catalog row) goes into the tableau as it is; only
+a row that holds a Fraction is read through numerators and denominators.
+Phase 1 maximises minus the sum of the artificials, so the artificial of
+row i weighs -lcm(den) / den_i.  Each result entry (the optimum, every x
+and every y) is read off the final tableau over d by ``linalg.quotient``:
+an int unless it is a true quotient, and then a Fraction in lowest terms,
+so optimal values, primal vertices, and dual certificates are exact.  The
+duals are priced in one pass over the nonbasic labels and their reduced
+costs; a row whose unit variable is basic, or was dropped with its row,
+keeps the dual 0.  Returned primal points are basic solutions, i.e.
+vertices of the feasible region.
 
 The dual vector ``y`` has one entry per row, the inequality rows first and
 then the equality rows, such that ``A^T y_le + A_eq^T y_eq >= c`` and
@@ -209,8 +212,11 @@ def solve(problem: LpProblem) -> LpResult:
     tab: list[list[int]] = []
     den: list[int] = []
     for i, (ai, bi) in enumerate(rows):
-        row, s = _numerators((*ai, bi))
-        if row[-1] < 0:
+        row, s = [*ai, bi], 1
+        # A sum of ints is an int; a Fraction anywhere makes it a Fraction.
+        if type(sum(row)) is not int:
+            row, s = _numerators(row)
+        if bi < 0:
             row = [-v for v in row]
         if negative:
             row[-1:-1] = [-1 if i == k else 0 for k in negative]
@@ -273,11 +279,13 @@ def solve(problem: LpProblem) -> LpResult:
     # unit variable, or one dropped with its row, prices its row at 0.
     z = tab[-1]
     d *= scale
-    price = dict(zip(nonbasic, z))
-    y = [quotient(-s * p, d) if (p := price.get(n + i)) else 0 for i, s in enumerate(den)]
-    for i in range(m, r):
-        if rows[i][1] < 0 and y[i]:
-            y[i] = -y[i]
+    y = [0] * r
+    for lab, p in zip(nonbasic, z):
+        i = lab - n
+        if i >= 0 and p:
+            if i < m or rows[i][1] >= 0:
+                p = -p
+            y[i] = quotient(den[i] * p, d)
     return LpResult(OPTIMAL, quotient(-z[-1], d), tuple(x), tuple(y))
 
 

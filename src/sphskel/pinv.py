@@ -36,12 +36,13 @@ class PInvariantReport(NamedTuple):
 
 
 def skeleton_lp(sk: SphericalSkeleton) -> lp.LpProblem:
-    rows = sk.pairing_rows()
+    divisors = sk.divisors
+    rows = [d.pairings for d in divisors]
     # The zero row gives c its width when there is no divisor; strict
     # rejects a pairing row of another width.
     c = tuple(map(sum, zip(*rows, (0,) * len(sk.sigma), strict=True)))
     a = tuple(tuple(map(neg, row)) for row in rows)
-    return lp.LpProblem(c, a, tuple(sk.coefficients()))
+    return lp.LpProblem(c, a, tuple(d.m for d in divisors))
 
 
 def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
@@ -50,7 +51,7 @@ def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
     if violations:
         raise InvalidSkeleton(violations)
     problem = skeleton_lp(sk)
-    base = sum(m - 1 for m in sk.coefficients())
+    base = sum(problem.b) - len(problem.b)
     bound = parabolic_count(sk.root_system, sk.sp)
     res = lp.solve(problem)
     if res.status == lp.UNBOUNDED:

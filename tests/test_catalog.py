@@ -38,6 +38,10 @@ POOL = Path(__file__).parents[1] / "perfbench" / "data" / "query_pool.json.gz"
 def test_spec_parsing():
     assert FamilySpec.parse("2:G2").series == SimpleType("G", 2)
     assert FamilySpec.parse("3:l=1,m=2") == FamilySpec("3", l=1, m=2)
+    # l and m in either order, keys in either case, a lone 0, and
+    # whitespace around the parts.
+    for text in ("3:m=0,l=10", "3:L=10,M=0", " 3 : l = 10 , m = 0 "):
+        assert FamilySpec.parse(text) == FamilySpec("3", l=10, m=0), text
     for fixed in ("29", "29:F4", " 29 : F4 ", "30:G2", "18:E6", "26:E8", "28:F4"):
         assert FamilySpec.parse(fixed) == FamilySpec(fixed.partition(":")[0].strip())
     with pytest.raises(ParameterOutOfRange):

@@ -432,7 +432,9 @@ def test_swept_m_of_the_l_only_families_is_still_read(capsys, spec):
 # Specs outside the catalog's grammar, each with its violation.  A fixed
 # family takes only a bare label or its own ambient type (29, 29:F4); a
 # simple type's rank is ASCII digits only, where int() would also read a
-# sign, a space, an underscore or another script's digits.
+# sign, a space, an underscore or another script's digits; l and m are
+# each given at most once, in ASCII digits with no leading zero.
+LM_DIGITS = "takes ASCII digits with no leading zero"
 REFUSED_SPECS = {
     "29:l=3,m=9": "family 29 takes no parameters, only its type F4: '29:l=3,m=9'",
     "29:E6": "family 29 takes no parameters, only its type F4: '29:E6'",
@@ -449,6 +451,17 @@ REFUSED_SPECS = {
     "2:A-1": "cannot parse simple type 'A-1'",
     "2:A 3": "cannot parse simple type 'A 3'",
     "2:A\u00b2": "cannot parse simple type 'A\u00b2'",
+    "3:l=1,l=2,m=1": "parameter l given twice: '3:l=1,l=2,m=1'",
+    "3:l=1,m=1,m=2": "parameter m given twice: '3:l=1,m=1,m=2'",
+    "8:L=1,l=1": "parameter l given twice: '8:L=1,l=1'",
+    "3:l=01,m=1": f"parameter l {LM_DIGITS}: '3:l=01,m=1'",
+    "3:l=+1,m=1": f"parameter l {LM_DIGITS}: '3:l=+1,m=1'",
+    "3:l=1_0,m=1": f"parameter l {LM_DIGITS}: '3:l=1_0,m=1'",
+    "3:l=\u0661,m=1": f"parameter l {LM_DIGITS}: '3:l=\u0661,m=1'",
+    "3:l=-1,m=1": f"parameter l {LM_DIGITS}: '3:l=-1,m=1'",
+    "3:l=1,m=00": f"parameter m {LM_DIGITS}: '3:l=1,m=00'",
+    "5:m=+2": f"parameter m {LM_DIGITS}: '5:m=+2'",
+    "8:l=01,m=1": f"parameter l {LM_DIGITS}: '8:l=01,m=1'",
 }
 
 

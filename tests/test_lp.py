@@ -766,6 +766,49 @@ def test_results_are_ints_unless_true_quotients():
     assert _fractional_entries(lp.solve(lp.LpProblem.build([0, Q(-1, 3)], [], []))) == 0
 
 
+def _one_fraction_problem(rng):
+    # Rows of ints, about two in three with exactly one Fraction at a
+    # random position, the rhs included; some of those Fractions are
+    # integral (denominator 1).  Either rhs sign, and 0-1 equality rows.
+    n = rng.randrange(1, 5)
+
+    def row():
+        entries = [rng.randrange(-4, 5) for _ in range(n)] + [rng.randrange(-3, 6)]
+        if rng.random() < 2 / 3:
+            j = rng.randrange(n + 1)
+            entries[j] = Q(rng.randrange(-6, 7), rng.choice((1, 2, 3, 4, 6)))
+        return entries
+
+    ineq = [row() for _ in range(rng.randrange(1, 6))]
+    eq = [row() for _ in range(rng.randrange(0, 2))]
+    c = [rng.randrange(-4, 5) for _ in range(n)]
+    return lp.LpProblem.build(
+        c, [r[:-1] for r in ineq], [r[-1] for r in ineq], [r[:-1] for r in eq], [r[-1] for r in eq]
+    )
+
+
+def test_rows_with_one_fraction_match_fraction_oracle():
+    # lp.solve reads an all-int row as it is and scales only a row that
+    # holds a Fraction; both must give the Fraction tableau's result, in
+    # normal form.
+    rng = random.Random("lp-one-fraction-rows")
+    seen = Counter()
+    for _ in range(600):
+        problem = _one_fraction_problem(rng)
+        for ai, bi in zip(problem.a + problem.a_eq, problem.b + problem.b_eq):
+            where = [j for j, v in enumerate((*ai, bi)) if type(v) is Q]
+            seen["int row" if not where else "rhs" if where == [len(ai)] else "lhs"] += 1
+        res = lp.solve(problem)
+        assert res == _fraction_solve(problem), problem
+        seen[res.status] += 1
+        if res.status == lp.OPTIMAL:
+            seen["fractional"] += bool(_fractional_entries(res))
+            assert lp.check_certificate(problem, res), problem
+    assert min(seen[k] for k in ("int row", "rhs", "lhs")) > 100, seen
+    assert min(seen[s] for s in (lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE)) > 50, seen
+    assert 10 < seen["fractional"] < seen[lp.OPTIMAL] - 10, seen
+
+
 def _moved(res, field, i, delta):
     v = list(getattr(res, field))
     v[i] += delta

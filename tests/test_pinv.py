@@ -181,3 +181,32 @@ def test_skeleton_lp_data_are_ints():
         problem = skeleton_lp(mark(spec, k))
         entries = [*problem.c, *problem.b, *(v for row in problem.a for v in row)]
         assert entries and all(type(v) is int for v in entries), (spec.label(), k)
+
+
+def test_skeleton_lp_without_divisors_has_sigma_width():
+    sk = worked_example()._replace(colors=(), gamma=())
+    assert len(sk.sigma) == 1
+    assert skeleton_lp(sk) == lp.LpProblem((0,), (), ())
+
+
+def test_skeleton_lp_rejects_a_pairing_row_of_another_width():
+    sk = worked_example()
+    for pairings in ((), (1, 0)):
+        with pytest.raises(ValueError):
+            skeleton_lp(sk._replace(gamma=(GammaDivisor("D9", pairings),)))
+
+
+def test_skeleton_lp_on_catalog_is_column_sums_negated_rows_and_m():
+    # Every rank-8 catalog marking: c_g = sum_D <rho(D), g>, the rows
+    # -<rho(D), .> and b_D = m_D, as the module docstring states them; and
+    # compute_p's base is sum_D (m_D - 1).
+    tasks = table_tasks(max_rank=8)
+    for spec, k in tasks:
+        sk = mark(spec, k)
+        rows = [d.pairings for d in sk.divisors]
+        c = tuple(sum(row[j] for row in rows) for j in range(len(sk.sigma)))
+        a = tuple(tuple(-v for v in row) for row in rows)
+        b = tuple(d.m for d in sk.divisors)
+        assert skeleton_lp(sk) == lp.LpProblem(c, a, b), (spec.label(), k)
+        assert compute_p(sk).base == sum(m - 1 for m in b), (spec.label(), k)
+    assert len(tasks) == 867
