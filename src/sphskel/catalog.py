@@ -12,15 +12,19 @@ vertices.  The full color sets (with anticanonical coefficients) are
 reconstructed from that data, and a marking adds one invariant divisor
 pairing -1 with the chosen spherical root.  The closed-form value registries drive the
 verification sweeps; they are the external cross-check that the family
-data is right.  A sweep solves each marking once into one ``CatalogRow``,
-which both the table and the equality reports read.
+data is right.  A sweep solves the markings of each distinct skeleton once
+(the specs of families 8 and 14 that differ only in their unread m share
+one) and writes one ``CatalogRow`` per marking, which both the table and
+the equality reports read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import format_rational
 from .pinv import compute_p, evaluate_objective, theta_feasible
@@ -530,36 +534,58 @@ def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
     return tasks
 
 
-def _evaluate(spec: FamilySpec, k: int) -> CatalogRow:
-    """Solve one marking once.
+# What a row reads from its marking's solve: the value, the bound, the
+# optimal vertex and dual as texts, and whether the bound is attained.
+_Solved = tuple[int | Q | None, int, tuple[str, ...] | None, tuple[str, ...] | None, bool]
 
-    For listed markings the printed optimal vertex must be feasible and
-    attain the value; every other marking must be strictly below the bound.
+
+def _evaluate(
+    spec: FamilySpec, tasks: Iterable[int], solved: list[_Solved]
+) -> list[CatalogRow]:
+    """The rows of spec's markings tasks, in order.
+
+    An empty ``solved`` is filled with one solve per marking; a filled one,
+    from an earlier spec with an equal skeleton, is read as it is.  The
+    expected value, the listing and theta_ok are the spec's own: for listed
+    markings the printed optimal vertex must be feasible and attain the
+    value; every other marking must be strictly below the bound.
     """
-    sk = mark(spec, k)
-    report = compute_p(sk)
-    listed = equality_entries(spec)
-    theta_ok = True
-    if k in listed:
-        theta = listed[k]
-        theta_ok = (
-            theta_feasible(sk, theta)
-            and evaluate_objective(sk, theta) == report.p_value
-        )
     fam, _, params = spec.label().partition(":")
-    return CatalogRow(
-        fam,
-        params,
-        k,
-        expected_value(spec, k),
-        report.p_value,
-        report.bound,
-        _texts(report.theta),
-        _texts(report.dual),
-        k in listed,
-        report.is_equality,
-        theta_ok,
-    )
+    listed = equality_entries(spec)
+    fill = not solved
+    rows = []
+    for k in tasks:
+        if fill:
+            report = compute_p(mark(spec, k))
+            solved.append((
+                report.p_value,
+                report.bound,
+                _texts(report.theta),
+                _texts(report.dual),
+                report.is_equality,
+            ))
+        p_value, bound, theta, dual, is_equality = solved[k - 1]
+        theta_ok = True
+        if k in listed:
+            sk, vertex = mark(spec, k), listed[k]
+            theta_ok = (
+                theta_feasible(sk, vertex)
+                and evaluate_objective(sk, vertex) == p_value
+            )
+        rows.append(CatalogRow(
+            fam,
+            params,
+            k,
+            expected_value(spec, k),
+            p_value,
+            bound,
+            theta,
+            dual,
+            k in listed,
+            is_equality,
+            theta_ok,
+        ))
+    return rows
 
 
 def _texts(values: Sequence[int | Q] | None) -> tuple[str, ...] | None:
@@ -569,7 +595,15 @@ def _texts(values: Sequence[int | Q] | None) -> tuple[str, ...] | None:
 def verify_catalog(max_rank: int = 8) -> list[CatalogRow]:
     """One sweep over every (family, params, marking).
 
-    Each row recomputes its table value, and checks that the bound is
-    attained exactly on the listed markings.
+    Each distinct skeleton is solved once per sweep: the specs of families
+    8 and 14 that differ only in the m they do not read generate equal
+    skeletons, and the later ones read the first one's solves.  Each row
+    checks its table value, and that the bound is attained exactly on the
+    listed markings.
     """
-    return [_evaluate(spec, k) for spec, k in table_tasks(max_rank)]
+    rows: list[CatalogRow] = []
+    shared: dict[SphericalSkeleton, list[_Solved]] = {}
+    for spec, tasks in groupby(table_tasks(max_rank), key=itemgetter(0)):
+        solved = shared.setdefault(generate(spec), [])
+        rows += _evaluate(spec, (k for _, k in tasks), solved)
+    return rows

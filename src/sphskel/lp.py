@@ -68,12 +68,15 @@ class LpProblem(_LpProblemFields):
     __slots__ = ()
 
     def __new__(cls, c: Vec, a: Mat, b: Vec, a_eq: Mat = (), b_eq: Vec = ()) -> "LpProblem":
+        n = len(c)
         for row in a + a_eq:
-            if len(row) != len(c):
+            if len(row) != n:
                 raise ValueError("constraint row length differs from objective")
         if len(a) != len(b) or len(a_eq) != len(b_eq):
             raise ValueError("constraint count differs from rhs length")
-        return super().__new__(cls, c, a, b, a_eq, b_eq)
+        # tuple.__new__ directly: the NamedTuple's own __new__ is one more
+        # Python call that only packs the same five fields.
+        return tuple.__new__(cls, (c, a, b, a_eq, b_eq))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "LpProblem":

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from sphskel import catalog
 from sphskel.geometry import GeometryError, VPolytope, point_in_hull
-from sphskel.linalg import Vec
+from sphskel.linalg import Vec, format_rational
+from sphskel.pinv import compute_p, evaluate_objective, theta_feasible
 
 
 def hull(points: Iterable[Sequence], dim: int) -> VPolytope:
@@ -53,3 +55,42 @@ def dense_pivot(
     prow[e] = sign * d
     basic[r], nonbasic[e] = nonbasic[e], basic[r]
     return p
+
+
+def catalog_rows(max_rank: int) -> list[catalog.CatalogRow]:
+    """``catalog.verify_catalog`` with no sharing: every (spec, marking) of
+    ``catalog.table_tasks`` is marked, solved and checked on its own.  The
+    family data (``equality_entries`` among it) is read through the module,
+    so a test that patches it patches it here too."""
+    return [_catalog_row(spec, k) for spec, k in catalog.table_tasks(max_rank)]
+
+
+def _catalog_row(spec: catalog.FamilySpec, k: int) -> catalog.CatalogRow:
+    sk = catalog.mark(spec, k)
+    report = compute_p(sk)
+    listed = catalog.equality_entries(spec)
+    theta_ok = True
+    if k in listed:
+        theta = listed[k]
+        theta_ok = (
+            theta_feasible(sk, theta)
+            and evaluate_objective(sk, theta) == report.p_value
+        )
+    fam, _, params = spec.label().partition(":")
+    return catalog.CatalogRow(
+        fam,
+        params,
+        k,
+        catalog.expected_value(spec, k),
+        report.p_value,
+        report.bound,
+        _texts(report.theta),
+        _texts(report.dual),
+        k in listed,
+        report.is_equality,
+        theta_ok,
+    )
+
+
+def _texts(values: Sequence | None) -> tuple[str, ...] | None:
+    return None if values is None else tuple(map(format_rational, values))

@@ -3,11 +3,14 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+from collections import defaultdict
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
+from oracles import catalog_rows
+from sphskel import catalog
 from sphskel.catalog import (
     FamilySpec,
     ParameterOutOfRange,
@@ -17,6 +20,7 @@ from sphskel.catalog import (
     generate,
     mark,
     sigma_size,
+    table_tasks,
     verify_catalog,
 )
 from sphskel.pinv import compute_p
@@ -274,6 +278,71 @@ def test_a_listed_row_matches_only_with_its_printed_vertex():
     assert not row._replace(listed=False).equality_match
     assert row._replace(listed=False, is_equality=False, theta_ok=False).equality_match
     assert not row._replace(expected=row.p_value + 1).table_match
+
+
+@pytest.mark.parametrize("max_rank", [8, 12])
+def test_the_sweep_equals_one_solve_per_marking(max_rank):
+    assert verify_catalog(max_rank) == catalog_rows(max_rank)
+
+
+def test_the_sweep_solves_each_distinct_skeleton_once(monkeypatch):
+    calls = []
+
+    def counting(sk):
+        calls.append(sk)
+        return compute_p(sk)
+
+    monkeypatch.setattr(catalog, "compute_p", counting)
+    verify_catalog(8)
+    distinct = {generate(spec) for spec in all_specs(8)}
+    assert len(calls) == sum(len(sk.sigma) for sk in distinct) == 675
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_repeated_skeleton_gives_its_first_specs_rows():
+    """Families 8 and 14 do not read the m that all_specs sweeps: each
+    later m gives the rows of the first, but for its params text."""
+    by_spec = defaultdict(list)
+    for (spec, _), row in zip(table_tasks(8), verify_catalog(8)):
+        by_spec[spec].append(row)
+    first: dict = {}
+    repeated = 0
+    for spec, rows in by_spec.items():
+        if spec.family not in ("8", "14"):
+            continue
+        key = (spec.family, spec.l)
+        if key not in first:
+            first[key] = rows
+            continue
+        assert rows[0].params == f"l={spec.l},m={spec.m}"
+        assert [r._replace(params="") for r in rows] == [
+            r._replace(params="") for r in first[key]
+        ]
+        repeated += len(rows)
+    assert repeated == 192
+
+
+def test_a_repeated_skeleton_keeps_its_own_listing(monkeypatch):
+    """The listing and theta_ok are the spec's, not the first spec's: list
+    a marking of two later specs of family 8, one with its optimal vertex
+    and one with an infeasible vertex, and compare with the oracle."""
+    own = FamilySpec("8", l=2, m=3)
+    wrong = FamilySpec("8", l=2, m=5)
+    vertex = compute_p(mark(own, 1)).theta
+    listed = {own: {1: vertex}, wrong: {2: (-1, 0)}}
+    original = catalog.equality_entries
+
+    def entries(spec):
+        return listed.get(spec) or original(spec)
+
+    monkeypatch.setattr(catalog, "equality_entries", entries)
+    rows = verify_catalog(8)
+    assert rows == catalog_rows(8)
+    marked = {(r.params, r.marking): r for r in rows if r.family == "8"}
+    assert marked["l=2,m=0", 1].theta_ok and not marked["l=2,m=0", 1].listed
+    assert marked["l=2,m=3", 1].listed and marked["l=2,m=3", 1].theta_ok
+    assert marked["l=2,m=5", 2].listed and not marked["l=2,m=5", 2].theta_ok
+    assert not marked["l=2,m=5", 2].equality_match
 
 
 def test_equality_entries_match_sigma_sizes():

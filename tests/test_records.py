@@ -49,8 +49,8 @@ def _samples() -> list:
         fp.q,
         report,
         spec,
-        catalog._evaluate(spec, 1),
-        catalog._evaluate(catalog.FamilySpec.parse("2:A2"), 1),
+        catalog._evaluate(spec, [1], [])[0],
+        catalog._evaluate(catalog.FamilySpec.parse("2:A2"), [1], [])[0],
         catalog.PARAMETRIC_FAMILIES["3"],
         aug,
         fp,
