@@ -5,13 +5,15 @@ c_g = sum_D <rho(D), g>, A rows -<rho(D), .>, b_D = m_D.  An unbounded LP
 means p = +infinity (the skeleton is then not complete).  smoothness
 validates a skeleton, localizes it at a divisor subset and computes p there.
 The value, gap, vertex and dual are ints unless they are true quotients,
-and then Fractions, as ``lp.solve`` returns them.
+and then Fractions, as ``lp.solve`` returns them.  compute_p_each gives
+compute_p of each one-divisor skeleton of a Gamma, validating once and
+building the colors' LP once: the catalog sweep's path to its markings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from operator import neg
+from operator import add, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
@@ -50,9 +52,41 @@ def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
     violations = validate(sk)
     if violations:
         raise InvalidSkeleton(violations)
-    problem = skeleton_lp(sk)
-    base = sum(problem.b) - len(problem.b)
+    return _report(skeleton_lp(sk), parabolic_count(sk.root_system, sk.sp))
+
+
+def compute_p_each(sk: SphericalSkeleton) -> list[PInvariantReport]:
+    """``[compute_p(sk._replace(gamma=(g,))) for g in sk.gamma]``, with the
+    work those skeletons share done once.
+
+    sk is validated once, with all its Gamma divisors: the structure checks
+    do not read Gamma, the Gamma row checks run divisor by divisor, and ids
+    unique over all the divisors are unique over any one of them, so each
+    one-divisor skeleton is valid too.  Gamma comes after the colors, so
+    each g's LP is the colors' LP with g's column sums, row and m_D added:
+    the problem skeleton_lp builds for that one-divisor skeleton.
+    """
+    violations = validate(sk)
+    if violations:
+        raise InvalidSkeleton(violations)
+    c, a, b, _, _ = skeleton_lp(sk._replace(gamma=()))
     bound = parabolic_count(sk.root_system, sk.sp)
+    return [
+        _report(
+            lp.LpProblem(
+                tuple(map(add, c, g.pairings)),
+                a + (tuple(map(neg, g.pairings)),),
+                b + (g.m,),
+            ),
+            bound,
+        )
+        for g in sk.gamma
+    ]
+
+
+def _report(problem: lp.LpProblem, bound: int) -> PInvariantReport:
+    """Solve a skeleton's LP and read out its report."""
+    base = sum(problem.b) - len(problem.b)
     res = lp.solve(problem)
     if res.status == lp.UNBOUNDED:
         return PInvariantReport(None, bound, None, None, None, False, problem, base)

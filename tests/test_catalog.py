@@ -23,7 +23,7 @@ from sphskel.catalog import (
     table_tasks,
     verify_catalog,
 )
-from sphskel.pinv import compute_p
+from sphskel.pinv import compute_p, compute_p_each
 from sphskel.roots import SimpleType
 from sphskel.serialize import equality_rows_to_json, table_rows_to_json
 from sphskel.skeleton import (
@@ -286,17 +286,19 @@ def test_the_sweep_equals_one_solve_per_marking(max_rank):
 
 
 def test_the_sweep_solves_each_distinct_skeleton_once(monkeypatch):
+    """One compute_p_each per distinct skeleton, carrying all its markings."""
     calls = []
 
     def counting(sk):
         calls.append(sk)
-        return compute_p(sk)
+        return compute_p_each(sk)
 
-    monkeypatch.setattr(catalog, "compute_p", counting)
+    monkeypatch.setattr(catalog, "compute_p_each", counting)
     verify_catalog(8)
     distinct = {generate(spec) for spec in all_specs(8)}
-    assert len(calls) == sum(len(sk.sigma) for sk in distinct) == 675
-    assert len(set(calls)) == len(calls)
+    assert sum(len(sk.gamma) for sk in calls) == sum(len(sk.sigma) for sk in distinct) == 675
+    assert {sk._replace(gamma=()) for sk in calls} == distinct
+    assert len(calls) == len(distinct)
 
 
 def test_a_repeated_skeleton_gives_its_first_specs_rows():

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import load_fixture, permuted_copy, random_skeleton
 from sphskel import lp
-from sphskel.catalog import FamilySpec, mark, table_tasks
+from sphskel.catalog import FamilySpec, all_specs, generate, mark, table_tasks
 from sphskel.pinv import (
     compute_p,
+    compute_p_each,
     evaluate_objective,
     skeleton_lp,
     smoothness,
@@ -210,3 +211,66 @@ def test_skeleton_lp_on_catalog_is_column_sums_negated_rows_and_m():
         assert skeleton_lp(sk) == lp.LpProblem(c, a, b), (spec.label(), k)
         assert compute_p(sk).base == sum(m - 1 for m in b), (spec.label(), k)
     assert len(tasks) == 867
+
+
+def _one_by_one(sk):
+    return [compute_p(sk._replace(gamma=(g,))) for g in sk.gamma]
+
+
+def _assert_same_reports(got, want, where):
+    # repr tells an int from an equal Fraction, in every field and in the
+    # LP problem's entries; == alone would not.
+    assert got == want, where
+    assert repr(got) == repr(want), where
+
+
+def test_compute_p_each_equals_compute_p_on_every_catalog_skeleton():
+    # Each distinct catalog skeleton up to rank 12, carrying all of its
+    # markings at once, gives the reports of its markings solved one by one.
+    skeletons = {generate(spec): spec for spec in all_specs(12)}
+    total = 0
+    for base, spec in skeletons.items():
+        n = len(base.sigma)
+        sk = base._replace(gamma=tuple(mark(spec, k).gamma[0] for k in range(1, n + 1)))
+        _assert_same_reports(compute_p_each(sk), _one_by_one(sk), spec.label())
+        total += n
+    assert total == 1657
+
+
+def test_compute_p_each_equals_compute_p_with_several_gamma_rows(rng):
+    several = 0
+    for _ in range(150):
+        sk = random_skeleton(rng)
+        _assert_same_reports(compute_p_each(sk), _one_by_one(sk), sk.gamma)
+        several += len(sk.gamma) >= 2
+    assert several >= 50
+
+
+def test_compute_p_each_of_an_empty_gamma_is_empty():
+    for spec in (FamilySpec("2", series=SimpleType("G", 2)), FamilySpec("29")):
+        assert compute_p_each(generate(spec)) == []
+    sk = make_skeleton(RootSystem.parse("A2"), [], ())
+    assert compute_p_each(sk) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda sk: GammaDivisor("bad", (1,) + (0,) * (len(sk.sigma) - 1)),
+        lambda sk: GammaDivisor("bad", (-1,) * (len(sk.sigma) + 1)),
+        lambda sk: GammaDivisor(sk.colors[0].id, (-1,) * len(sk.sigma)),
+        lambda sk: GammaDivisor("r1", (-1,) * len(sk.sigma)),
+    ],
+    ids=["positive pairing", "wrong length", "a color's id", "two equal ids"],
+)
+def test_compute_p_each_raises_the_violations_of_validate(bad):
+    # The bad divisor comes after two valid ones, r1 and r2.
+    base = generate(FamilySpec("3", l=2, m=1))
+    n = len(base.sigma)
+    rows = (GammaDivisor("r1", (-1,) + (0,) * (n - 1)), GammaDivisor("r2", (-2,) * n))
+    sk = base._replace(gamma=(*rows, bad(base)))
+    violations = validate(sk)
+    assert violations
+    with pytest.raises(InvalidSkeleton) as err:
+        compute_p_each(sk)
+    assert err.value.violations == violations
