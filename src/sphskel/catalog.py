@@ -16,7 +16,8 @@ data is right.  A sweep solves the markings of each distinct skeleton once
 (the specs of families 8 and 14 that differ only in their unread m share
 one), in one ``compute_p_each`` on the skeleton that carries all of them,
 and writes one ``CatalogRow`` per marking, which both the table and the
-equality reports read.
+equality reports read.  A row holds its optimal vertex and dual as the
+solve returned them; only the JSON report formats them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .linalg import format_rational
+from .linalg import Vec
 # compute_p is not called here but stays a name of this module: the
 # benchmark's tracer rebinds every module's alias of a traced function, and
 # its own tests read catalog.compute_p.
@@ -519,8 +520,8 @@ class CatalogRow(NamedTuple):
     expected: int | Q
     p_value: int | Q | None
     bound: int
-    theta: tuple[str, ...] | None  # optimal vertex and dual as "p/q", None at p = +inf
-    dual: tuple[str, ...] | None
+    theta: Vec | None  # optimal vertex and dual as solved, None at p = +inf
+    dual: Vec | None
     listed: bool  # an equality case of the paper's list
     is_equality: bool
     theta_ok: bool  # printed vertex feasible and attaining (listed rows only)
@@ -543,8 +544,8 @@ def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
 
 
 # What a row reads from its marking's solve: the value, the bound, the
-# optimal vertex and dual as texts, and whether the bound is attained.
-_Solved = tuple[int | Q | None, int, tuple[str, ...] | None, tuple[str, ...] | None, bool]
+# optimal vertex and dual, and whether the bound is attained.
+_Solved = tuple[int | Q | None, int, Vec | None, Vec | None, bool]
 
 
 def _evaluate(
@@ -567,7 +568,7 @@ def _evaluate(
         n = len(base.sigma)
         markings = base._replace(gamma=tuple(_marking(n, k) for k in tasks))
         solved += [
-            (r.p_value, r.bound, _texts(r.theta), _texts(r.dual), r.is_equality)
+            (r.p_value, r.bound, r.theta, r.dual, r.is_equality)
             for r in compute_p_each(markings)
         ]
     rows = []
@@ -594,10 +595,6 @@ def _evaluate(
             theta_ok,
         ))
     return rows
-
-
-def _texts(values: Sequence[int | Q] | None) -> tuple[str, ...] | None:
-    return None if values is None else tuple(map(format_rational, values))
 
 
 def verify_catalog(max_rank: int = 8) -> list[CatalogRow]:

@@ -19,7 +19,11 @@ usage and error text, is what ``parse_args`` on the top-level parser gives.
 Output is deterministic byte for byte: JSON goes out through
 ``serialize.dumps`` (stdout) and ``serialize.dump`` (``verify --json``).
 ``verify`` runs one serial sweep over the catalog; it still accepts
-``--jobs N``, and ignores it.
+``--jobs N``, and ignores it.  It builds the JSON rows only under
+``--json`` and the CSV only under ``--csv``; the CSV report holds the
+tables, so ``verify equality --csv`` is invalid input, and so is a report
+path that cannot be written (``cannot write``, as an input that cannot be
+read is ``cannot read``).
 
 Each command is often one query per process, so importing this module is
 most of its cost.  The package's records are NamedTuples, whose classes
@@ -33,6 +37,7 @@ import json
 import re
 import sys
 from functools import cache
+from typing import Callable, TextIO
 
 from . import catalog, fano, lp, pinv, serialize
 from .skeleton import InvalidSkeleton
@@ -149,6 +154,13 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.csv and args.what == "equality":
+        print(
+            "violation: --csv writes the tables report, which verify equality "
+            "does not make",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     doc: dict = {}
     failures = 0
     rows = catalog.verify_catalog(max_rank=args.max_rank)
@@ -168,10 +180,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"expected {serialize.format_rational(r.expected)}, "
                 f"got {serialize.format_rational(r.p_value)}"
             )
-        doc["tables"] = serialize.table_rows_to_json(rows)
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(serialize.table_rows_to_csv(rows))
+        if args.json:
+            doc["tables"] = serialize.table_rows_to_json(rows)
+        if args.csv and not _write_report(
+            args.csv, lambda handle: handle.write(serialize.table_rows_to_csv(rows))
+        ):
+            return EXIT_INVALID
     if args.what in ("equality", "all"):
         bad = [r for r in rows if not r.equality_match]
         failures += len(bad)
@@ -185,11 +199,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"  MISMATCH {r.family} {r.params} gamma_{r.marking}: "
                 f"listed={r.listed} equality={r.is_equality} theta_ok={r.theta_ok}"
             )
-        doc["equality"] = serialize.equality_rows_to_json(rows)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            serialize.dump(doc, handle)
+        if args.json:
+            doc["equality"] = serialize.equality_rows_to_json(rows)
+    if args.json and not _write_report(
+        args.json, lambda handle: serialize.dump(doc, handle)
+    ):
+        return EXIT_INVALID
     return EXIT_MISMATCH if failures else EXIT_OK
+
+
+def _write_report(path: str, write: Callable[[TextIO], object]) -> bool:
+    """Write the report file ``path`` through ``write(handle)``.  A path
+    that cannot be written is reported as ``cannot write``, as ``_load_json``
+    reports one that cannot be read, and gives False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            write(handle)
+    except OSError as exc:
+        print(f"violation: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_fano(args: argparse.Namespace) -> int:

@@ -9,7 +9,11 @@ unknown fields.  ``dumps`` and ``dump`` write reports (str, int, bool,
 None, lists, tuples and str-keyed dicts; anything else raises TypeError)
 as the exact text of ``json.dumps(doc, indent=2, sort_keys=True)``.  The
 writer tests a value's exact type first and falls back to isinstance, so
-NamedTuple records still print as arrays.
+NamedTuple records still print as arrays.  The dicts in a list (the rows
+of a report) are written by one layout per distinct key tuple: the sorted
+keys, quoted and indented once, and the closing brace; ``dump`` shares
+those layouts across the entries it streams.  ``table_rows_to_json``
+formats the optimal vertex and dual that the catalog rows keep as values.
 """
 
 from __future__ import annotations
@@ -333,9 +337,9 @@ def table_rows_to_json(rows: Sequence) -> list[dict]:
             "match": r.table_match,
         }
         if r.theta is not None:
-            entry["theta"] = list(r.theta)
+            entry["theta"] = list(map(format_rational, r.theta))
         if r.dual is not None:
-            entry["dual"] = list(r.dual)
+            entry["dual"] = list(map(format_rational, r.dual))
         out.append(entry)
     return out
 
@@ -362,11 +366,18 @@ def equality_rows_to_json(rows: Sequence) -> list[dict]:
 
 _quote = json.encoder.encode_basestring_ascii  # the ensure_ascii escaping
 
+# The layout of a record: (key, head) in sorted key order, each head the
+# separator, the newline, the indent and the quoted key; and the closing
+# brace.  Keyed by (level, *keys) in the record's insertion order.
+_Layout = tuple[list[tuple[Any, str]], str]
 
-def _encode(o: Any, level: int, memo: dict) -> str:
+
+def _encode(o: Any, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> str:
     """The text of ``o`` nested ``level`` deep.  A list of strings (a vector)
     is joined once per depth and kept in ``memo`` under ``(id(o), level)``;
-    the document keeps every such list alive while ``memo`` lives.
+    the document keeps every such list alive while ``memo`` lives.  A dict
+    entry of a list is written by its layout in ``layouts`` (``_record``);
+    any other dict sorts and quotes its own keys.
 
     The exact types that JSON parsing and the reports build (str, int, list,
     dict) are told apart by one type test each; bools, None, tuples
@@ -394,7 +405,9 @@ def _encode(o: Any, level: int, memo: dict) -> str:
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
     if cls is dict:
-        items = [_quote(k) + ": " + _encode(o[k], level + 1, memo) for k in sorted(o)]
+        items = [
+            _quote(k) + ": " + _encode(o[k], level + 1, memo, layouts) for k in sorted(o)
+        ]
         return "{" + inner + sep.join(items) + inner[:-2] + "}"
     if type(o[0]) is str:
         key = (id(o), level)
@@ -406,25 +419,64 @@ def _encode(o: Any, level: int, memo: dict) -> str:
             return text
         except TypeError:  # not all strings: nothing to share
             pass
-    items = [_encode(x, level + 1, memo) for x in o]
+    level += 1
+    items = [
+        _record(x, level, memo, layouts) if type(x) is dict
+        else _encode(x, level, memo, layouts)
+        for x in o
+    ]
     return "[" + inner + sep.join(items) + inner[:-2] + "]"
+
+
+def _record(o: dict, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> str:
+    """The text of dict ``o``, an entry of a list, nested ``level`` deep.
+    Its keys are sorted and quoted once per key tuple and level, in
+    ``layouts``; str, int and bool values are written in place."""
+    keys = (level, *o)
+    layout = layouts.get(keys)
+    if layout is None:
+        layout = layouts[keys] = _layout(o, level)
+    heads, close = layout
+    parts = []
+    for k, head in heads:
+        v = o[k]
+        cls = type(v)
+        if cls is str:
+            parts.append(head + _quote(v))
+        elif cls is int:
+            parts.append(head + int.__repr__(v))
+        elif cls is bool:
+            parts.append(head + ("true" if v else "false"))
+        else:
+            parts.append(head + _encode(v, level + 1, memo, layouts))
+    return "".join(parts) + close
+
+
+def _layout(o: dict, level: int) -> _Layout:
+    if not o:
+        return [], "{}"
+    inner = "\n" + "  " * (level + 1)
+    keys = sorted(o)
+    heads = [("," if i else "{") + inner + _quote(k) + ": " for i, k in enumerate(keys)]
+    return list(zip(keys, heads)), inner[:-2] + "}"
 
 
 def dumps(doc: Any) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, for report values."""
-    return _encode(doc, 0, {})
+    return _encode(doc, 0, {}, {})
 
 
 def dump(doc: Any, handle: Any) -> None:
     """Write the text of ``json.dump(doc, handle, indent=2, sort_keys=True)``.
     The document and its top-level lists go out one entry at a time, so a
-    large report is never held as one string."""
-    _stream(doc, 0, handle.write)
+    large report is never held as one string; the entries share the
+    layouts of their records."""
+    _stream(doc, 0, handle.write, {})
 
 
-def _stream(o: Any, level: int, write: Any) -> None:
+def _stream(o: Any, level: int, write: Any, layouts: dict[tuple, _Layout]) -> None:
     if level == 2 or not (o and isinstance(o, (dict, list, tuple))):
-        write(_encode(o, level, {}))
+        write(_encode(o, level, {}, layouts))
         return
     inner = "\n" + "  " * (level + 1)
     keys = sorted(o) if isinstance(o, dict) else None
@@ -434,5 +486,8 @@ def _stream(o: Any, level: int, write: Any) -> None:
         if keys:
             write(_quote(item) + ": ")
             item = o[item]
-        _stream(item, level + 1, write)
+        elif level == 1 and type(item) is dict:
+            write(_record(item, 2, {}, layouts))
+            continue
+        _stream(item, level + 1, write, layouts)
     write(inner[:-2] + ("}" if keys else "]"))

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from sphskel import catalog
 from sphskel.geometry import GeometryError, VPolytope, point_in_hull
-from sphskel.linalg import Vec, format_rational
+from sphskel.linalg import Vec
 from sphskel.pinv import compute_p, evaluate_objective, theta_feasible
 
 
@@ -84,13 +84,9 @@ def _catalog_row(spec: catalog.FamilySpec, k: int) -> catalog.CatalogRow:
         catalog.expected_value(spec, k),
         report.p_value,
         report.bound,
-        _texts(report.theta),
-        _texts(report.dual),
+        report.theta,
+        report.dual,
         k in listed,
         report.is_equality,
         theta_ok,
     )
-
-
-def _texts(values: Sequence | None) -> tuple[str, ...] | None:
-    return None if values is None else tuple(map(format_rational, values))

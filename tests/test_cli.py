@@ -105,8 +105,42 @@ def test_verify_all_json_is_tables_plus_equality(capsys, tmp_path):
         assert main(argv) == 0
         docs[what] = json.loads(path.read_text())
     capsys.readouterr()
+    assert docs["tables"].keys() == {"tables"} and docs["equality"].keys() == {"equality"}
     merged = {"tables": docs["tables"]["tables"], "equality": docs["equality"]["equality"]}
     assert docs["all"] == merged
+
+
+@pytest.mark.parametrize("what", ["tables", "all"])
+def test_verify_csv_alone_builds_no_json_rows(monkeypatch, capsys, tmp_path, what):
+    calls = []
+    for name in ("table_rows_to_json", "equality_rows_to_json"):
+        monkeypatch.setattr(serialize, name, lambda rows, name=name: calls.append(name))
+    path = tmp_path / "out.csv"
+    assert main(["verify", what, "--max-rank", "3", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert path.read_text().startswith("family,params,marking,")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_verify_report_path_that_cannot_be_written_exits_2(capsys, tmp_path, flag):
+    path = tmp_path / "missing" / "report"
+    assert main(["verify", "tables", "--max-rank", "2", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "tables: 25 rows, 0 mismatches\n"
+    assert captured.err == f"violation: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
+def test_verify_equality_has_no_csv_report(capsys, tmp_path):
+    path = tmp_path / "eq.csv"
+    assert main(["verify", "equality", "--max-rank", "3", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "violation: --csv writes the tables report, which verify equality does not make\n"
+    )
+    assert not path.exists()
 
 
 def test_fano_command(capsys):

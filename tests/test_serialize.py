@@ -315,12 +315,41 @@ def _random_value(rng: random.Random, depth: int, shared: list) -> Any:
             True, False, None, shared,
         ])
     n = rng.randrange(5)
-    if roll < 0.6:
+    if roll < 0.55:
         return [_random_text(rng) for _ in range(n)]  # a formatted vector
+    if roll < 0.65:
+        return _random_records(rng, depth, shared)
     if roll < 0.8:
         items = [_random_value(rng, depth + 1, shared) for _ in range(n)]
         return tuple(items) if rng.random() < 0.3 else items
     return {_random_text(rng): _random_value(rng, depth + 1, shared) for _ in range(n)}
+
+
+# Few keys, so that the records of a list repeat their key sets; two of
+# them need escaping.
+_KEY_POOL = ("p", "theta", "b\u00e9", '"q', "a")
+
+
+def _random_records(rng: random.Random, depth: int, shared: list) -> list:
+    """A list of records over one key set drawn from ``_KEY_POOL``: some in
+    another insertion order, some with a key missing, and among them empty
+    dicts and entries that are no dict.  The values may hold records too."""
+    keys = rng.sample(_KEY_POOL, rng.randrange(len(_KEY_POOL) + 1))
+    out: list = []
+    for _ in range(rng.randrange(1, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            out.append({})
+        elif roll < 0.2:
+            out.append(_random_value(rng, depth + 1, shared))
+        else:
+            row = list(keys)
+            if rng.random() < 0.3:
+                rng.shuffle(row)
+            if row and rng.random() < 0.2:
+                del row[rng.randrange(len(row))]
+            out.append({k: _random_value(rng, depth + 1, shared) for k in row})
+    return out
 
 
 def _stdlib_dump(doc: Any) -> str:
@@ -343,7 +372,14 @@ def test_writer_matches_stdlib_on_random_documents():
         shared = [_random_text(rng) for _ in range(rng.randrange(1, 4))]
         doc = _random_value(rng, 0, shared)
         if rng.random() < 0.3:
-            doc = {"a": shared, "b": [shared, {"c": [shared]}], "d": doc}
+            doc = {
+                "a": shared, "b": [shared, {"c": [shared]}], "d": doc,
+                "r": _random_records(rng, 1, shared),
+            }
+        if rng.random() < 0.05:
+            # Records in lists of records, 40 to 80 levels deep.
+            for k in range(rng.randrange(20, 40)):
+                doc = [{"r": doc, "k": k}, {"k": -k}, _random_records(rng, 4, shared)]
         expected = json.dumps(doc, indent=2, sort_keys=True)
         assert dumps(doc) == expected
         assert _dump(doc) == _stdlib_dump(doc) == expected
@@ -379,7 +415,10 @@ def test_dump_matches_stdlib_on_edge_documents(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [1.5, Q(1, 2), {1, 2}, {1: "a"}, {"a": [0.0]}, {"a": {"b": Q(3)}}, [{"c": {2: 1}}]],
+    [
+        1.5, Q(1, 2), {1, 2}, {1: "a"}, {"a": [0.0]}, {"a": {"b": Q(3)}}, [{"c": {2: 1}}],
+        [{"a": 1}, {2: 1}], {"t": [{"a": 1}, {"a": 2, 3: 4}]}, [{"a": Q(1, 2)}],
+    ],
 )
 def test_writer_rejects_non_report_values(doc):
     with pytest.raises(TypeError):
