@@ -23,7 +23,9 @@ Output is deterministic byte for byte: JSON goes out through
 ``--json`` and the CSV only under ``--csv``; the CSV report holds the
 tables, so ``verify equality --csv`` is invalid input, and so is a report
 path that cannot be written (``cannot write``, as an input that cannot be
-read is ``cannot read``).
+read is ``cannot read``), found before the sweep.  A write that still fails
+later is reported the same way after both sections are printed and the
+other report is written; a mismatch then still exits 1.
 
 Each command is often one query per process, so importing this module is
 most of its cost.  The package's records are NamedTuples, whose classes
@@ -33,7 +35,9 @@ are built without generating code, and no module loads ``dataclasses``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from functools import cache
@@ -161,8 +165,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID
+    unwritable = [path for path in (args.csv, args.json) if path and not _writable(path)]
+    if unwritable:  # every such path is reported
+        return EXIT_INVALID
     doc: dict = {}
     failures = 0
+    unwritten = False
     rows = catalog.verify_catalog(max_rank=args.max_rank)
     if not rows:
         print(
@@ -185,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.csv and not _write_report(
             args.csv, lambda handle: handle.write(serialize.table_rows_to_csv(rows))
         ):
-            return EXIT_INVALID
+            unwritten = True
     if args.what in ("equality", "all"):
         bad = [r for r in rows if not r.equality_match]
         failures += len(bad)
@@ -204,14 +212,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json and not _write_report(
         args.json, lambda handle: serialize.dump(doc, handle)
     ):
-        return EXIT_INVALID
-    return EXIT_MISMATCH if failures else EXIT_OK
+        unwritten = True
+    if failures:
+        return EXIT_MISMATCH
+    return EXIT_INVALID if unwritten else EXIT_OK
+
+
+def _writable(path: str) -> bool:
+    """Whether the report file ``path`` can be created or overwritten, found
+    without creating it, so a run that stops before its reports leaves no
+    file.  A path that cannot is reported as ``cannot write``."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR
+    elif not (
+        os.access(path, os.W_OK)
+        if os.path.exists(path)
+        else os.access(parent, os.W_OK | os.X_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return True
+    print(f"violation: cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+    return False
 
 
 def _write_report(path: str, write: Callable[[TextIO], object]) -> bool:
-    """Write the report file ``path`` through ``write(handle)``.  A path
-    that cannot be written is reported as ``cannot write``, as ``_load_json``
-    reports one that cannot be read, and gives False."""
+    """Write the report file ``path`` through ``write(handle)``.  A write
+    that fails is reported as ``cannot write``, as ``_load_json`` reports a
+    file that cannot be read, and gives False."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             write(handle)

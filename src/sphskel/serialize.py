@@ -9,10 +9,10 @@ unknown fields.  ``dumps`` and ``dump`` write reports (str, int, bool,
 None, lists, tuples and str-keyed dicts; anything else raises TypeError)
 as the exact text of ``json.dumps(doc, indent=2, sort_keys=True)``.  The
 writer tests a value's exact type first and falls back to isinstance, so
-NamedTuple records still print as arrays.  The dicts in a list (the rows
-of a report) are written by one layout per distinct key tuple: the sorted
-keys, quoted and indented once, and the closing brace; ``dump`` shares
-those layouts across the entries it streams.  ``table_rows_to_json``
+NamedTuple records still print as arrays.  Dicts are written by one
+layout per distinct key tuple and depth: the sorted keys, quoted and
+indented once, and the closing brace, so the rows of a report sort their
+keys once; ``dump`` shares those layouts across the entries it streams.  ``table_rows_to_json``
 formats the optimal vertex and dual that the catalog rows keep as values.
 """
 
@@ -366,9 +366,9 @@ def equality_rows_to_json(rows: Sequence) -> list[dict]:
 
 _quote = json.encoder.encode_basestring_ascii  # the ensure_ascii escaping
 
-# The layout of a record: (key, head) in sorted key order, each head the
+# The layout of a dict: (key, head) in sorted key order, each head the
 # separator, the newline, the indent and the quoted key; and the closing
-# brace.  Keyed by (level, *keys) in the record's insertion order.
+# brace.  Keyed by (level, *keys) in the dict's insertion order.
 _Layout = tuple[list[tuple[Any, str]], str]
 
 
@@ -376,8 +376,7 @@ def _encode(o: Any, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> st
     """The text of ``o`` nested ``level`` deep.  A list of strings (a vector)
     is joined once per depth and kept in ``memo`` under ``(id(o), level)``;
     the document keeps every such list alive while ``memo`` lives.  A dict
-    entry of a list is written by its layout in ``layouts`` (``_record``);
-    any other dict sorts and quotes its own keys.
+    is written by the layout of its keys, in ``layouts`` (``_record``).
 
     The exact types that JSON parsing and the reports build (str, int, list,
     dict) are told apart by one type test each; bools, None, tuples
@@ -402,13 +401,10 @@ def _encode(o: Any, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> st
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not o:
         return "[]" if cls is list else "{}"
+    if cls is dict:
+        return _record(o, level, memo, layouts)
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
-    if cls is dict:
-        items = [
-            _quote(k) + ": " + _encode(o[k], level + 1, memo, layouts) for k in sorted(o)
-        ]
-        return "{" + inner + sep.join(items) + inner[:-2] + "}"
     if type(o[0]) is str:
         key = (id(o), level)
         text = memo.get(key)
@@ -419,19 +415,14 @@ def _encode(o: Any, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> st
             return text
         except TypeError:  # not all strings: nothing to share
             pass
-    level += 1
-    items = [
-        _record(x, level, memo, layouts) if type(x) is dict
-        else _encode(x, level, memo, layouts)
-        for x in o
-    ]
+    items = [_encode(x, level + 1, memo, layouts) for x in o]
     return "[" + inner + sep.join(items) + inner[:-2] + "]"
 
 
 def _record(o: dict, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> str:
-    """The text of dict ``o``, an entry of a list, nested ``level`` deep.
-    Its keys are sorted and quoted once per key tuple and level, in
-    ``layouts``; str, int and bool values are written in place."""
+    """The text of the non-empty dict ``o`` nested ``level`` deep.  Its keys
+    are sorted and quoted once per key tuple and level, in ``layouts``; str,
+    int and bool values are written in place."""
     keys = (level, *o)
     layout = layouts.get(keys)
     if layout is None:
@@ -453,8 +444,6 @@ def _record(o: dict, level: int, memo: dict, layouts: dict[tuple, _Layout]) -> s
 
 
 def _layout(o: dict, level: int) -> _Layout:
-    if not o:
-        return [], "{}"
     inner = "\n" + "  " * (level + 1)
     keys = sorted(o)
     heads = [("," if i else "{") + inner + _quote(k) + ": " for i, k in enumerate(keys)]
@@ -470,7 +459,7 @@ def dump(doc: Any, handle: Any) -> None:
     """Write the text of ``json.dump(doc, handle, indent=2, sort_keys=True)``.
     The document and its top-level lists go out one entry at a time, so a
     large report is never held as one string; the entries share the
-    layouts of their records."""
+    layouts of their dicts."""
     _stream(doc, 0, handle.write, {})
 
 
@@ -486,8 +475,5 @@ def _stream(o: Any, level: int, write: Any, layouts: dict[tuple, _Layout]) -> No
         if keys:
             write(_quote(item) + ": ")
             item = o[item]
-        elif level == 1 and type(item) is dict:
-            write(_record(item, 2, {}, layouts))
-            continue
         _stream(item, level + 1, write, layouts)
     write(inner[:-2] + ("}" if keys else "]"))

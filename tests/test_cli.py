@@ -123,13 +123,59 @@ def test_verify_csv_alone_builds_no_json_rows(monkeypatch, capsys, tmp_path, wha
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
-def test_verify_report_path_that_cannot_be_written_exits_2(capsys, tmp_path, flag):
-    path = tmp_path / "missing" / "report"
-    assert main(["verify", "tables", "--max-rank", "2", flag, str(path)]) == 2
+@pytest.mark.parametrize(
+    "where, reason",
+    [
+        ("missing/report", "No such file or directory"),
+        ("file/report", "Not a directory"),
+        ("", "Is a directory"),
+    ],
+)
+def test_verify_report_path_that_cannot_be_written_exits_2_before_the_sweep(
+    monkeypatch, capsys, tmp_path, flag, where, reason
+):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / where if where else tmp_path
+    monkeypatch.setattr(catalog, "verify_catalog", lambda max_rank: pytest.fail("swept"))
+    assert main(["verify", "all", "--max-rank", "2", "--csv", str(tmp_path / "ok.csv"),
+                 flag, str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "tables: 25 rows, 0 mismatches\n"
-    assert captured.err == f"violation: cannot write {path}: No such file or directory\n"
-    assert not path.parent.exists()
+    assert captured.out == ""
+    assert captured.err == f"violation: cannot write {path}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_verify_reports_every_report_path_that_cannot_be_written(capsys, tmp_path):
+    csv_path, json_path = tmp_path / "missing" / "r.csv", tmp_path / "missing" / "r.json"
+    argv = ["verify", "all", "--max-rank", "0", "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "".join(
+        f"violation: cannot write {path}: No such file or directory\n"
+        for path in (csv_path, json_path)
+    )
+
+
+@pytest.mark.parametrize("mismatch, code", [(False, 2), (True, 1)])
+def test_verify_report_write_that_fails_late_still_reports_the_rest(
+    monkeypatch, capsys, tmp_path, mismatch, code
+):
+    # A path that passes the check before the sweep but fails when written.
+    monkeypatch.setattr(cli, "_writable", lambda path: True)
+    if mismatch:
+        sweep = catalog.verify_catalog
+        monkeypatch.setattr(
+            catalog,
+            "verify_catalog",
+            lambda max_rank: [row._replace(listed=not row.listed) for row in sweep(max_rank)],
+        )
+    csv_path, json_path = tmp_path / "missing" / "r.csv", tmp_path / "r.json"
+    argv = ["verify", "all", "--max-rank", "2", "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "tables: " in captured.out and "equality: " in captured.out
+    assert ("MISMATCH" in captured.out) == mismatch
+    assert captured.err == f"violation: cannot write {csv_path}: No such file or directory\n"
+    assert json.loads(json_path.read_text()).keys() == {"tables", "equality"}
 
 
 def test_verify_equality_has_no_csv_report(capsys, tmp_path):
