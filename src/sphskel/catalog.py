@@ -12,20 +12,19 @@ vertices.  The full color sets (with anticanonical coefficients) are
 reconstructed from that data, and a marking adds one invariant divisor
 pairing -1 with the chosen spherical root.  The closed-form value registries drive the
 verification sweeps; they are the external cross-check that the family
-data is right.  A sweep solves the markings of each distinct skeleton once
-(the specs of families 8 and 14 that differ only in their unread m share
-one), in one ``compute_p_each`` on the skeleton that carries all of them,
-and writes one ``CatalogRow`` per marking, which both the table and the
-equality reports read.  A row holds its optimal vertex and dual as the
-solve returned them; only the JSON report formats them.
+data is right.  A sweep is one loop over the specs: one ``compute_p_each``
+on each spec's skeleton, carrying all its markings, solves them, and a spec
+whose skeleton repeats the previous spec's (families 8 and 14 do not read
+their m) reads those solves.  Each marking gives one ``CatalogRow``, which
+both the table and the equality reports read.  A row holds its optimal
+vertex and dual as the solve returned them; only the JSON report formats
+them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import Vec
@@ -543,72 +542,39 @@ def table_tasks(max_rank: int = 8) -> list[tuple[FamilySpec, int]]:
     return tasks
 
 
-# What a row reads from its marking's solve: the value, the bound, the
-# optimal vertex and dual, and whether the bound is attained.
-_Solved = tuple[int | Q | None, int, Vec | None, Vec | None, bool]
-
-
-def _evaluate(
-    spec: FamilySpec, tasks: Sequence[int], solved: list[_Solved]
-) -> list[CatalogRow]:
-    """The rows of spec's markings tasks, in order.
-
-    An empty ``solved`` is filled by one ``compute_p_each`` on spec's
-    skeleton carrying all the marking divisors: one validation and one
-    shared LP for the spec, and one solve per marking.  A filled one, from
-    an earlier spec with an equal skeleton, is read as it is.  The
-    expected value, the listing and theta_ok are the spec's own: for listed
-    markings the printed optimal vertex must be feasible and attain the
-    value; every other marking must be strictly below the bound.
-    """
-    fam, _, params = spec.label().partition(":")
-    listed = equality_entries(spec)
-    if not solved:
-        base = generate(spec)
-        n = len(base.sigma)
-        markings = base._replace(gamma=tuple(_marking(n, k) for k in tasks))
-        solved += [
-            (r.p_value, r.bound, r.theta, r.dual, r.is_equality)
-            for r in compute_p_each(markings)
-        ]
-    rows = []
-    for k in tasks:
-        p_value, bound, theta, dual, is_equality = solved[k - 1]
-        theta_ok = True
-        if k in listed:
-            sk, vertex = mark(spec, k), listed[k]
-            theta_ok = (
-                theta_feasible(sk, vertex)
-                and evaluate_objective(sk, vertex) == p_value
-            )
-        rows.append(CatalogRow(
-            fam,
-            params,
-            k,
-            expected_value(spec, k),
-            p_value,
-            bound,
-            theta,
-            dual,
-            k in listed,
-            is_equality,
-            theta_ok,
-        ))
-    return rows
-
-
 def verify_catalog(max_rank: int = 8) -> list[CatalogRow]:
     """One sweep over every (family, params, marking).
 
-    Each distinct skeleton is solved once per sweep: the specs of families
-    8 and 14 that differ only in the m they do not read generate equal
-    skeletons, and the later ones read the first one's solves.  Each row
-    checks its table value, and that the bound is attained exactly on the
-    listed markings.
+    One ``compute_p_each`` on each spec's skeleton, carrying all its marking
+    divisors, solves the spec's markings: one validation and one shared LP,
+    and one solve per marking.  A spec whose skeleton equals the previous
+    spec's reads those solves (families 8 and 14 do not read the m that
+    ``all_specs`` sweeps).  The expected value, the listing and theta_ok
+    are the spec's own: a listed marking's printed optimal vertex must be
+    feasible and attain the value; every other marking must be strictly
+    below the bound.
     """
     rows: list[CatalogRow] = []
-    shared: dict[SphericalSkeleton, list[_Solved]] = {}
-    for spec, tasks in groupby(table_tasks(max_rank), key=itemgetter(0)):
-        solved = shared.setdefault(generate(spec), [])
-        rows += _evaluate(spec, [k for _, k in tasks], solved)
+    previous = None
+    for spec in all_specs(max_rank):
+        base = generate(spec)
+        if base != previous:
+            n = len(base.sigma)
+            gamma = tuple(_marking(n, k) for k in range(1, n + 1))
+            reports = compute_p_each(base._replace(gamma=gamma))
+            previous = base
+        fam, _, params = spec.label().partition(":")
+        listed = equality_entries(spec)
+        for k, r in enumerate(reports, 1):
+            theta_ok = True
+            if k in listed:
+                sk, vertex = mark(spec, k), listed[k]
+                theta_ok = (
+                    theta_feasible(sk, vertex)
+                    and evaluate_objective(sk, vertex) == r.p_value
+                )
+            rows.append(CatalogRow(
+                fam, params, k, expected_value(spec, k), r.p_value, r.bound,
+                r.theta, r.dual, k in listed, r.is_equality, theta_ok,
+            ))
     return rows

@@ -158,14 +158,15 @@ def cmd_compute_p(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.csv and args.what == "equality":
+    if args.csv is not None and args.what == "equality":
         print(
             "violation: --csv writes the tables report, which verify equality "
             "does not make",
             file=sys.stderr,
         )
         return EXIT_INVALID
-    unwritable = [path for path in (args.csv, args.json) if path and not _writable(path)]
+    paths = [path for path in (args.csv, args.json) if path is not None]
+    unwritable = [path for path in paths if not _writable(path)]
     if unwritable:  # every such path is reported
         return EXIT_INVALID
     doc: dict = {}
@@ -188,9 +189,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"expected {serialize.format_rational(r.expected)}, "
                 f"got {serialize.format_rational(r.p_value)}"
             )
-        if args.json:
+        if args.json is not None:
             doc["tables"] = serialize.table_rows_to_json(rows)
-        if args.csv and not _write_report(
+        if args.csv is not None and not _write_report(
             args.csv, lambda handle: handle.write(serialize.table_rows_to_csv(rows))
         ):
             unwritten = True
@@ -207,9 +208,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"  MISMATCH {r.family} {r.params} gamma_{r.marking}: "
                 f"listed={r.listed} equality={r.is_equality} theta_ok={r.theta_ok}"
             )
-        if args.json:
+        if args.json is not None:
             doc["equality"] = serialize.equality_rows_to_json(rows)
-    if args.json and not _write_report(
+    if args.json is not None and not _write_report(
         args.json, lambda handle: serialize.dump(doc, handle)
     ):
         unwritten = True
@@ -221,9 +222,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _writable(path: str) -> bool:
     """Whether the report file ``path`` can be created or overwritten, found
     without creating it, so a run that stops before its reports leaves no
-    file.  A path that cannot is reported as ``cannot write``."""
+    file.  A path that cannot, the empty one too, is reported as ``cannot
+    write``."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR

@@ -283,12 +283,14 @@ def augmented_from_doc(doc: dict) -> AugmentedData:
     sk = skeleton_from_doc(doc["skeleton"])
     coroot = None
     if "coroot_on_M" in doc:
-        bad = [a for a in doc["coroot_on_M"] if not (a.isdecimal() and int(a) >= 1)]
+        # ASCII digits with no leading zero, as a spec's l and m: isdecimal()
+        # would also read "01" and other scripts' digits, and two keys for
+        # one root would collapse.
+        table = doc["coroot_on_M"]
+        bad = [a for a in table if not (a.isascii() and a.isdigit() and a[0] != "0")]
         if bad:
             raise DocumentError(f"$.coroot_on_M: keys {bad} are not simple root indices")
-        coroot = {
-            int(a) - 1: tuple(v) for a, v in doc["coroot_on_M"].items()
-        }
+        coroot = {int(a) - 1: tuple(v) for a, v in table.items()}
     return AugmentedData(
         skeleton=sk,
         lattice_rank=doc["lattice_rank"],

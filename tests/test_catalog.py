@@ -285,7 +285,11 @@ def test_the_sweep_equals_one_solve_per_marking(max_rank):
     assert verify_catalog(max_rank) == catalog_rows(max_rank)
 
 
-def test_the_sweep_solves_each_distinct_skeleton_once(monkeypatch):
+@pytest.mark.parametrize(
+    "max_rank, skeletons, markings",
+    [pytest.param(8, 191, 675, id="8"), pytest.param(12, 363, 1657, id="12")],
+)
+def test_the_sweep_solves_each_distinct_skeleton_once(monkeypatch, max_rank, skeletons, markings):
     """One compute_p_each per distinct skeleton, carrying all its markings."""
     calls = []
 
@@ -294,11 +298,11 @@ def test_the_sweep_solves_each_distinct_skeleton_once(monkeypatch):
         return compute_p_each(sk)
 
     monkeypatch.setattr(catalog, "compute_p_each", counting)
-    verify_catalog(8)
-    distinct = {generate(spec) for spec in all_specs(8)}
-    assert sum(len(sk.gamma) for sk in calls) == sum(len(sk.sigma) for sk in distinct) == 675
+    verify_catalog(max_rank)
+    distinct = {generate(spec) for spec in all_specs(max_rank)}
+    assert sum(len(sk.gamma) for sk in calls) == sum(len(sk.sigma) for sk in distinct) == markings
     assert {sk._replace(gamma=()) for sk in calls} == distinct
-    assert len(calls) == len(distinct)
+    assert len(calls) == len(distinct) == skeletons
 
 
 def test_a_repeated_skeleton_gives_its_first_specs_rows():

@@ -178,6 +178,23 @@ def test_verify_report_write_that_fails_late_still_reports_the_rest(
     assert json.loads(json_path.read_text()).keys() == {"tables", "equality"}
 
 
+@pytest.mark.parametrize("what", ["tables", "equality", "all"])
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_verify_empty_report_path_exits_2_before_the_sweep(
+    monkeypatch, capsys, tmp_path, what, flag
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(catalog, "verify_catalog", lambda max_rank: pytest.fail("swept"))
+    assert main(["verify", what, "--max-rank", "2", flag, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if (what, flag) == ("equality", "--csv"):
+        assert captured.err.startswith("violation: --csv writes the tables report")
+    else:
+        assert captured.err == "violation: cannot write : No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_equality_has_no_csv_report(capsys, tmp_path):
     path = tmp_path / "eq.csv"
     assert main(["verify", "equality", "--max-rank", "3", "--csv", str(path)]) == 2
@@ -278,6 +295,42 @@ def test_fano_mistyped_document_exit_code(tmp_path, capsys, edit, where):
     err = capsys.readouterr().err
     assert err.startswith("violation: ") and where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "table, bad",
+    [
+        ({"1": [2, 2], "01": [1, 1]}, ["01"]),
+        ({"01": [1, 1], "1": [2, 2]}, ["01"]),
+        ({"\u0661": [1, 1]}, ["\u0661"]),
+        ({"0": [1, 1]}, ["0"]),
+        ({"": [1, 1]}, [""]),
+    ],
+    ids=["1,01", "01,1", "arabic-indic-1", "0", "empty"],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_fano_coroot_keys_are_ascii_digits_with_no_leading_zero(
+    tmp_path, capsys, table, bad, as_json
+):
+    doc = json.loads((DATA / "ex32_fano.json").read_text())
+    doc["coroot_on_M"] = table
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fano", str(path), *(["--json"] if as_json else [])]) == 2
+    captured = capsys.readouterr()
+    violation = f"$.coroot_on_M: keys {bad} are not simple root indices"
+    if as_json:
+        assert json.loads(captured.out) == {"error": "invalid input", "violations": [violation]}
+        assert captured.err == ""
+    else:
+        assert (captured.out, captured.err) == ("", f"violation: {violation}\n")
+
+
+def test_coroot_keys_one_to_n_load():
+    doc = json.loads((DATA / "ex32_fano.json").read_text())
+    doc["coroot_on_M"] = {str(a): [a, 0] for a in range(1, 13)}
+    coroot = serialize.augmented_from_doc(doc).coroot_on_m
+    assert coroot == {a - 1: (a, 0) for a in range(1, 13)}
 
 
 def test_verify_over_no_rows_is_invalid(capsys, tmp_path):

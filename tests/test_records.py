@@ -33,6 +33,7 @@ def _samples() -> list:
     report = pinv.compute_p(sk)
     aug = augmented_from_doc(load_fixture("ex32_fano.json"))
     fp = fano.build_fano(aug)
+    rows = {r[:3]: r for r in catalog.verify_catalog(max_rank=2)}
     return [
         sk.root_system.factors[0],
         roots.positive_roots(sk.root_system)[0],
@@ -49,8 +50,8 @@ def _samples() -> list:
         fp.q,
         report,
         spec,
-        catalog._evaluate(spec, [1], [])[0],
-        catalog._evaluate(catalog.FamilySpec.parse("2:A2"), [1], [])[0],
+        rows["2", "B2", 1],
+        rows["2", "A2", 1],
         catalog.PARAMETRIC_FAMILIES["3"],
         aug,
         fp,
