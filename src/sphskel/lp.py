@@ -32,6 +32,26 @@ costs; a row whose unit variable is basic, or was dropped with its row,
 keeps the dual 0.  Returned primal points are basic solutions, i.e.
 vertices of the feasible region.
 
+``solve_each`` solves the problems that add one row ``r.x <= m`` each to
+a base and lower c by r, as a catalog marking adds theta_k <= 1 with c -
+e_k.  With ints r >= 0, m >= 0 and b >= 0, and no equality rows, no phase
+1 runs, and each problem's cold path is the base's own up to the first
+label the base enters from the support of r (Bland 1977):
+
+- r is zero off its support, so the added row is zero on every column
+  entered before that point and never wins a ratio test;
+- lowering c by r >= 0 lowers only the reduced costs of support columns,
+  which have not entered; Bland's label e is not among them, and every
+  lower label's reduced cost was already <= 0, so the choice stays e;
+- a pivot whose column is zero in the added row only scales that row, to
+  p / d times itself, as it does every row it leaves untouched.
+
+So just before that pivot the problem's tableau is the base's with r
+over d appended and ``r_j * d`` taken off the reduced cost of each support
+column j, and from there it runs its own path.  Its final basis, and with
+it x, y and the value, is the cold solve's, type for type.  A row whose
+support never enters ends at the base's basis with its own slack basic.
+
 The dual vector ``y`` has one entry per row, the inequality rows first and
 then the equality rows, such that ``A^T y_le + A_eq^T y_eq >= c`` and
 ``b.y_le + b_eq.y_eq = c.x``.  Inequality duals are nonnegative; equality
@@ -45,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import Mat, Vec, lcm_fold, quotient
 
@@ -155,7 +175,12 @@ def _pivot(
 
 
 def _simplex(
-    tab: list[list[int]], basic: list[int], nonbasic: list[int], d: int, last: int
+    tab: list[list[int]],
+    basic: list[int],
+    nonbasic: list[int],
+    d: int,
+    last: int,
+    entering: Callable[[list[list[int]], list[int], list[int], int, int], None] | None = None,
 ) -> tuple[str, int]:
     """Run Bland-rule simplex on ``tab / d`` to optimality or unboundedness.
 
@@ -164,6 +189,8 @@ def _simplex(
     is the lowest label below ``last`` with a positive reduced cost.  The
     leaving row minimises ``rhs / a`` by cross-multiplication, ties going
     to the lowest basic label.  Returns the status and the final d.
+    ``entering(tab, basic, nonbasic, d, label)``, if given, sees the
+    tableau each time a label is chosen to enter, before its ratio test.
     """
     while True:
         z = tab[-1]
@@ -173,6 +200,8 @@ def _simplex(
                 enter, label = j, lab
         if enter is None:
             return OPTIMAL, d
+        if entering is not None:
+            entering(tab, basic, nonbasic, d, label)
         leave = None
         for i, bi in enumerate(basic):
             row = tab[i]
@@ -270,26 +299,117 @@ def solve(problem: LpProblem) -> LpResult:
     status, d = _simplex(tab, basic, nonbasic, d, n + m)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
+    # Dual values are the negated reduced costs of the unit variables,
+    # times den[i], and negated again for an equality row that was
+    # negated.
+    prices = [s if i >= m and rows[i][1] < 0 else -s for i, s in enumerate(den)]
+    return _optimum(tab, basic, nonbasic, d, n, scale, prices)
 
+
+def _optimum(
+    tab: list[list[int]],
+    basic: list[int],
+    nonbasic: list[int],
+    d: int,
+    n: int,
+    scale: int,
+    prices: list[int],
+) -> LpResult:
+    """Read the optimal result off a final tableau over d: x from the basic
+    originals over d, the value and y over ``d * scale``, with y_i the
+    reduced cost of row i's unit variable times ``prices[i]``.  Each final
+    row combines original rows, so these price every row, those dropped as
+    redundant in phase 1 included; a basic unit variable, or one dropped
+    with its row, prices its row at 0."""
     x = [0] * n
     for row, bi in zip(tab, basic):
         if bi < n and row[-1]:
             x[bi] = quotient(row[-1], d)
-    # Dual values are the negated reduced costs of the unit variables,
-    # times den[i], and negated again for an equality row that was
-    # negated.  Each final row combines original rows, so these price
-    # every row, those dropped as redundant in phase 1 included; a basic
-    # unit variable, or one dropped with its row, prices its row at 0.
     z = tab[-1]
     d *= scale
-    y = [0] * r
+    y = [0] * len(prices)
     for lab, p in zip(nonbasic, z):
         i = lab - n
         if i >= 0 and p:
-            if i < m or rows[i][1] >= 0:
-                p = -p
-            y[i] = quotient(den[i] * p, d)
+            y[i] = quotient(prices[i] * p, d)
     return LpResult(OPTIMAL, quotient(-z[-1], d), tuple(x), tuple(y))
+
+
+def solve_each(problem: LpProblem, rows: Sequence[tuple[Vec, int | Q]]) -> list[LpResult]:
+    """``[solve(added(r, mr)) for r, mr in rows]``, where ``added(r, mr)``
+    is problem with the row ``r.x <= mr`` after its inequality rows and
+    with c lowered by r, solved along one shared Bland path.
+
+    The base runs its own path once.  Just before that path first enters a
+    label in the support of r, the row's problem takes a copy of the
+    tableau, with the row over d and ``r_j * d`` taken off the reduced
+    cost of each support column j, and runs on from there to its own end.
+    A row whose support never enters reads the base's result with its own
+    dual 0.  Falls back to ``solve`` for every row if the base needs phase
+    1 or holds a Fraction, and for a row with a negative or non-int entry
+    or rhs.
+    """
+    c, a, b, a_eq, b_eq = problem
+    n, m = len(c), len(b)
+    results: list[LpResult | None] = [None] * len(rows)
+    pending: set[int] = set()
+    waiting: dict[int, list[int]] = {}  # label -> the pending rows it enters
+    if (
+        not a_eq
+        and all(type(v) is int and v >= 0 for v in b)
+        and type(sum(c)) is int
+        and all(type(sum(ai)) is int for ai in a)
+    ):
+        for i, (r, mr) in enumerate(rows):
+            if (
+                len(r) == n
+                and type(mr) is int
+                and mr >= 0
+                and all(type(v) is int and v >= 0 for v in r)
+            ):
+                pending.add(i)
+                for j, v in enumerate(r):
+                    if v:
+                        waiting.setdefault(j, []).append(i)
+
+    def diverge(tab, basic, nonbasic, d, label):
+        for i in waiting.pop(label, ()):
+            if i not in pending:
+                continue
+            pending.remove(i)
+            r, mr = rows[i]
+            # No support label has entered yet, so each is nonbasic at its
+            # own column and the row in the current basis is r, over d.
+            own = [row[:] for row in tab]
+            z = own[-1]
+            for j, v in enumerate(r):
+                if v:
+                    z[j] -= v * d
+            own.insert(-1, [v * d for v in r] + [mr * d])
+            own_basic, own_nonbasic = basic + [n + m], nonbasic[:]
+            status, own_d = _simplex(own, own_basic, own_nonbasic, d, n + m + 1)
+            results[i] = (
+                _optimum(own, own_basic, own_nonbasic, own_d, n, 1, [-1] * (m + 1))
+                if status == OPTIMAL
+                else LpResult(UNBOUNDED)
+            )
+
+    if pending:
+        tab = [[*ai, bi] for ai, bi in zip(a, b)]
+        tab.append([*c, 0])
+        basic, nonbasic = list(range(n, n + m)), list(range(n))
+        status, d = _simplex(tab, basic, nonbasic, 1, n + m, diverge)
+        shared = LpResult(UNBOUNDED)
+        if status == OPTIMAL:
+            shared = _optimum(tab, basic, nonbasic, d, n, 1, [-1] * m)
+            shared = shared._replace(y=shared.y + (0,))
+        for i in pending:
+            results[i] = shared
+    for i, (r, mr) in enumerate(rows):
+        if results[i] is None:
+            c_r = tuple(cj - v for cj, v in zip(c, r, strict=True))
+            results[i] = solve(LpProblem(c_r, a + (r,), b + (mr,), a_eq, b_eq))
+    return results
 
 
 def check_certificate(problem: LpProblem, result: LpResult) -> bool:

@@ -7,7 +7,10 @@ validates a skeleton, localizes it at a divisor subset and computes p there.
 The value, gap, vertex and dual are ints unless they are true quotients,
 and then Fractions, as ``lp.solve`` returns them.  compute_p_each gives
 compute_p of each one-divisor skeleton of a Gamma, validating once and
-building the colors' LP once: the catalog sweep's path to its markings.
+solving through ``lp.solve_each``: the colors' LP runs its Bland path
+once, and each divisor's LP resumes it where a column of its own row
+first enters, or reads the colors' result if none does.  This is the
+catalog sweep's path to its markings.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
     violations = validate(sk)
     if violations:
         raise InvalidSkeleton(violations)
-    return _report(skeleton_lp(sk), parabolic_count(sk.root_system, sk.sp))
+    problem = skeleton_lp(sk)
+    return _report(problem, lp.solve(problem), parabolic_count(sk.root_system, sk.sp))
 
 
 def compute_p_each(sk: SphericalSkeleton) -> list[PInvariantReport]:
@@ -64,30 +68,28 @@ def compute_p_each(sk: SphericalSkeleton) -> list[PInvariantReport]:
     unique over all the divisors are unique over any one of them, so each
     one-divisor skeleton is valid too.  Gamma comes after the colors, so
     each g's LP is the colors' LP with g's column sums, row and m_D added:
-    the problem skeleton_lp builds for that one-divisor skeleton.
+    the problem skeleton_lp builds for that one-divisor skeleton.  The row
+    is -<rho(g), .> and the column sums lower c by it, so ``lp.solve_each``
+    solves them all along the colors' shared Bland path.
     """
     violations = validate(sk)
     if violations:
         raise InvalidSkeleton(violations)
-    c, a, b, _, _ = skeleton_lp(sk._replace(gamma=()))
+    colors = skeleton_lp(sk._replace(gamma=()))
+    c, a, b, _, _ = colors
+    rows = [(tuple(map(neg, g.pairings)), g.m) for g in sk.gamma]
     bound = parabolic_count(sk.root_system, sk.sp)
     return [
         _report(
-            lp.LpProblem(
-                tuple(map(add, c, g.pairings)),
-                a + (tuple(map(neg, g.pairings)),),
-                b + (g.m,),
-            ),
-            bound,
+            lp.LpProblem(tuple(map(add, c, g.pairings)), a + (r,), b + (mr,)), res, bound
         )
-        for g in sk.gamma
+        for g, (r, mr), res in zip(sk.gamma, rows, lp.solve_each(colors, rows))
     ]
 
 
-def _report(problem: lp.LpProblem, bound: int) -> PInvariantReport:
-    """Solve a skeleton's LP and read out its report."""
+def _report(problem: lp.LpProblem, res: lp.LpResult, bound: int) -> PInvariantReport:
+    """Read out the report of a skeleton's LP from its solve."""
     base = sum(problem.b) - len(problem.b)
-    res = lp.solve(problem)
     if res.status == lp.UNBOUNDED:
         return PInvariantReport(None, bound, None, None, None, False, problem, base)
     if res.status != lp.OPTIMAL:

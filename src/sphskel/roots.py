@@ -57,11 +57,16 @@ class SimpleType(_SimpleTypeFields):
 
     @staticmethod
     def parse(text: str) -> "SimpleType":
-        """A letter, then the rank in ASCII digits only: ``int`` would also
-        read signs, underscores and other scripts' digits."""
+        """A letter, then the rank in ASCII digits with no leading zero, as
+        a spec's l and m: ``int`` would also read signs, underscores, other
+        scripts' digits and ``01``, which would not round-trip."""
         text = text.strip()
         digits = text[1:]
-        if not text[:1].isalpha() or not (digits.isascii() and digits.isdigit()):
+        if (
+            not text[:1].isalpha()
+            or not (digits.isascii() and digits.isdigit())
+            or (digits[0] == "0" and digits != "0")
+        ):
             raise ValueError(f"cannot parse simple type {text!r}")
         return SimpleType(text[0].upper(), int(digits))
 

@@ -565,8 +565,9 @@ def test_swept_m_of_the_l_only_families_is_still_read(capsys, spec):
 # Specs outside the catalog's grammar, each with its violation.  A fixed
 # family takes only a bare label or its own ambient type (29, 29:F4); a
 # simple type's rank is ASCII digits only, where int() would also read a
-# sign, a space, an underscore or another script's digits; l and m are
-# each given at most once, in ASCII digits with no leading zero.
+# sign, a space, an underscore or another script's digits, and with no
+# leading zero; l and m are each given at most once, in ASCII digits with
+# no leading zero.
 LM_DIGITS = "takes ASCII digits with no leading zero"
 REFUSED_SPECS = {
     "29:l=3,m=9": "family 29 takes no parameters, only its type F4: '29:l=3,m=9'",
@@ -584,6 +585,8 @@ REFUSED_SPECS = {
     "2:A-1": "cannot parse simple type 'A-1'",
     "2:A 3": "cannot parse simple type 'A 3'",
     "2:A\u00b2": "cannot parse simple type 'A\u00b2'",
+    "2:A01": "cannot parse simple type 'A01'",
+    "2:B002": "cannot parse simple type 'B002'",
     "3:l=1,l=2,m=1": "parameter l given twice: '3:l=1,l=2,m=1'",
     "3:l=1,m=1,m=2": "parameter m given twice: '3:l=1,m=1,m=2'",
     "8:L=1,l=1": "parameter l given twice: '8:L=1,l=1'",
@@ -607,15 +610,18 @@ def test_spec_the_catalog_does_not_define_exits_2(capsys, spec):
     assert json.loads(capsys.readouterr().out)["violations"] == [message]
 
 
-@pytest.mark.parametrize("text", ["A+1", "A 1", "A\u0661"])
+@pytest.mark.parametrize("text", ["A+1", "A 1", "A\u0661", "A01", "B002"])
 def test_document_simple_type_rank_is_ascii_digits(tmp_path, capsys, text):
-    # ex35 is over A1, and int() would read each of these ranks as 1.
+    # ex35 is over A1; int() would read each of these ranks, as 1 or 2.
     doc = json.loads((DATA / "ex35.json").read_text(encoding="utf-8"))
     doc["root_system"] = [text]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"cannot parse simple type {text!r}"
     assert main(["compute-p", str(path)]) == cli.EXIT_INVALID
-    assert capsys.readouterr() == ("", f"violation: cannot parse simple type {text!r}\n")
+    assert capsys.readouterr() == ("", f"violation: {message}\n")
+    assert main(["compute-p", str(path), "--json"]) == cli.EXIT_INVALID
+    assert json.loads(capsys.readouterr().out)["violations"] == [message]
 
 
 def _raise_runtime_error(args):

@@ -940,3 +940,169 @@ def test_against_sympy_linprog_equality_rows():
         checked.add(res.status)
     assert checked == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
     assert decided_by_sympy >= 20
+
+
+# solve_each: a base LP and added rows r.x <= m with c lowered by r, each
+# solved along the base's shared Bland path from the point where its own
+# support first enters, must give what a cold solve of its problem gives.
+
+
+def _added(problem, r, mr):
+    c, a, b, a_eq, b_eq = problem
+    c_r = tuple(cj - v for cj, v in zip(c, r))
+    return lp.LpProblem(c_r, a + (tuple(r),), b + (mr,), a_eq, b_eq)
+
+
+def _shared_base(rng):
+    # Int entries, b >= 0 and no equality rows: the bases solve_each
+    # shares.  Entries up to 5 make pivots with p != d; zero rhs and a
+    # row repeated, or doubled with its rhs, make ratio-test ties.
+    n, m = rng.randrange(1, 6), rng.randrange(0, 6)
+    a = [[rng.randrange(-3, 6) for _ in range(n)] for _ in range(m)]
+    b = [rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in a]
+    if a and rng.random() < 0.5:
+        i, s = rng.randrange(len(a)), rng.choice((1, 2))
+        a.append([s * v for v in a[i]])
+        b.append(s * b[i])
+    c = [rng.randrange(-2, 6) for _ in range(n)]
+    return lp.LpProblem.build(c, a, b)
+
+
+def _added_rows(rng, n):
+    rows = []
+    for _ in range(rng.randrange(1, 7)):
+        support = set(rng.sample(range(n), rng.randrange(0, min(n, 3) + 1)))
+        r = tuple(rng.randrange(1, 4) if j in support else 0 for j in range(n))
+        rows.append((r, rng.randrange(0, 5)))
+    return rows
+
+
+# Each fall-back, as (maker of base, maker of row) changes: the base needs
+# phase 1 or holds a Fraction, or the row holds a negative entry, a
+# Fraction entry or a negative rhs.
+def _phase1_base(rng, problem):
+    c, a, b, _, _ = problem
+    if not b:
+        return lp.LpProblem.build(c, [[1] * len(c)], [-1])
+    i = rng.randrange(len(b))
+    return problem._replace(b=b[:i] + (-1 - b[i],) + b[i + 1 :])
+
+
+def _equality_base(rng, problem):
+    n = len(problem.c)
+    return problem._replace(a_eq=(tuple(rng.randrange(0, 3) for _ in range(n)),), b_eq=(2,))
+
+
+def _fraction_base(rng, problem):
+    c = problem.c
+    j = rng.randrange(len(c))
+    return problem._replace(c=c[:j] + (Q(2 * c[j] + 1, 2),) + c[j + 1 :])
+
+
+def _negative_entry(rng, r, mr):
+    j = rng.randrange(len(r))
+    return r[:j] + (-1 - r[j],) + r[j + 1 :], mr
+
+
+def _fraction_entry(rng, r, mr):
+    j = rng.randrange(len(r))
+    return r[:j] + (Q(2 * r[j] + 1, 2),) + r[j + 1 :], mr
+
+
+def _negative_rhs(rng, r, mr):
+    return r, -1 - mr
+
+
+BASE_FALLBACKS = (_phase1_base, _equality_base, _fraction_base)
+ROW_FALLBACKS = (_negative_entry, _fraction_entry, _negative_rhs)
+
+
+def _base_path(problem):
+    """The base's own Bland path, seen through ``_simplex``'s entering
+    hook: for each entering label, the d before its pivot and whether its
+    ratio test ties; and the base's status."""
+    c, a, b, _, _ = problem
+    n, m = len(c), len(b)
+    tab = [[*ai, bi] for ai, bi in zip(a, b)] + [[*c, 0]]
+    steps = []
+
+    def record(tab, basic, nonbasic, d, label):
+        e = nonbasic.index(label)
+        ratios = [Q(row[-1], row[e]) for row in tab[:-1] if row[e] > 0]
+        steps.append((label, d, len(ratios) > 1 and ratios.count(min(ratios)) > 1))
+
+    status, _ = lp._simplex(tab, list(range(n, n + m)), list(range(n)), 1, n + m, record)
+    return steps, status
+
+
+def _seeded_solve_each_cases():
+    """600 bases with 1-6 added rows each; every fifth base or row in turn
+    takes one of the fall-backs."""
+    rng = random.Random("lp-solve-each")
+    for t in range(600):
+        problem = _shared_base(rng)
+        rows = _added_rows(rng, len(problem.c))
+        base_fallback = row_fallback = None
+        if t % 5 == 1:
+            base_fallback = BASE_FALLBACKS[t // 5 % len(BASE_FALLBACKS)]
+            problem = base_fallback(rng, problem)
+        elif t % 5 == 2:
+            row_fallback = ROW_FALLBACKS[t // 5 % len(ROW_FALLBACKS)]
+            i = rng.randrange(len(rows))
+            rows[i] = row_fallback(rng, *rows[i])
+        yield problem, rows, base_fallback, row_fallback
+
+
+def test_solve_each_equals_cold_solve(monkeypatch):
+    solve = lp.solve
+    cold_calls = Counter()
+
+    def counted(problem):
+        cold_calls["solve"] += 1
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    seen = Counter()
+    for problem, rows, base_fallback, row_fallback in _seeded_solve_each_cases():
+        cold_calls.clear()
+        got = lp.solve_each(problem, rows)
+        falls_back = [
+            base_fallback is not None
+            or not all(type(v) is int and v >= 0 for v in (*r, mr))
+            for r, mr in rows
+        ]
+        assert cold_calls["solve"] == sum(falls_back), (problem, rows)
+        want = [solve(_added(problem, r, mr)) for r, mr in rows]
+        assert repr(got) == repr(want), (problem, rows)
+        seen[(base_fallback or row_fallback or _shared_base).__name__] += 1
+        if base_fallback is not None:
+            continue
+        steps, status = _base_path(problem)
+        labels = [label for label, _, _ in steps]
+        for (r, mr), fell_back in zip(rows, falls_back):
+            if fell_back:
+                continue
+            # The first step that enters a column of the row's support.
+            first = next((k for k, lab in enumerate(labels) if lab < len(r) and r[lab]), None)
+            if first is None:
+                seen["no pivot"] += 1
+                seen["no pivot, base unbounded off its support"] += status == lp.UNBOUNDED
+                continue
+            seen["resumed"] += 1
+            seen["resumed, base unbounded on its support"] += (
+                status == lp.UNBOUNDED and first == len(steps) - 1
+            )
+            # d starts at 1 and changes only in a pivot with p != d.
+            seen["resumed after p != d"] += steps[first][1] > 1
+            seen["resumed after a tie"] += any(tie for _, _, tie in steps[:first])
+    assert [seen[f.__name__] for f in (*BASE_FALLBACKS, *ROW_FALLBACKS)] == [40] * 6, seen
+    assert seen["_shared_base"] == 360, seen
+    for case in (
+        "no pivot",
+        "no pivot, base unbounded off its support",
+        "resumed",
+        "resumed, base unbounded on its support",
+        "resumed after p != d",
+        "resumed after a tie",
+    ):
+        assert seen[case] >= 40, (case, seen)

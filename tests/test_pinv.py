@@ -6,7 +6,7 @@ import pytest
 
 from conftest import load_fixture, permuted_copy, random_skeleton
 from sphskel import lp
-from sphskel.catalog import FamilySpec, all_specs, generate, mark, table_tasks
+from sphskel.catalog import FamilySpec, all_specs, generate, mark, table_tasks, verify_catalog
 from sphskel.pinv import (
     compute_p,
     compute_p_each,
@@ -244,6 +244,24 @@ def test_compute_p_each_equals_compute_p_with_several_gamma_rows(rng):
         _assert_same_reports(compute_p_each(sk), _one_by_one(sk), sk.gamma)
         several += len(sk.gamma) >= 2
     assert several >= 50
+
+
+@pytest.mark.parametrize("max_rank, pivots", [(8, 1788), (12, 5656)])
+def test_catalog_sweep_shares_the_markings_bland_path(monkeypatch, max_rank, pivots):
+    # Solved one by one, the rank-8 sweep makes 2,569 pivots and rank 12
+    # makes 8,933.  Each marking resumes the colors' shared path where
+    # its own column first enters, so the pivots before that are made once.
+    count = 0
+    pivot = lp._pivot
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    verify_catalog(max_rank)
+    assert count == pivots
 
 
 def test_compute_p_each_of_an_empty_gamma_is_empty():

@@ -35,6 +35,11 @@ def test_simple_type_rank_rules():
     with pytest.raises(ValueError):
         SimpleType("G", 3)
     assert str(SimpleType.parse("e7")) == "E7"
+    # A rank reads back as it is written: no leading zero.
+    assert str(SimpleType.parse("A10")) == "A10"
+    for text in ("A01", "B002", "e07"):
+        with pytest.raises(ValueError, match="cannot parse simple type"):
+            SimpleType.parse(text)
 
 
 def test_cartan_a2():
