@@ -10,13 +10,15 @@ compute_p of each one-divisor skeleton of a Gamma, validating once and
 solving through ``lp.solve_each``: the colors' LP runs its Bland path
 once, and each divisor's LP resumes it where a column of its own row
 first enters, or reads the colors' result if none does.  This is the
-catalog sweep's path to its markings.
+catalog sweep's path to its markings.  A report holds the solved values,
+not the LP; compute_p certifies its optimum by ``lp.check_certificate``
+and raises RuntimeError if that fails or if the LP is infeasible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from operator import add, neg
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
@@ -32,8 +34,6 @@ class PInvariantReport(NamedTuple):
     theta: Vec | None  # coordinates of the optimal vertex over sigma
     dual: Vec | None
     is_equality: bool
-    problem: lp.LpProblem
-    base: int  # sum_D (m_D - 1)
 
     @property
     def finite(self) -> bool:
@@ -56,7 +56,11 @@ def compute_p(sk: SphericalSkeleton) -> PInvariantReport:
     if violations:
         raise InvalidSkeleton(violations)
     problem = skeleton_lp(sk)
-    return _report(problem, lp.solve(problem), parabolic_count(sk.root_system, sk.sp))
+    res = lp.solve(problem)
+    if res.status == lp.OPTIMAL and not lp.check_certificate(problem, res):
+        raise RuntimeError("invariant LP optimum fails its certificate")
+    base = sum(problem.b) - len(problem.b)
+    return _report(res, parabolic_count(sk.root_system, sk.sp), base)
 
 
 def compute_p_each(sk: SphericalSkeleton) -> list[PInvariantReport]:
@@ -70,37 +74,29 @@ def compute_p_each(sk: SphericalSkeleton) -> list[PInvariantReport]:
     each g's LP is the colors' LP with g's column sums, row and m_D added:
     the problem skeleton_lp builds for that one-divisor skeleton.  The row
     is -<rho(g), .> and the column sums lower c by it, so ``lp.solve_each``
-    solves them all along the colors' shared Bland path.
+    solves them all along the colors' shared Bland path.  Each g has m_D =
+    1, so sum_D (m_D - 1) is the colors'.  These optima are not certified.
     """
     violations = validate(sk)
     if violations:
         raise InvalidSkeleton(violations)
     colors = skeleton_lp(sk._replace(gamma=()))
-    c, a, b, _, _ = colors
     rows = [(tuple(map(neg, g.pairings)), g.m) for g in sk.gamma]
     bound = parabolic_count(sk.root_system, sk.sp)
-    return [
-        _report(
-            lp.LpProblem(tuple(map(add, c, g.pairings)), a + (r,), b + (mr,)), res, bound
-        )
-        for g, (r, mr), res in zip(sk.gamma, rows, lp.solve_each(colors, rows))
-    ]
+    base = sum(colors.b) - len(colors.b)
+    return [_report(res, bound, base) for res in lp.solve_each(colors, rows)]
 
 
-def _report(problem: lp.LpProblem, res: lp.LpResult, bound: int) -> PInvariantReport:
-    """Read out the report of a skeleton's LP from its solve."""
-    base = sum(problem.b) - len(problem.b)
+def _report(res: lp.LpResult, bound: int, base: int) -> PInvariantReport:
+    """The report of a skeleton's LP from its solve; base is sum_D (m_D - 1)."""
     if res.status == lp.UNBOUNDED:
-        return PInvariantReport(None, bound, None, None, None, False, problem, base)
+        return PInvariantReport(None, bound, None, None, None, False)
     if res.status != lp.OPTIMAL:
-        # x = 0 is feasible whenever every m_D > 0, so this cannot happen
-        # for genuine skeleton data.
-        raise InvalidSkeleton([f"invariant LP is {res.status}"])
+        # validate makes every m_D > 0, so x = 0 is feasible: a solver fault.
+        raise RuntimeError(f"invariant LP is {res.status}")
     value = base + res.value
     gap = bound - value
-    return PInvariantReport(
-        value, bound, gap, res.x, res.y, gap == 0, problem, base
-    )
+    return PInvariantReport(value, bound, gap, res.x, res.y, gap == 0)
 
 
 def evaluate_objective(sk: SphericalSkeleton, theta: Sequence[int | Q]) -> int | Q:

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import DATA
-from sphskel import catalog, cli, fano, pinv, serialize, skeleton
+from sphskel import catalog, cli, fano, lp, pinv, serialize, skeleton
 from sphskel.cli import main
 from test_fano import product_rays, projective_rays, toric
 
@@ -651,6 +651,44 @@ def test_internal_error_deep_in_a_command(monkeypatch, capsys):
     monkeypatch.setattr(pinv, "compute_p", broken)
     assert main(["smoothness", EX35]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: solver state\n"
+
+
+CERTIFIED = {
+    "compute-p": ["compute-p", EX35],
+    "compute-p-json": ["compute-p", EX35, "--json"],
+    "compute-p-family": ["compute-p", "--family", "2:G2", "--mark", "1"],
+    "smoothness": ["smoothness", EX35, "--divisors", "D1,D2,D4"],
+    "smoothness-json": ["smoothness", EX35, "--divisors", "D1,D2,D4", "--json"],
+    "fano": ["fano", EX32],
+    "fano-json": ["fano", EX32, "--json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(CERTIFIED.values()), ids=list(CERTIFIED))
+def test_a_failed_certificate_is_an_internal_error(monkeypatch, capsys, argv):
+    # pinv.compute_p checks the optimum that each of these commands reads.
+    monkeypatch.setattr(lp, "check_certificate", lambda problem, res: False)
+    assert main(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == (
+        "", "internal error: RuntimeError: invariant LP optimum fails its certificate\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*CERTIFIED.values(), ["verify", "all", "--max-rank", "2"]],
+    ids=[*CERTIFIED, "verify"],
+)
+def test_an_infeasible_invariant_lp_is_an_internal_error(monkeypatch, capsys, argv):
+    # Exit 2 would call the input invalid; validated data always has x = 0
+    # feasible, so an infeasible invariant LP is the solver's fault.
+    infeasible = lp.LpResult(lp.INFEASIBLE)
+    monkeypatch.setattr(lp, "solve", lambda problem: infeasible)
+    monkeypatch.setattr(lp, "solve_each", lambda problem, rows: [infeasible] * len(rows))
+    assert main(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == (
+        "", "internal error: RuntimeError: invariant LP is infeasible\n"
+    )
 
 
 def _redumped(text: str) -> str:

@@ -33,14 +33,22 @@ def worked_example():
     return skeleton_from_doc(load_fixture("ex35.json"))
 
 
+def _certified(sk, rep):
+    """The report's vertex and dual certify its value on sk's own LP, read
+    from the skeleton and not from the report: skeleton_lp(sk), and
+    sum_D (m_D - 1) from sk's divisors."""
+    value = rep.p_value - sum(d.m - 1 for d in sk.divisors)
+    result = lp.LpResult(lp.OPTIMAL, value, rep.theta, rep.dual)
+    return lp.check_certificate(skeleton_lp(sk), result)
+
+
 def test_worked_example_value_and_vertex():
-    rep = compute_p(worked_example())
+    sk = worked_example()
+    rep = compute_p(sk)
     assert rep.p_value == 1
     assert rep.bound == 1 and rep.is_equality
     assert rep.theta == (Q(1),)  # theta = the spherical root itself
-    assert lp.check_certificate(
-        rep.problem, lp.LpResult(lp.OPTIMAL, rep.p_value - rep.base, rep.theta, rep.dual)
-    )
+    assert _certified(sk, rep)
 
 
 def test_empty_sigma_sum_of_coefficients():
@@ -171,9 +179,8 @@ def test_certificates_on_catalog_samples():
         (FamilySpec("29"), 4),
         (FamilySpec("9", l=2, m=1), 2),
     ]:
-        rep = compute_p(mark(spec, k))
-        result = lp.LpResult(lp.OPTIMAL, rep.p_value - rep.base, rep.theta, rep.dual)
-        assert lp.check_certificate(rep.problem, result)
+        sk = mark(spec, k)
+        assert _certified(sk, compute_p(sk))
 
 
 def test_skeleton_lp_data_are_ints():
@@ -200,7 +207,7 @@ def test_skeleton_lp_rejects_a_pairing_row_of_another_width():
 def test_skeleton_lp_on_catalog_is_column_sums_negated_rows_and_m():
     # Every rank-8 catalog marking: c_g = sum_D <rho(D), g>, the rows
     # -<rho(D), .> and b_D = m_D, as the module docstring states them; and
-    # compute_p's base is sum_D (m_D - 1).
+    # compute_p's value is sum_D (m_D - 1) plus that LP's optimum.
     tasks = table_tasks(max_rank=8)
     for spec, k in tasks:
         sk = mark(spec, k)
@@ -209,7 +216,8 @@ def test_skeleton_lp_on_catalog_is_column_sums_negated_rows_and_m():
         a = tuple(tuple(-v for v in row) for row in rows)
         b = tuple(d.m for d in sk.divisors)
         assert skeleton_lp(sk) == lp.LpProblem(c, a, b), (spec.label(), k)
-        assert compute_p(sk).base == sum(m - 1 for m in b), (spec.label(), k)
+        optimum = lp.solve(lp.LpProblem(c, a, b)).value
+        assert compute_p(sk).p_value == sum(m - 1 for m in b) + optimum, (spec.label(), k)
     assert len(tasks) == 867
 
 
@@ -218,8 +226,8 @@ def _one_by_one(sk):
 
 
 def _assert_same_reports(got, want, where):
-    # repr tells an int from an equal Fraction, in every field and in the
-    # LP problem's entries; == alone would not.
+    # repr tells an int from an equal Fraction, in every field; == alone
+    # would not.
     assert got == want, where
     assert repr(got) == repr(want), where
 
@@ -262,6 +270,56 @@ def test_catalog_sweep_shares_the_markings_bland_path(monkeypatch, max_rank, piv
     monkeypatch.setattr(lp, "_pivot", counted)
     verify_catalog(max_rank)
     assert count == pivots
+
+
+@pytest.mark.parametrize("max_rank, problems", [(8, 191), (12, 363)])
+def test_catalog_sweep_builds_one_lp_problem_per_skeleton(monkeypatch, max_rank, problems):
+    # One colors' LP per distinct catalog skeleton, and none per marking:
+    # with a problem built for each marking as well, rank 8 built 866 and
+    # rank 12 built 2,020.
+    count = 0
+    new = lp.LpProblem.__new__
+
+    def counted(cls, *args):
+        nonlocal count
+        count += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(lp.LpProblem, "__new__", counted)
+    verify_catalog(max_rank)
+    assert count == problems
+
+
+def test_compute_p_certifies_its_optimum(monkeypatch):
+    sk = worked_example()
+    checked = []
+    check = lp.check_certificate
+
+    def recorded(problem, res):
+        checked.append(problem)
+        return check(problem, res)
+
+    monkeypatch.setattr(lp, "check_certificate", recorded)
+    compute_p(sk)
+    assert checked == [skeleton_lp(sk)]
+    monkeypatch.setattr(lp, "check_certificate", lambda problem, res: False)
+    for call in (lambda: compute_p(sk), lambda: smoothness(sk, ["D1", "D2", "D4"])):
+        with pytest.raises(RuntimeError, match="^invariant LP optimum fails its certificate$"):
+            call()
+    # An unbounded LP has no optimum to certify.
+    assert not compute_p(sk._replace(gamma=())).finite
+
+
+def test_an_infeasible_invariant_lp_is_a_runtime_error(monkeypatch):
+    # validate makes every m_D > 0, so x = 0 is feasible: an infeasible
+    # result is the solver's fault, not a violation of the input.
+    infeasible = lp.LpResult(lp.INFEASIBLE)
+    monkeypatch.setattr(lp, "solve", lambda problem: infeasible)
+    monkeypatch.setattr(lp, "solve_each", lambda problem, rows: [infeasible] * len(rows))
+    sk = mark(FamilySpec("2", series=SimpleType("G", 2)), 1)
+    for call in (compute_p, compute_p_each):
+        with pytest.raises(RuntimeError, match="^invariant LP is infeasible$"):
+            call(sk)
 
 
 def test_compute_p_each_of_an_empty_gamma_is_empty():

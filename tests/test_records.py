@@ -44,8 +44,8 @@ def _samples() -> list:
         sk.colors[0],
         sk.gamma[0],
         sk,
-        report.problem,
-        lp.solve(report.problem),
+        pinv.skeleton_lp(sk),
+        lp.solve(pinv.skeleton_lp(sk)),
         geometry.HPolytope.build([((1, 0), -1), ((0, 1), Q(-1, 2))], 2),
         fp.q,
         report,
